@@ -8,7 +8,6 @@ by the relational translation.
 from repro.sat.cnf import CNF
 from repro.sat.dimacs import dump_file, dumps, load_file, loads
 from repro.sat.enumerate import count_models, iter_models
-from repro.sat.simplify import simplify
 from repro.sat.solver import Solver, luby, solve_cnf
 from repro.sat.types import Clause, Lit, Model, Status, Var, clause, negate, var_of
 
@@ -29,7 +28,6 @@ __all__ = [
     "loads",
     "luby",
     "negate",
-    "simplify",
     "solve_cnf",
     "var_of",
 ]

@@ -1,53 +1,47 @@
-"""Vectorized unit-propagation kernel over the flat watcher arrays.
+"""Numpy assists for the CDCL solver's propagation and conflict loops.
 
-The interpreted loop in :meth:`repro.sat.solver.Solver._propagate` spends
-most of its time re-discovering that watched clauses are already satisfied:
-on check-shaped problems the overwhelming majority of watcher entries pass
-the blocker test and are skipped untouched.  This kernel keeps that
-fast-path out of the interpreter: the blocker literals of each long watcher
-list are mirrored into contiguous numpy ``int32``/``int8`` buffers, the
-current assignment is mirrored into an ``int8`` array (synced in bulk from
-the trail delta), and one vector expression
+:class:`repro.sat.solver.Solver` owns the only unit-propagation loop
+(``_propagate``) and the only conflict-analysis and minimization loops.
+With ``kernel="vector"`` it attaches a :class:`VectorKernel`, and those
+loops hand it the work numpy does in bulk:
 
-    ``assign[|blockers|] * sign(blockers) != TRUE``
+* **Blocker prefilter.**  On check-shaped problems the overwhelming
+  majority of watcher entries pass the blocker test and are skipped
+  untouched.  For a long watch list the kernel mirrors the blocker
+  literals into contiguous numpy ``int32``/``int8`` buffers and the
+  current assignment into an ``int8`` array (synced in bulk from the trail
+  delta), and one vector expression
 
-yields the indices of the few entries that actually need clause inspection.
-Those survivors are then processed by a scalar completion loop that is a
-line-for-line transcription of the interpreted body (normalize the false
-literal into slot 1, blocker/first checks, replacement-watch search,
-inlined unit enqueue, conflict copy-out).
+      ``assign[|blockers|] != sign(blockers)``
 
-Equivalence contract
---------------------
-The kernel performs *exactly* the same watch-list mutations, literal swaps,
-enqueues and statistics updates as the interpreted loop, in the same order.
-A blocker that is true at the start of a scan is still true when the
-interpreted loop would have reached it (assignments are only added during a
-propagation pass), so the snapshot filter skips precisely the entries the
-interpreted loop would have kept; every surviving entry re-checks the
-current assignment before being processed.  Consequently a ``vector``
-solver and a ``pure`` solver fed the same clauses take identical search
-trajectories: same models, same learned clauses, same ``stats``.  The
-differential oracles (``repro.campaign``, ``repro.fuzz``) rely on this to
-compare the two kernels entry for entry, not just verdict for verdict.
+  yields the positions of the few entries the loop has to visit.  A
+  blocker that is true at the start of a scan stays true for the whole
+  pass (assignments are only added during propagation), so the filter
+  skips exactly the entries the full scan would leave untouched and the
+  search trajectory does not change.
+* **Conflict-path assists.**  A per-variable decision-level mirror
+  (``int32``, synced from the trail in :meth:`begin_analyze` -- levels
+  are recomputed positionally from ``trail_lim`` with one
+  ``searchsorted``, so the sync never touches the solver's Python-level
+  ``_level`` list) backs three assists: :meth:`scan_reason` marks a reason
+  clause's fresh variables into the ``seen`` buffer and classifies them by
+  level in one gather, :meth:`redundant` evaluates the minimization
+  predicate over a whole reason clause, and :meth:`compute_lbd` counts
+  distinct levels with ``np.unique``.  VSIDS activities live in the
+  solver's ``array('d')`` storage, so :meth:`rescale_activity` multiplies
+  all of them through a transient zero-copy ``np.frombuffer`` view.  The
+  solver calls these only for clauses at or above its length thresholds,
+  where the numpy round-trip costs less than it saves; each reproduces the
+  interpreted result literal for literal.
 
-The conflict path gets the same treatment.  A per-variable decision-level
-mirror (``int32``, synced from the trail in :meth:`begin_analyze` — levels
-are recomputed positionally from ``trail_lim`` with one ``searchsorted``,
-so the sync never touches the solver's Python-level ``_level`` list) backs
-three assists: :meth:`scan_reason` marks a reason clause's fresh variables
-into the ``seen`` buffer and classifies them by level in one gather,
-:meth:`minimize` evaluates the redundancy predicate over a whole reason
-clause in bulk, and :meth:`compute_lbd` counts distinct levels with
-``np.unique``.  VSIDS activities live in the solver's ``array('d')``
-storage, so :meth:`rescale_activity` multiplies all of them through a
-transient zero-copy ``np.frombuffer`` view.  Each assist falls back to the
-interpreted loop below a clause-length threshold where the numpy
-round-trip costs more than it saves; all of them reproduce the interpreted
-results literal for literal, so trajectories stay bit-identical.
+Consequently a ``vector`` solver and a ``pure`` solver fed the same
+clauses take identical search trajectories: same models, same learned
+clauses, same ``stats``.  The differential oracles (``repro.campaign``,
+``repro.fuzz``) rely on this to compare the two kernels entry for entry,
+not just verdict for verdict.
 
 The kernel is optional: :func:`make_kernel` returns ``None`` when numpy is
-not installed and the solver falls back to the interpreted loop.
+not installed and the solver runs its loops without assists.
 """
 
 from __future__ import annotations
@@ -59,22 +53,18 @@ try:
 except ImportError:  # pragma: no cover - exercised via stubbed-import tests
     _np = None  # type: ignore[assignment]
 
+from repro.sat.solver import _FALSE, _TRUE
+
 if TYPE_CHECKING:
     from repro.sat.solver import Solver
     from repro.sat.types import Lit
 
 HAVE_NUMPY = _np is not None
 
-# Keep in sync with repro.sat.solver: assignment encoding and the "no
-# clause" sentinel are shared between the interpreted and vector paths.
-_TRUE = 1
-_FALSE = -1
-_NO_CLAUSE = -1
-
-# Watch lists shorter than this many [cid, blocker] pairs are scanned with
-# plain list indexing: below it the fixed cost of the numpy round-trip
-# (array build or cache lookup, gather, nonzero) exceeds the per-pair
-# savings of the vector filter.
+# Watch lists shorter than this many [cid, blocker] pairs are scanned in
+# full: below it the fixed cost of the numpy round-trip (array build or
+# cache lookup, gather, nonzero) exceeds the per-pair savings of the
+# filter.
 MIN_VECTOR_PAIRS = 24
 
 # Trail deltas and unassign batches below this size are synced scalar-wise;
@@ -85,23 +75,12 @@ _MIN_BULK_SYNC = 8
 # on conflict-heavy lists most blockers are unassigned, every scan mutates
 # the list (killing the blocker cache), and the numpy round-trip is pure
 # overhead.  A list whose filter prunes less than a quarter of its entries
-# _FILTER_PATIENCE scans in a row is demoted to the interpreted scan for
+# _FILTER_PATIENCE scans in a row is demoted to the full scan for
 # _SCALAR_MODE_SCANS scans, then given another try.  The filter skips only
-# entries whose blocker is true — entries the interpreted scan would skip
-# as well — so switching modes never changes the search trajectory.
+# entries whose blocker is true -- entries the full scan skips as well --
+# so switching modes never changes the search trajectory.
 _FILTER_PATIENCE = 4
 _SCALAR_MODE_SCANS = 64
-
-# _compute_lbd switches to np.unique at this clause length (see
-# Solver._compute_lbd, which keeps its own copy); below it a Python set
-# comprehension is faster.
-MIN_VECTOR_LBD = 64
-
-# Reason clauses at least this long go through the vectorized analyze /
-# minimize assists (see Solver's _VECTOR_ANALYZE_THRESHOLD); the numpy
-# round-trip breaks even against the interpreted scan at roughly this
-# length.
-MIN_VECTOR_SCAN = 64
 
 
 def make_kernel(solver: "Solver") -> "VectorKernel | None":
@@ -112,7 +91,7 @@ def make_kernel(solver: "Solver") -> "VectorKernel | None":
 
 
 class VectorKernel:
-    """Numpy-backed propagation engine attached to one :class:`Solver`.
+    """Numpy assists attached to one :class:`Solver`.
 
     The kernel owns two kinds of mirror state:
 
@@ -122,9 +101,9 @@ class VectorKernel:
     * ``_cache`` — per-encoded-literal ``(|blocker|, sign)`` int arrays for
       long watch lists, so repeated scans of a hot list skip the
       list→ndarray conversion.  An entry is valid only while its length
-      matches the live list; any mutation the length check cannot see
-      (in-place blocker rewrites on the scalar path, arena compaction)
-      drops the entry instead.
+      matches the live list; any change the length check cannot see
+      (a scan that rewrote or removed entries, arena compaction) drops
+      the entry instead (:meth:`forget`, :meth:`invalidate`).
     """
 
     def __init__(self, solver: "Solver") -> None:
@@ -168,9 +147,9 @@ class VectorKernel:
         trail = self._solver._trail
         mark = self._trail_mark
         n = len(trail)
+        np_assign = self._ensure_capacity(len(self._solver._assign))
         if mark >= n:
             return
-        np_assign = self._ensure_capacity(len(self._solver._assign))
         if n - mark < _MIN_BULK_SYNC:
             for idx in range(mark, n):
                 lit = trail[idx]
@@ -203,241 +182,55 @@ class VectorKernel:
         """Drop all cached watch arrays (arena compaction reorders lists)."""
         self._cache.clear()
 
-    # ------------------------------------------------------------------
-    # Propagation
-    # ------------------------------------------------------------------
+    def forget(self, e: int) -> None:
+        """Drop the cached blocker arrays of watch list ``e``.
 
-    def propagate(self) -> int:
-        """Unit propagation; returns a conflicting clause id or -1.
-
-        Semantically identical to the interpreted loop in
-        ``Solver._propagate`` — see the module docstring for the
-        equivalence argument.  Keep the scalar completion below in sync
-        with that loop.
+        The solver calls this after a scan that rewrote a blocker in place
+        or removed entries: the length check cannot see the first, and a
+        later append could restore the old length after the second.
         """
-        np = _np
-        solver = self._solver
-        trail = solver._trail
-        trail_lim = solver._trail_lim
-        assign = solver._assign
-        level = solver._level
-        reason = solver._reason
-        phase = solver._phase
-        watches = solver._watches
-        arena = solver._arena
-        lits = arena.lits
-        start = arena.start
-        size = arena.size
-        deleted = arena.deleted
-        cache = self._cache
+        self._cache.pop(e, None)
+
+    # ------------------------------------------------------------------
+    # Blocker prefilter
+    # ------------------------------------------------------------------
+
+    def unblocked(self, e: int, watch_list: list[int]) -> "list[int] | None":
+        """Positions in ``watch_list`` of the entries whose blocker is not
+        true, or ``None`` when the solver should scan the whole list.
+
+        ``e`` is the encoded literal the list watches.  The answer is
+        ``None`` for short lists and for lists the governor has demoted.
+        Positions are flat indices of clause ids, in ascending order.
+        """
+        pairs = len(watch_list) >> 1
+        if pairs < MIN_VECTOR_PAIRS:
+            return None
         filter_state = self._filter_state
-        np_assign = self._ensure_capacity(len(assign))
-        propagated = 0
-        conflict = _NO_CLAUSE
-        while solver._qhead < len(trail):
-            lit = trail[solver._qhead]
-            solver._qhead += 1
-            propagated += 1
-            false_lit = -lit
-            e = 2 * false_lit if false_lit > 0 else -2 * false_lit + 1
-            wl = watches[e]
-            n = len(wl)
-            if not n:
-                continue
-            pairs = n >> 1
-            use_filter = pairs >= MIN_VECTOR_PAIRS
-            if use_filter:
-                if e >= len(filter_state):
-                    filter_state.extend(
-                        [0] * (len(watches) - len(filter_state)))
-                mode = filter_state[e]
-                if mode < 0:
-                    filter_state[e] = mode + 1
-                    use_filter = False
-            if not use_filter:
-                # Short list (or one the governor demoted): the
-                # interpreted body with in-place j-compaction (identical
-                # to Solver._propagate) beats any numpy round-trip.  The
-                # cache is popped when the pass changed anything a cached
-                # blocker array could reflect.
-                i = j = 0
-                mutated = False
-                while i < n:
-                    cid = wl[i]
-                    blocker = wl[i + 1]
-                    i += 2
-                    value = (assign[blocker] if blocker > 0
-                             else -assign[-blocker])
-                    if value == _TRUE:
-                        wl[j] = cid
-                        wl[j + 1] = blocker
-                        j += 2
-                        continue
-                    if deleted[cid]:
-                        continue  # lazily drop clauses removed by reduce_db
-                    s = start[cid]
-                    # Normalize: put the false literal in slot 1.
-                    if lits[s] == false_lit:
-                        lits[s] = lits[s + 1]
-                        lits[s + 1] = false_lit
-                    first = lits[s]
-                    if first != blocker:
-                        value = (assign[first] if first > 0
-                                 else -assign[-first])
-                        if value == _TRUE:
-                            wl[j] = cid
-                            wl[j + 1] = first
-                            j += 2
-                            mutated = True
-                            continue
-                    # Search for a replacement watch.
-                    end = s + size[cid]
-                    found = False
-                    for k in range(s + 2, end):
-                        other = lits[k]
-                        if (assign[other] if other > 0
-                                else -assign[-other]) != _FALSE:
-                            lits[s + 1] = other
-                            lits[k] = false_lit
-                            new_list = watches[2 * other if other > 0
-                                               else -2 * other + 1]
-                            new_list.append(cid)
-                            new_list.append(first)
-                            found = True
-                            break
-                    if found:
-                        continue
-                    # Clause is unit or conflicting.
-                    wl[j] = cid
-                    wl[j + 1] = first
-                    j += 2
-                    if first != blocker:
-                        mutated = True
-                    if value == _FALSE:
-                        # Conflict: keep remaining watches and report.
-                        while i < n:
-                            wl[j] = wl[i]
-                            wl[j + 1] = wl[i + 1]
-                            i += 2
-                            j += 2
-                        conflict = cid
-                        break
-                    # Enqueue the unit (inlined _enqueue: `first` is
-                    # unassigned).
-                    var = first if first > 0 else -first
-                    assign[var] = _TRUE if first > 0 else _FALSE
-                    level[var] = len(trail_lim)
-                    reason[var] = cid
-                    phase[var] = first > 0
-                    trail.append(first)
-                del wl[j:]
-                if mutated or j != n:
-                    cache.pop(e, None)
-                if conflict != _NO_CLAUSE:
-                    break
-                continue
-            # Long list: filter out blocker-satisfied entries in bulk and
-            # complete the survivors scalar-wise.
-            self._sync_assign()
-            np_assign = self._assign  # _sync_assign may have grown it
-            entry = cache.get(e)
-            if entry is None or entry[0].shape[0] != pairs:
-                blockers = np.array(wl[1::2], dtype=np.int32)
-                entry = (np.abs(blockers),
-                         np.sign(blockers).astype(np.int8))
-                cache[e] = entry
-            signed = np_assign[entry[0]] * entry[1]
-            survivors = np.nonzero(signed != _TRUE)[0]
-            if survivors.shape[0] * 4 > pairs * 3:
-                # Pruned less than a quarter: another strike toward
-                # demoting this list to the interpreted scan.
-                mode += 1
-                filter_state[e] = (-_SCALAR_MODE_SCANS
-                                   if mode >= _FILTER_PATIENCE else mode)
-            elif mode:
-                filter_state[e] = 0
-            if survivors.shape[0] == 0:
-                continue  # every entry blocker-satisfied: skip the list
-            removed: list[int] | None = None
-            mutated = False
-            for kp in survivors.tolist():
-                i = kp << 1
-                cid = wl[i]
-                blocker = wl[i + 1]
-                value = assign[blocker] if blocker > 0 else -assign[-blocker]
-                if value == _TRUE:
-                    continue
-                if deleted[cid]:
-                    # Lazily drop clauses removed by reduce_db.
-                    if removed is None:
-                        removed = []
-                    removed.append(kp)
-                    continue
-                s = start[cid]
-                # Normalize: put the false literal in slot 1.
-                if lits[s] == false_lit:
-                    lits[s] = lits[s + 1]
-                    lits[s + 1] = false_lit
-                first = lits[s]
-                if first != blocker:
-                    value = assign[first] if first > 0 else -assign[-first]
-                    if value == _TRUE:
-                        wl[i + 1] = first
-                        mutated = True
-                        continue
-                # Search for a replacement watch.
-                end = s + size[cid]
-                found = False
-                for k in range(s + 2, end):
-                    other = lits[k]
-                    if (assign[other] if other > 0 else -assign[-other]) \
-                            != _FALSE:
-                        lits[s + 1] = other
-                        lits[k] = false_lit
-                        new_list = watches[2 * other if other > 0
-                                           else -2 * other + 1]
-                        new_list.append(cid)
-                        new_list.append(first)
-                        if removed is None:
-                            removed = []
-                        removed.append(kp)
-                        found = True
-                        break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                wl[i + 1] = first
-                if first != blocker:
-                    mutated = True
-                if value == _FALSE:
-                    # Conflict: remaining entries are untouched (kept).
-                    conflict = cid
-                    break
-                # Enqueue the unit (inlined _enqueue: `first` is unassigned).
-                var = first if first > 0 else -first
-                assign[var] = _TRUE if first > 0 else _FALSE
-                level[var] = len(trail_lim)
-                reason[var] = cid
-                phase[var] = first > 0
-                trail.append(first)
-            if removed:
-                # Compact out the removed pairs with one boolean-mask
-                # gather.  The list→array round-trip is taken *after* the
-                # scalar loop so in-place blocker rewrites are captured.
-                flat = np.array(wl, dtype=np.int64).reshape(pairs, 2)
-                keep = np.ones(pairs, dtype=bool)
-                keep[removed] = False
-                wl[:] = flat[keep].ravel().tolist()
-                # Length changed: any cached arrays are stale; and a later
-                # append could restore the old length, so drop eagerly.
-                cache.pop(e, None)
-            elif mutated:
-                # In-place blocker rewrite the length check cannot see.
-                cache.pop(e, None)
-            if conflict != _NO_CLAUSE:
-                break
-        solver.stats["propagations"] += propagated
-        return conflict
+        if e >= len(filter_state):
+            filter_state.extend(
+                [0] * (len(self._solver._watches) - len(filter_state)))
+        mode = filter_state[e]
+        if mode < 0:
+            filter_state[e] = mode + 1
+            return None
+        self._sync_assign()
+        entry = self._cache.get(e)
+        if entry is None or entry[0].shape[0] != pairs:
+            blockers = _np.array(watch_list[1::2], dtype=_np.int32)
+            entry = (_np.abs(blockers), _np.sign(blockers).astype(_np.int8))
+            self._cache[e] = entry
+        # A blocker is true exactly when its variable's value is its sign.
+        survivors = _np.nonzero(self._assign.take(entry[0]) != entry[1])[0]
+        if survivors.shape[0] * 4 > pairs * 3:
+            # Pruned less than a quarter: another strike toward demoting
+            # this list to the full scan.
+            mode += 1
+            filter_state[e] = (-_SCALAR_MODE_SCANS
+                               if mode >= _FILTER_PATIENCE else mode)
+        elif mode:
+            filter_state[e] = 0
+        return (survivors << 1).tolist()
 
     # ------------------------------------------------------------------
     # Conflict-analysis assists
@@ -510,52 +303,19 @@ class VectorKernel:
             learned.extend(arr[fresh][~at_current].tolist())
         return count
 
-    def minimize(self, learned: list, seen: "_np.ndarray") -> list:
-        """Learned-clause minimization over the analysis ``seen`` buffer.
+    def redundant(self, s: int, n: int, var: int,
+                  seen: "_np.ndarray") -> bool:
+        """The minimization predicate over the reason clause ``[s, s+n)``.
 
-        Mirrors ``Solver._minimize``: a literal is redundant when every
-        other literal of its reason clause is either in the learned clause
-        (``seen``) or assigned at level 0.  The predicate is evaluated in
-        one gather for long reason clauses and interpreted for short ones;
-        both orders are irrelevant — the table is fixed for the whole pass.
+        True when every literal of the clause other than ``var``'s (the
+        implied literal) is in the learned clause (``seen``) or assigned
+        at level 0 — the test ``Solver._minimize`` runs per literal on
+        short clauses.
         """
-        np = _np
-        solver = self._solver
-        arena = solver._arena
-        lits = arena.lits
-        start = arena.start
-        size = arena.size
-        level = solver._level
-        levels = self._levels
-        reason_of = solver._reason
-        result = [learned[0]]
-        for q in learned[1:]:
-            var_q = q if q > 0 else -q
-            reason = reason_of[var_q]
-            if reason == _NO_CLAUSE:
-                result.append(q)
-                continue
-            s = start[reason]
-            n = size[reason]
-            if n >= MIN_VECTOR_SCAN:
-                arr = np.array(lits[s:s + n], dtype=np.int32)
-                variables = np.abs(arr)
-                ok = (seen[variables] | (levels[variables] == 0)
-                      | (variables == var_q))
-                if bool(ok.all()):
-                    continue
-                result.append(q)
-                continue
-            redundant = True
-            for k in range(s, s + n):
-                r = lits[k]
-                var_r = r if r > 0 else -r
-                if var_r != var_q and not seen[var_r] and level[var_r] != 0:
-                    redundant = False
-                    break
-            if not redundant:
-                result.append(q)
-        return result
+        variables = _np.abs(_np.array(self._solver._arena.lits[s:s + n],
+                                      dtype=_np.int32))
+        return bool((seen[variables] | (self._levels[variables] == 0)
+                     | (variables == var)).all())
 
     def compute_lbd(self, clause: Sequence["Lit"]) -> int:
         """Distinct decision levels of ``clause`` via ``np.unique``.

@@ -49,10 +49,10 @@ _NO_CLAUSE = -1
 # through a Python set.
 _VECTOR_LBD_THRESHOLD = 64
 
-# Reason-clause length at which the first-UIP scan is handed to the vector
-# kernel (bulk seen/level gather); the numpy round-trip (array build,
-# double gather, boolean mask, tolist) breaks even against the interpreted
-# scan at roughly this length.
+# Reason-clause length at which the first-UIP scan and the minimization
+# redundancy test are handed to the vector kernel (bulk seen/level
+# gather); the numpy round-trip (array build, double gather, boolean mask)
+# breaks even against the interpreted scan at roughly this length.
 _VECTOR_ANALYZE_THRESHOLD = 64
 
 
@@ -129,15 +129,16 @@ class Solver:
             "learned_deleted": 0,
             "db_reductions": 0,
         }
-        # Propagation kernel: "pure" is the interpreted loop below,
-        # "vector" delegates to repro.sat.kernel (numpy bulk blocker
-        # filtering) and falls back to "pure" when numpy is absent.  The
-        # two are search-trajectory identical; `self.kernel` records which
-        # one actually runs.
+        # Kernel: "pure" runs the loops below as written; "vector" attaches
+        # repro.sat.kernel, whose numpy assists (blocker prefilter for
+        # _propagate, bulk reason-clause scans for _analyze/_minimize) the
+        # same loops call into.  It falls back to "pure" when numpy is
+        # absent.  The two are search-trajectory identical; `self.kernel`
+        # records which one actually runs.
         if kernel not in ("pure", "vector"):
             raise ValueError(
                 f"unknown kernel {kernel!r}: expected 'pure' (interpreted "
-                "propagation loop) or 'vector' (numpy bulk propagation)"
+                "loops) or 'vector' (numpy-assisted loops)"
             )
         self._kernel = None
         self.kernel = "pure"
@@ -328,9 +329,19 @@ class Solver:
         return True
 
     def _propagate(self) -> int:
-        """Unit propagation; returns a conflicting clause id or -1."""
-        if self._kernel is not None:
-            return self._kernel.propagate()
+        """Unit propagation; returns a conflicting clause id or -1.
+
+        This is the only propagation loop; both kernels run it.  Each
+        watch list is scanned in place: entries that stay are not moved,
+        and the positions of entries whose clause found a new watch (or
+        was deleted by ``reduce_db``) are closed with slice moves after
+        the scan, so the list keeps its order.  An attached vector kernel
+        narrows the scan to the entries whose blocker is not already true
+        (:meth:`repro.sat.kernel.VectorKernel.unblocked`).  The full scan
+        skips the others untouched, and their blockers stay true for the
+        whole pass because a pass only adds assignments, so both kernels
+        take the same search trajectory.
+        """
         trail = self._trail
         trail_lim = self._trail_lim
         assign = self._assign
@@ -343,6 +354,8 @@ class Solver:
         start = arena.start
         size = arena.size
         deleted = arena.deleted
+        kernel = self._kernel
+        removed: list[int] = []  # positions to close in the current list
         propagated = 0
         conflict = _NO_CLAUSE
         while self._qhead < len(trail):
@@ -350,24 +363,25 @@ class Solver:
             self._qhead += 1
             propagated += 1
             false_lit = -lit
-            watch_list = watches[2 * false_lit if false_lit > 0
-                                 else -2 * false_lit + 1]
-            if not watch_list:
-                continue
-            i = j = 0
+            e = 2 * false_lit if false_lit > 0 else -2 * false_lit + 1
+            watch_list = watches[e]
             n = len(watch_list)
-            while i < n:
-                cid = watch_list[i]
+            if not n:
+                continue
+            if kernel is None or (
+                    positions := kernel.unblocked(e, watch_list)) is None:
+                positions = range(0, n, 2)
+            changed = False
+            for i in positions:
                 blocker = watch_list[i + 1]
-                i += 2
                 value = assign[blocker] if blocker > 0 else -assign[-blocker]
                 if value == _TRUE:
-                    watch_list[j] = cid
-                    watch_list[j + 1] = blocker
-                    j += 2
                     continue
+                cid = watch_list[i]
                 if deleted[cid]:
-                    continue  # lazily drop clauses removed by reduce_db
+                    # Lazily drop clauses removed by reduce_db.
+                    removed.append(i)
+                    continue
                 s = start[cid]
                 # Normalize: put the false literal in slot 1.
                 if lits[s] == false_lit:
@@ -377,14 +391,11 @@ class Solver:
                 if first != blocker:
                     value = assign[first] if first > 0 else -assign[-first]
                     if value == _TRUE:
-                        watch_list[j] = cid
-                        watch_list[j + 1] = first
-                        j += 2
+                        watch_list[i + 1] = first
+                        changed = True
                         continue
                 # Search for a replacement watch.
-                end = s + size[cid]
-                found = False
-                for k in range(s + 2, end):
+                for k in range(s + 2, s + size[cid]):
                     other = lits[k]
                     if (assign[other] if other > 0 else -assign[-other]) \
                             != _FALSE:
@@ -394,31 +405,39 @@ class Solver:
                                            else -2 * other + 1]
                         new_list.append(cid)
                         new_list.append(first)
-                        found = True
+                        removed.append(i)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watch_list[j] = cid
-                watch_list[j + 1] = first
-                j += 2
-                if value == _FALSE:
-                    # Conflict: keep remaining watches and report.
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        watch_list[j + 1] = watch_list[i + 1]
-                        i += 2
-                        j += 2
-                    conflict = cid
-                    break
-                # Enqueue the unit (inlined _enqueue: `first` is unassigned).
-                var = first if first > 0 else -first
-                assign[var] = _TRUE if first > 0 else _FALSE
-                level[var] = len(trail_lim)
-                reason[var] = cid
-                phase[var] = first > 0
-                trail.append(first)
-            del watch_list[j:]
+                else:
+                    # Clause is unit or conflicting (`value` is `first`'s);
+                    # it stays on this list with `first` as the blocker.
+                    if first != blocker:
+                        watch_list[i + 1] = first
+                        changed = True
+                    if value == _FALSE:
+                        conflict = cid
+                        break
+                    # Enqueue the unit (inlined _enqueue: `first` is
+                    # unassigned).
+                    var = first if first > 0 else -first
+                    assign[var] = _TRUE if first > 0 else _FALSE
+                    level[var] = len(trail_lim)
+                    reason[var] = cid
+                    phase[var] = first > 0
+                    trail.append(first)
+            if removed:
+                # Shift each run of kept entries left over the gaps; the
+                # last run moves with the final delete.
+                j = gone = removed[0]
+                for nxt in removed[1:]:
+                    kept = nxt - gone - 2
+                    watch_list[j:j + kept] = watch_list[gone + 2:nxt]
+                    j += kept
+                    gone = nxt
+                del watch_list[j:gone + 2]
+                del removed[:]
+                changed = True
+            if changed and kernel is not None:
+                kernel.forget(e)
             if conflict != _NO_CLAUSE:
                 break
         self.stats["propagations"] += propagated
@@ -587,17 +606,17 @@ class Solver:
 
         ``seen`` is the analysis buffer, re-used as the membership table:
         truthy exactly for the variables of ``learned``.  Redundancy is a
-        pure per-literal predicate over that fixed table, so the kernel
-        can evaluate long reason clauses in bulk without changing results.
+        pure per-literal predicate over that fixed table, so the vector
+        kernel can evaluate it over a long reason clause in bulk without
+        changing results.
         """
-        if self._kernel is not None:
-            return self._kernel.minimize(learned, seen)
         arena = self._arena
         arena_lits = arena.lits
         arena_start = arena.start
         arena_size = arena.size
         level = self._level
         reason_of = self._reason
+        kernel = self._kernel
         result = [learned[0]]
         for q in learned[1:]:
             var_q = q if q > 0 else -q
@@ -606,18 +625,21 @@ class Solver:
                 result.append(q)
                 continue
             s = arena_start[reason]
-            redundant = True
-            for k in range(s, s + arena_size[reason]):
-                r = arena_lits[k]
-                var_r = r if r > 0 else -r
-                if var_r == var_q:
-                    continue  # the implied literal itself
-                if not seen[var_r] and level[var_r] != 0:
-                    redundant = False
-                    break
-            if redundant:
-                continue  # q is implied by the rest of the clause
-            result.append(q)
+            n = arena_size[reason]
+            if kernel is not None and n >= _VECTOR_ANALYZE_THRESHOLD:
+                redundant = kernel.redundant(s, n, var_q, seen)
+            else:
+                redundant = True
+                for k in range(s, s + n):
+                    r = arena_lits[k]
+                    var_r = r if r > 0 else -r
+                    if var_r == var_q:
+                        continue  # the implied literal itself
+                    if not seen[var_r] and level[var_r] != 0:
+                        redundant = False
+                        break
+            if not redundant:
+                result.append(q)
         return result
 
     def _compute_lbd(self, lits: Sequence[Lit]) -> int:
@@ -848,10 +870,6 @@ class Solver:
             lit = var if self._phase[var] else -var
             self._enqueue(lit, _NO_CLAUSE)
 
-    def solve_with(self, assumptions: Iterable[Lit] = ()) -> Status:
-        """Alias of :meth:`solve`, kept for API compatibility."""
-        return self.solve(assumptions)
-
     def model(self) -> Model:
         """Extract the satisfying assignment after a SAT answer.
 
@@ -870,7 +888,7 @@ def solve_cnf(cnf: CNF, assumptions: Iterable[Lit] = (),
     solver = Solver(kernel=kernel)
     if not solver.add_cnf(cnf):
         return Status.UNSAT, None
-    status = solver.solve_with(assumptions)
+    status = solver.solve(assumptions)
     if status is Status.SAT:
         return status, solver.model()
     return status, None

@@ -406,13 +406,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, body: dict,
               headers: dict | None = None) -> None:
         data = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True  # the client went away
 
     def _error(self, status: int, message: str,
                headers: dict | None = None) -> None:
@@ -438,8 +441,9 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _read_json(self):
-        """Parse the POST body; on failure sends the error and returns
-        the ``_UNREADABLE`` sentinel (None is a legal JSON body)."""
+        """Parse the POST body; on failure sends the error (or, for a
+        truncated body, closes the connection) and returns the
+        ``_UNREADABLE`` sentinel (None is a legal JSON body)."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
@@ -447,8 +451,14 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0 or length > MAX_BODY_BYTES:
             self._error(413, f"body must be 0..{MAX_BODY_BYTES} bytes")
             return _UNREADABLE
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # The client closed before sending the declared body: nobody
+            # is left to answer, so drop the connection silently.
+            self.close_connection = True
+            return _UNREADABLE
         try:
-            return json.loads(self.rfile.read(length) or b"null")
+            return json.loads(body or b"null")
         except ValueError:
             self._error(400, "body is not valid JSON")
             return _UNREADABLE

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.enumerate import count_models, iter_models
-from repro.sat.simplify import brute_force_count
+from tests.sat.brute_force import brute_force_count
 
 
 class TestEnumeration:

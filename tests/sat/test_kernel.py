@@ -14,9 +14,9 @@ import random
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.simplify import brute_force_satisfiable
 from repro.sat.solver import Solver, solve_cnf
 from repro.sat.types import Status
+from tests.sat.brute_force import brute_force_satisfiable
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 

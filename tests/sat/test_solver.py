@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
-from repro.sat.simplify import brute_force_satisfiable
 from repro.sat.solver import Solver, luby, solve_cnf
 from repro.sat.types import Status
+from tests.sat.brute_force import brute_force_satisfiable
 
 
 class TestLuby:

@@ -98,7 +98,11 @@ class TestAcceptanceBatch:
 
 
 def start_server(queue_dir, cache_dir, *, workers=2, extra=()):
-    """Run ``python -m repro.service`` and parse the bound port."""
+    """Run ``python -m repro.service`` and parse the bound port.
+
+    The hub runs in a session of its own, so :func:`kill_group` can reach
+    the solver processes it starts, which outlive a SIGKILL of the hub.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     process = subprocess.Popen(
@@ -106,7 +110,7 @@ def start_server(queue_dir, cache_dir, *, workers=2, extra=()):
          "--queue-dir", str(queue_dir), "--cache-dir", str(cache_dir),
          "--workers", str(workers), *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, cwd=str(REPO_ROOT),
+        text=True, cwd=str(REPO_ROOT), start_new_session=True,
     )
     line = process.stdout.readline().strip()
     assert line.startswith("serving on "), f"unexpected banner: {line!r}"
@@ -115,7 +119,8 @@ def start_server(queue_dir, cache_dir, *, workers=2, extra=()):
 
 def start_satellite(url, worker_id, *, lease_seconds=2.0, claim_limit=4,
                     poll_interval=0.05):
-    """Run ``python -m repro.service --satellite`` against a live hub."""
+    """Run ``python -m repro.service --satellite`` against a live hub, in a
+    session of its own like :func:`start_server`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     process = subprocess.Popen(
@@ -124,12 +129,31 @@ def start_satellite(url, worker_id, *, lease_seconds=2.0, claim_limit=4,
          "--lease-seconds", str(lease_seconds),
          "--poll-interval", str(poll_interval)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, cwd=str(REPO_ROOT),
+        text=True, cwd=str(REPO_ROOT), start_new_session=True,
     )
     line = process.stdout.readline().strip()
     assert line.startswith(f"satellite {worker_id} polling"), (
         f"unexpected banner: {line!r}")
     return process
+
+
+def kill_group(process):
+    """SIGKILL the session of a process started above, reap the process
+    and assert that no member of its group survives."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+    deadline = time.time() + 10
+    while True:
+        try:
+            os.killpg(process.pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.time() < deadline, (
+            f"a process of group {process.pid} survived SIGKILL")
+        time.sleep(0.05)
 
 
 class TestDistributedSatellites:
@@ -185,14 +209,13 @@ class TestDistributedSatellites:
                     json.dumps(metrics, indent=2, sort_keys=True))
         finally:
             for satellite in satellites:
-                satellite.kill()
-                satellite.wait(timeout=30)
+                kill_group(satellite)
             hub.send_signal(signal.SIGTERM)
             try:
                 hub.wait(timeout=10)
             except subprocess.TimeoutExpired:
-                hub.kill()
-                hub.wait(timeout=10)
+                pass
+            kill_group(hub)
 
 
 class TestKillDashNine:
@@ -213,8 +236,9 @@ class TestKillDashNine:
                     break
                 time.sleep(0.02)
         finally:
-            process.kill()
+            process.kill()  # the hub alone: its solver processes live on
             process.wait(timeout=30)
+            kill_group(process)
 
         process, url = start_server(queue_dir, cache_dir)
         try:
@@ -233,5 +257,5 @@ class TestKillDashNine:
             try:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=10)
+                pass
+            kill_group(process)

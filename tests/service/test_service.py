@@ -1,7 +1,11 @@
 """Full job lifecycle over HTTP against an in-process service."""
 
+import io
 import json
 import re
+import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from repro.campaign.specs import FAMILIES, ScenarioSpec
 from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service import ServiceConfig, VerificationService
+from repro.service.app import _Handler
 from repro.service.client import ServiceClient, ServiceError
 
 from tests.api.test_delta import free_problem, rebound
@@ -226,6 +231,37 @@ class TestEdgePolicies:
     def test_rate_limiting_is_off_by_default(self, client):
         for _ in range(30):
             client.healthz()
+
+    def test_truncated_post_is_dropped_without_a_traceback(self, service,
+                                                            capfd):
+        """A client that declares a body, sends part of it and closes gets
+        no answer; the hub logs nothing and keeps serving."""
+        with socket.create_connection((service.config.host, service.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: hub\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"problem"')
+        # Wait for the hub's handler thread for that connection to end.
+        deadline = time.monotonic() + 10
+        while any("process_request_thread" in thread.name
+                  for thread in threading.enumerate()):
+            assert time.monotonic() < deadline, "request never finished"
+            time.sleep(0.01)
+        assert ServiceClient(service.url).healthz()["ok"] is True
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_answer_to_a_departed_client_is_dropped(self):
+        class Departed(io.RawIOBase):
+            def write(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        handler = _Handler.__new__(_Handler)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "POST /v1/jobs HTTP/1.1"
+        handler.close_connection = False
+        handler.wfile = Departed()
+        handler._error(400, "body is not valid JSON")
+        assert handler.close_connection is True
 
 
 class TestReadmeExample:
