@@ -3,12 +3,14 @@ Consensus-Based Auction Protocols" (Mirzaei & Esposito, ICDCS 2015).
 
 Public API
 ----------
-The supported entry point is the :mod:`repro.api` façade, re-exported
-here: build a problem (:class:`FormulaProblem`, :class:`ModuleProblem`,
-:class:`ProtocolProblem`), call :func:`solve` / :func:`check` /
-:func:`enumerate` / :func:`run_protocol` (or :func:`solve_many` for
-cached, sharded batches), and read the uniform :class:`Result`.
-Backends plug in via :func:`register_backend`.
+The :mod:`repro.api` façade, re-exported here, is the one entry point
+for every operation: build a problem (:class:`FormulaProblem`,
+:class:`ModuleProblem`, :class:`ProtocolProblem`), call :func:`solve` /
+:func:`check` / :func:`enumerate` / :func:`run_protocol` (or
+:func:`solve_many` for cached, sharded batches), and read the uniform
+:class:`Result`.  Backends plug in via :func:`register_backend`.  The
+subpackages below export the layers the façade is built from (sessions,
+solvers, the raw explorer), not second ways to run an operation.
 
 Subpackages
 -----------
@@ -20,7 +22,8 @@ Subpackages
 ``repro.kodkod``
     A bounded relational model finder -- the Kodkod role.
 ``repro.alloylite``
-    An Alloy-style frontend: sigs, facts, scopes, run/check, ordering.
+    An Alloy-style frontend: sigs, facts, scopes, ordering (its run and
+    check commands are ``repro.api`` calls on a ``ModuleProblem``).
 ``repro.mca``
     The executable Max-Consensus Auction protocol with pluggable policies.
 ``repro.vnm``

@@ -1,25 +1,23 @@
 """Alloy-lite: an embedded DSL mirroring the Alloy fragment the paper uses.
 
-Signatures with fields and multiplicities, facts, a ``util/ordering``
-equivalent, and push-button ``run``/``check`` commands at bounded scopes.
+Signatures with fields and multiplicities, facts, and a ``util/ordering``
+equivalent, compiled to bounds and facts at a bounded :class:`Scope`.
+The push-button ``run``/``check`` commands are the :mod:`repro.api`
+façade over a module: ``api.solve(ModuleProblem(module, "run", pred,
+scope))``, ``api.check(module, assertion, scope)`` and
+``api.enumerate(ModuleProblem(...))``.
 """
 
-from repro.alloylite.commands import CheckResult, RunResult, check, iter_instances, run
 from repro.alloylite.module import Module, ModuleError, Scope
 from repro.alloylite.ordering import OrderedModule, Ordering
 from repro.alloylite.sig import Field, Sig
 
 __all__ = [
-    "CheckResult",
     "Field",
     "Module",
     "ModuleError",
     "OrderedModule",
     "Ordering",
-    "RunResult",
     "Scope",
     "Sig",
-    "check",
-    "iter_instances",
-    "run",
 ]

@@ -35,7 +35,6 @@ from repro.api.problems import (
 from repro.api.result import (
     Result,
     Verdict,
-    describe_verdict,
     instance_payload,
     result_from_json,
     result_to_json,
@@ -79,7 +78,6 @@ __all__ = [
     "backend_for",
     "batch_cache_key",
     "check",
-    "describe_verdict",
     "diff_problems",
     "enumerate",
     "get_backend",

@@ -47,6 +47,20 @@ def batch_cache_key(problem: Problem, options: Options) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _cache_key_or_none(problem: Problem, options: Options) -> str | None:
+    """The problem's cache key, or None when it cannot be computed.
+
+    Keying compiles module problems, so a problem that cannot compile
+    (say, a sig scoped to zero atoms) fails here.  It then runs
+    uncached, and its worker records the same failure as an ``ERROR``
+    row, exactly as on the no-cache path.
+    """
+    try:
+        return batch_cache_key(problem, options)
+    except Exception:
+        return None
+
+
 def _solve_worker(problem: Problem, options: Options) -> dict:
     """Process-pool worker: solve one problem, always return a JSON dict.
 
@@ -127,11 +141,11 @@ def solve_many(
     results: list[Result] = [None] * len(problems)  # type: ignore[list-item]
     # Fingerprinting compiles module problems, so only pay for it when a
     # cache is actually in play.
-    keys = ([batch_cache_key(problem, opts) for problem in problems]
-            if cache is not None else None)
+    keys = [_cache_key_or_none(problem, opts) if cache is not None else None
+            for problem in problems]
     misses: list[int] = []
     for index, problem in enumerate(problems):
-        hit = cache.get(keys[index]) if cache is not None else None
+        hit = cache.get(keys[index]) if keys[index] is not None else None
         # Never serve an error from cache: crashes and timeouts may be
         # environmental, so they are retried on the next run.
         if hit is not None and hit.get("error") is None:
@@ -146,7 +160,7 @@ def solve_many(
     def record(index: int, payload: dict) -> None:
         result = result_from_json(payload)
         results[index] = result
-        if cache is not None and result.error is None:
+        if keys[index] is not None and result.error is None:
             cache.put(keys[index], payload)
         if progress:
             progress(index, result)

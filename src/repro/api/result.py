@@ -1,23 +1,22 @@
 """The uniform result type every backend produces.
 
-One :class:`Result` shape replaces the per-module zoo
-(``kodkod.engine.Solution``, ``alloylite.commands.RunResult`` /
-``CheckResult``, ``checking.explorer.ExplorationResult``): a
+One :class:`Result` shape covers every operation and problem kind: a
 :class:`Verdict` enum, the witnessing instances, an optional protocol
-trace, and the translation/solver statistics.  The shared
-:func:`describe_verdict` renderer is the single pretty-printer behind
-:meth:`Result.describe` and the legacy ``describe()`` methods.
+trace, and the translation/solver statistics.  Backends build it from
+their layer's own outcome (``kodkod.engine.Solution``,
+``checking.explorer.ExplorationResult``); :meth:`Result.describe` is its
+pretty-printer, and :func:`result_to_json`/:func:`result_from_json` its
+cache and wire format.
 
 This module is deliberately a leaf: it imports only the kodkod instance
-and translation types, so legacy modules can import the renderer without
-creating an import cycle with the façade.
+and translation types, so the service and batch layers can decode
+results without importing the façade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Sequence
 
 from repro.kodkod import ast
 from repro.kodkod.instance import Instance
@@ -114,41 +113,30 @@ class Result:
         return self.instance if self.instances else self.trace
 
     def describe(self) -> str:
-        """Human-readable rendering via the shared renderer."""
-        return describe_verdict(self.verdict, self.instances, self.trace,
-                                self.error)
-
-
-def describe_verdict(verdict: Verdict, instances: Sequence[Instance] = (),
-                     trace: Iterable[str] | None = None,
-                     error: str | None = None) -> str:
-    """The one renderer behind every ``describe()`` in the stack.
-
-    The legacy ``RunResult.describe`` / ``CheckResult.describe`` strings
-    are preserved exactly, so existing output-matching callers stay green.
-    """
-    if verdict is Verdict.ERROR:
-        return f"error: {error or 'task did not complete'}"
-    if verdict is Verdict.UNSAT:
-        return "no instance found"
-    if verdict is Verdict.HOLDS:
-        return "assertion holds within the scope (no counterexample)"
-    if verdict is Verdict.COUNTEREXAMPLE:
-        if instances:
-            return "counterexample found:\n" + instances[0].describe()
-        if trace is not None:
-            return "counterexample found:\n" + "\n".join(trace)
-        return "counterexample found"
-    # SAT
-    if not instances:
-        return "satisfiable (no instance extracted)"
-    if len(instances) == 1:
-        return instances[0].describe()
-    blocks = [
-        f"--- instance {index} ---\n{instance.describe()}"
-        for index, instance in enumerate(instances)
-    ]
-    return "\n".join(blocks)
+        """Human-readable rendering of the verdict and its witness."""
+        verdict, instances = self.verdict, self.instances
+        if verdict is Verdict.ERROR:
+            return f"error: {self.error or 'task did not complete'}"
+        if verdict is Verdict.UNSAT:
+            return "no instance found"
+        if verdict is Verdict.HOLDS:
+            return "assertion holds within the scope (no counterexample)"
+        if verdict is Verdict.COUNTEREXAMPLE:
+            if instances:
+                return "counterexample found:\n" + instances[0].describe()
+            if self.trace is not None:
+                return "counterexample found:\n" + "\n".join(self.trace)
+            return "counterexample found"
+        # SAT
+        if not instances:
+            return "satisfiable (no instance extracted)"
+        if len(instances) == 1:
+            return instances[0].describe()
+        blocks = [
+            f"--- instance {index} ---\n{instance.describe()}"
+            for index, instance in enumerate(instances)
+        ]
+        return "\n".join(blocks)
 
 
 # ----------------------------------------------------------------------

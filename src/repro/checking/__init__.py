@@ -2,19 +2,17 @@
 
 :func:`explore` is the raw engine (returns :class:`ExplorationResult`);
 the façade entry point :func:`repro.api.run_protocol` wraps it in the
-uniform result shape.  ``explore_message_orders`` is a deprecated alias.
+uniform result shape.
 """
 
 from repro.checking.explorer import (
     ExplorationResult,
     StateCanonicalizer,
     explore,
-    explore_message_orders,
 )
 
 __all__ = [
     "ExplorationResult",
     "StateCanonicalizer",
     "explore",
-    "explore_message_orders",
 ]

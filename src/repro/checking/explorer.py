@@ -33,7 +33,6 @@ Two mechanisms keep exhaustive exploration tractable:
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from repro.mca.engine import SynchronousEngine
@@ -246,29 +245,6 @@ def explore(
 
     dfs(frozenset())
     return results
-
-
-def explore_message_orders(
-    network: AgentNetwork,
-    items: list[ItemId],
-    policies: dict[int, AgentPolicy],
-    max_rounds: int = 12,
-    max_paths: int = 2000,
-    memoize: bool = True,
-) -> ExplorationResult:
-    """Deprecated alias for :func:`explore`.
-
-    Kept as a thin shim for old call sites; new code should go through
-    :func:`repro.api.run_protocol`, which wraps :func:`explore` in the
-    uniform :class:`~repro.api.result.Result` shape.
-    """
-    warnings.warn(
-        "explore_message_orders() is deprecated; use repro.api.run_protocol()"
-        " (or repro.checking.explore() for the raw ExplorationResult)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return explore(network, items, policies, max_rounds=max_rounds,
-                   max_paths=max_paths, memoize=memoize)
 
 
 def _run_round(engine: SynchronousEngine, order) -> None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.api.backends import _relational_goal
 from repro.api.problems import (
     FormulaProblem,
     ModuleProblem,
@@ -59,7 +60,6 @@ from repro.fuzz.faults import FAULTS, fault_matches
 from repro.fuzz.generators import KINDS, FuzzSpec, generate
 from repro.fuzz.mutators import coverage_signature, mutate_problem
 from repro.fuzz.shrink import ShrinkResult, problem_size, shrink
-from repro.kodkod import ast
 
 FUZZ_SCHEMA = 3
 """Bump to invalidate every cached fuzz result (semantic change).
@@ -92,21 +92,12 @@ _GENERATION_SIZE = 12
 def lift_module(problem: ModuleProblem) -> FormulaProblem:
     """Lower a module problem to its compiled goal formula + bounds.
 
-    Mirrors the kodkod backend's goal construction: ``run`` conjoins the
+    The goal is the kodkod backend's own lowering: ``run`` conjoins the
     facts with the optional predicate, ``check`` conjoins the facts with
     the negated assertion.  The lifted problem exercises the alloylite
     compilation layer while letting every formula-level oracle apply.
     """
-    from repro.alloylite.module import Scope
-
-    scope = problem.scope or Scope()
-    _, bounds, facts = problem.module.compile(scope)
-    if problem.command == "check":
-        goal: ast.Formula = ast.And([facts, ast.Not(problem.goal)])
-    elif problem.goal is not None:
-        goal = ast.And([facts, problem.goal])
-    else:
-        goal = facts
+    goal, bounds, _ = _relational_goal(problem, "fuzz")
     return FormulaProblem(goal, bounds)
 
 

@@ -26,15 +26,7 @@ from repro.kodkod.ast import (
     variable,
 )
 from repro.kodkod.bounds import Bounds
-from repro.kodkod.engine import (
-    DeltaSession,
-    Session,
-    Solution,
-    count_solutions,
-    iter_solutions,
-    solve,
-    translate,
-)
+from repro.kodkod.engine import DeltaSession, Session, Solution, translate
 from repro.kodkod.evaluator import Evaluator, brute_force_instances
 from repro.kodkod.instance import Instance, extract_instance
 from repro.kodkod.symmetry import (
@@ -74,14 +66,11 @@ __all__ = [
     "and_all",
     "brute_force_instances",
     "comprehension",
-    "count_solutions",
     "exists",
     "extract_instance",
     "forall",
-    "iter_solutions",
     "or_any",
     "relation",
-    "solve",
     "translate",
     "variable",
 ]

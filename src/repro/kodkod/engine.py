@@ -1,30 +1,27 @@
 """The model-finding engine: solve and enumerate relational problems.
 
-This is the public face of the mini-Kodkod stack — the equivalent of
-``kodkod.engine.Solver``.  It ties together translation
+The equivalent of ``kodkod.engine.Solver``: it ties together translation
 (:mod:`repro.kodkod.translate`), SAT solving (:mod:`repro.sat`) and instance
-extraction (:mod:`repro.kodkod.instance`).
+extraction (:mod:`repro.kodkod.instance`).  The one-call operations
+(solve, check, enumerate) live in the :mod:`repro.api` façade, whose
+``kodkod`` backend drives the sessions defined here.
 
 The core abstraction is the :class:`Session`: one translation, one live
 :class:`~repro.sat.solver.Solver`, reused across queries.  Follow-up
 queries go through *assumptions* and enumeration goes through *blocking
 clauses* on the same solver, so learned clauses are retained between
-queries instead of being thrown away by a rebuild.  ``solve``,
-``iter_solutions`` and ``count_solutions`` are thin conveniences over a
-session.
+queries instead of being thrown away by a rebuild.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.instance import Instance, extract_instance
-from repro.kodkod.symmetry import DEFAULT_SBP_LENGTH
 from repro.kodkod.translate import Translation, TranslationStats, Translator
 from repro.sat.solver import Solver
 from repro.sat.types import Lit, Status
@@ -41,11 +38,6 @@ class Solution:
     solver_stats: dict = field(default_factory=dict)
     """Cumulative search statistics of the deciding solver (conflicts,
     decisions, clause-database reductions, ...)."""
-
-    @property
-    def unsatisfiable(self) -> bool:
-        """Convenience negation of :attr:`satisfiable`."""
-        return not self.satisfiable
 
 
 def translate(formula: ast.Formula, bounds: Bounds,
@@ -306,64 +298,3 @@ class DeltaSession:
     def solve(self, assumptions: Iterable[Lit] = ()) -> Solution:
         """Decide the anchor problem under delta assumptions."""
         return self._session.solve(assumptions)
-
-
-def _solution_from_result(result) -> Solution:
-    """Project a façade :class:`~repro.api.result.Result` back onto the
-    legacy :class:`Solution` shape (the deprecation-shim converter)."""
-    return Solution(
-        satisfiable=result.satisfiable,
-        instance=result.instance,
-        stats=result.stats,
-        solve_seconds=result.detail.get("solve_seconds", result.seconds),
-        solver_stats=result.solver_stats,
-    )
-
-
-def solve(formula: ast.Formula, bounds: Bounds,
-          symmetry: int = DEFAULT_SBP_LENGTH) -> Solution:
-    """Deprecated: use :func:`repro.api.solve` (same verdict semantics).
-
-    Thin shim over the façade — symmetry breaking stays on by default
-    (verdict-preserving; pass ``symmetry=0`` to see every model) and the
-    result is projected back onto the legacy :class:`Solution` shape.
-    """
-    warnings.warn(
-        "repro.kodkod.engine.solve() is deprecated; use repro.api.solve()",
-        DeprecationWarning, stacklevel=2,
-    )
-    # Imported lazily: the façade imports this module at load time.
-    from repro.api.facade import solve as _api_solve
-
-    return _solution_from_result(
-        _api_solve(formula, bounds, symmetry=symmetry))
-
-
-def iter_solutions(formula: ast.Formula, bounds: Bounds,
-                   limit: int | None = None,
-                   symmetry: int = 0) -> Iterator[Instance]:
-    """Deprecated: use :func:`repro.api.enumerate`.
-
-    Thin lazy shim over a :class:`Session` (the façade's enumerate path
-    materializes its instance list; this generator streams).  Symmetry
-    defaults to *off* so every model is produced.
-    """
-    warnings.warn(
-        "repro.kodkod.engine.iter_solutions() is deprecated; use "
-        "repro.api.enumerate()",
-        DeprecationWarning, stacklevel=2,
-    )
-    session = Session(formula, bounds, symmetry=symmetry)
-    yield from session.iter_solutions(limit)
-
-
-def count_solutions(formula: ast.Formula, bounds: Bounds,
-                    limit: int | None = None, symmetry: int = 0) -> int:
-    """Deprecated: use ``len(repro.api.enumerate(...).instances)``."""
-    warnings.warn(
-        "repro.kodkod.engine.count_solutions() is deprecated; use "
-        "repro.api.enumerate()",
-        DeprecationWarning, stacklevel=2,
-    )
-    session = Session(formula, bounds, symmetry=symmetry)
-    return sum(1 for _ in session.iter_solutions(limit))

@@ -15,8 +15,9 @@
                                     complete inline; ``delta_of`` jobs
                                     stay local)
 ``POST /v1/jobs/<id>/result``       complete or fail a leased job with
-                                    a ``result_to_json`` payload (409
-                                    on a lapsed lease)
+                                    a ``result_to_json`` payload (400
+                                    if it does not decode, 409 on a
+                                    lapsed lease)
 ``POST /v1/claims/<lease>/heartbeat``  extend a live lease's deadline
 ``GET /v1/healthz``                 liveness + queue counts (never
                                     auth-gated)
@@ -49,10 +50,12 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.api.result import Verdict, result_from_json
 from repro.campaign.runner import ResultCache
 from repro.service.queue import (
     DONE,
     LOCAL_WORKER,
+    RUNNING,
     JobQueue,
     JobRecord,
     LeaseError,
@@ -253,12 +256,15 @@ class VerificationService:
     def post_result(self, job_id: str, payload) -> dict:
         """Accept a leased job's result from a satellite.
 
-        A non-error result is written to the shared cache *before* the
-        job is marked done (the same done-implies-result-on-disk
-        invariant the local pool keeps); an error result parks or
-        requeues the job through the usual machinery.  A post whose
-        lease lapsed raises :class:`LeaseError` (409) — unless the job
-        already finished with the identical content-addressed result, in
+        The result must decode through :func:`result_from_json`, with an
+        ``error`` set exactly when the verdict is ``error`` (400
+        otherwise).  A non-error result is written to the
+        shared cache only while the job is running under the posted
+        lease, and *before* the job is marked done (the same
+        done-implies-result-on-disk invariant the local pool keeps); an
+        error result parks or requeues the job through the usual
+        machinery.  A post whose lease lapsed raises :class:`LeaseError`
+        (409) and caches nothing — unless the job already finished, in
         which case the duplicate is acknowledged idempotently.
         """
         if not isinstance(payload, dict):
@@ -268,18 +274,28 @@ class VerificationService:
             raise SchemaError("posting a result requires the claim's "
                               "'lease' id")
         result = payload.get("result")
-        if not isinstance(result, dict) or "verdict" not in result:
+        if not isinstance(result, dict):
+            raise SchemaError("'result' must be a result_to_json object")
+        try:
+            decoded = result_from_json(result)
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(
-                "'result' must be a result_to_json payload (an object "
-                "with at least a 'verdict')")
+                f"'result' is not a result_to_json payload: {exc!r}"
+            ) from None
+        error = decoded.error
+        if (decoded.verdict is Verdict.ERROR) != (error is not None):
+            raise SchemaError(
+                "'result' must set 'error' exactly when its verdict is "
+                "'error'")
         retryable = bool(payload.get("retryable", False))
         record = self.queue.get(job_id)
         if record is None:
             raise QueueError(f"unknown job {job_id!r}")
-        error = result.get("error")
-        if error is None and record.state != DONE:
-            # Errors are never cached; a good verdict is durably cached
-            # before the journal can say done.
+        if (error is None and record.state == RUNNING
+                and record.lease == lease):
+            # Errors are never cached, nor is a post whose lease lapsed;
+            # a good verdict is durably cached before the journal can
+            # say done.
             self.cache.put(record.cache_key, result)
         try:
             if error is None:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.alloylite import OrderedModule, Scope, run
+from repro import api
+from repro.alloylite import OrderedModule, Scope
+from repro.api import ModuleProblem
 from repro.kodkod import ast
 from repro.kodkod.evaluator import Evaluator
 
@@ -18,7 +20,7 @@ def ordered_module():
 class TestOrdering:
     def test_next_is_linear(self, ordered_module):
         m, state, order = ordered_module
-        result = run(m, scope=Scope(per_sig={"State": 4}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"State": 4})))
         nxt = dict(result.instance.value_of(order.next))
         assert len(nxt) == 3
         # Chain: each atom except the last has exactly one successor.
@@ -29,20 +31,20 @@ class TestOrdering:
 
     def test_first_and_last(self, ordered_module):
         m, state, order = ordered_module
-        result = run(m, scope=Scope(per_sig={"State": 3}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"State": 3})))
         assert set(result.instance.value_of(order.first)) == {("State$0",)}
         assert set(result.instance.value_of(order.last)) == {("State$2",)}
 
     def test_single_state_has_empty_next(self, ordered_module):
         m, state, order = ordered_module
-        result = run(m, scope=Scope(per_sig={"State": 1}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"State": 1})))
         assert len(result.instance.value_of(order.next)) == 0
         assert set(result.instance.value_of(order.first)) == {("State$0",)}
         assert set(result.instance.value_of(order.last)) == {("State$0",)}
 
     def test_lt_and_lte(self, ordered_module):
         m, state, order = ordered_module
-        result = run(m, scope=Scope(per_sig={"State": 3}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"State": 3})))
         ev = Evaluator(result.instance)
         s = ast.Variable("s")
         # first < last
@@ -57,7 +59,7 @@ class TestOrdering:
 
     def test_nexts_prevs(self, ordered_module):
         m, state, order = ordered_module
-        result = run(m, scope=Scope(per_sig={"State": 3}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"State": 3})))
         ev = Evaluator(result.instance)
         later = ev.tuples(order.nexts(order.first))
         assert set(later) == {("State$1",), ("State$2",)}
@@ -95,7 +97,8 @@ class TestOrdering:
         )
         # Something holds at first, nothing is lost.
         m.fact(ast.Some(ast.Join(order.first, holds.expr)), "init")
-        result = run(m, scope=Scope(per_sig={"State": 3, "Flag": 2}))
+        scope = Scope(per_sig={"State": 3, "Flag": 2})
+        result = api.solve(ModuleProblem(m, scope=scope))
         assert result.satisfiable
         inst = result.instance
         by_state = {}

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.alloylite import Module, ModuleError, Scope, check, iter_instances, run
+from repro import api
+from repro.alloylite import Module, ModuleError, Scope
+from repro.api import ModuleProblem
 from repro.kodkod import ast
 
 
@@ -74,7 +76,7 @@ class TestScopes:
         m = Module()
         m.sig("A")
         with pytest.raises(ModuleError):
-            run(m, scope=Scope(per_sig={"A": 0}))
+            api.solve(ModuleProblem(m, scope=Scope(per_sig={"A": 0})))
 
 
 class TestCompilation:
@@ -90,7 +92,8 @@ class TestCompilation:
         m = Module()
         a = m.sig("A")
         b = m.sig("B")
-        result = run(m, scope=Scope(per_sig={"A": 2, "B": 2}))
+        scope = Scope(per_sig={"A": 2, "B": 2})
+        result = api.solve(ModuleProblem(m, scope=scope))
         atoms_a = {t[0] for t in result.instance.value_of(a.relation)}
         atoms_b = {t[0] for t in result.instance.value_of(b.relation)}
         assert not (atoms_a & atoms_b)
@@ -99,7 +102,8 @@ class TestCompilation:
         m = Module()
         a = m.sig("A")
         b = m.sig("B", parent=a)
-        result = run(m, scope=Scope(per_sig={"A": 3, "B": 1}))
+        scope = Scope(per_sig={"A": 3, "B": 1})
+        result = api.solve(ModuleProblem(m, scope=scope))
         atoms_a = {t[0] for t in result.instance.value_of(a.relation)}
         atoms_b = {t[0] for t in result.instance.value_of(b.relation)}
         assert atoms_b <= atoms_a
@@ -111,15 +115,17 @@ class TestCompilation:
         a = m.sigs[0]
         m.sig("B", parent=a)
         m.sig("C", parent=a)
+        scope = Scope(per_sig={"A": 1, "B": 1, "C": 1})
         with pytest.raises(ModuleError):
-            run(m, scope=Scope(per_sig={"A": 1, "B": 1, "C": 1}))
+            api.solve(ModuleProblem(m, scope=scope))
 
     def test_abstract_sig_equals_children(self):
         m = Module()
         a = m.sig("A", abstract=True)
         b = m.sig("B", parent=a)
         c = m.sig("C", parent=a)
-        result = run(m, scope=Scope(per_sig={"A": 4, "B": 2, "C": 2}))
+        scope = Scope(per_sig={"A": 4, "B": 2, "C": 2})
+        result = api.solve(ModuleProblem(m, scope=scope))
         atoms_a = set(result.instance.value_of(a.relation))
         atoms_b = set(result.instance.value_of(b.relation))
         atoms_c = set(result.instance.value_of(c.relation))
@@ -136,7 +142,8 @@ class TestMultiplicities:
 
     def test_one_field_total_function(self):
         m, a, b, f = self._module_with_field("one")
-        result = run(m, scope=Scope(per_sig={"A": 2, "B": 3}))
+        scope = Scope(per_sig={"A": 2, "B": 3})
+        result = api.solve(ModuleProblem(m, scope=scope))
         mapping = {}
         for owner, target in result.instance.value_of(f.relation):
             mapping.setdefault(owner, []).append(target)
@@ -146,29 +153,29 @@ class TestMultiplicities:
 
     def test_lone_field_partial_function(self):
         m, a, b, f = self._module_with_field("lone")
-        for inst in iter_instances(m, scope=Scope(per_sig={"A": 1, "B": 2})):
+        scope = Scope(per_sig={"A": 1, "B": 2})
+        for inst in api.enumerate(ModuleProblem(m, scope=scope)).instances:
             images = [t for t in inst.value_of(f.relation)]
             assert len(images) <= 1
 
     def test_some_field_nonempty(self):
         m, a, b, f = self._module_with_field("some")
-        for inst in iter_instances(
-            m, scope=Scope(per_sig={"A": 1, "B": 2}), limit=10
-        ):
+        scope = Scope(per_sig={"A": 1, "B": 2})
+        for inst in api.enumerate(ModuleProblem(m, scope=scope),
+                                  limit=10).instances:
             assert len(inst.value_of(f.relation)) >= 1
 
     def test_set_field_unconstrained(self):
         m, a, b, f = self._module_with_field("set")
-        count = sum(
-            1 for _ in iter_instances(m, scope=Scope(per_sig={"A": 1, "B": 2}))
-        )
+        scope = Scope(per_sig={"A": 1, "B": 2})
+        count = len(api.enumerate(ModuleProblem(m, scope=scope)).instances)
         assert count == 4  # 2^2 subsets
 
     def test_field_typing_respected(self):
         m, a, b, f = self._module_with_field("set")
-        for inst in iter_instances(
-            m, scope=Scope(per_sig={"A": 2, "B": 2}), limit=20
-        ):
+        scope = Scope(per_sig={"A": 2, "B": 2})
+        for inst in api.enumerate(ModuleProblem(m, scope=scope),
+                                  limit=20).instances:
             atoms_a = {t[0] for t in inst.value_of(a.relation)}
             atoms_b = {t[0] for t in inst.value_of(b.relation)}
             for owner, target in inst.value_of(f.relation):
@@ -181,15 +188,16 @@ class TestRunAndCheck:
         m = Module()
         a = m.sig("A")
         m.fact(ast.No(a.expr), "empty")  # contradicts exact scope >= 1
-        result = run(m, scope=Scope(per_sig={"A": 1}))
+        result = api.solve(ModuleProblem(m, scope=Scope(per_sig={"A": 1})))
         assert not result.satisfiable
         assert result.describe() == "no instance found"
 
     def test_check_valid_assertion(self):
         m = Module()
         a = m.sig("A")
-        result = check(m, ast.Some(a.expr), scope=Scope(per_sig={"A": 2}))
-        assert result.valid
+        result = api.check(m, ast.Some(a.expr),
+                           scope=Scope(per_sig={"A": 2}))
+        assert result.holds
         assert "holds" in result.describe()
 
     def test_check_invalid_assertion_gives_counterexample(self):
@@ -198,10 +206,11 @@ class TestRunAndCheck:
         b = m.sig("B")
         f = a.field("f", b, mult="set")
         assertion = ast.Some(f.expr)  # fields may be empty: refutable
-        result = check(m, assertion, scope=Scope(per_sig={"A": 1, "B": 1}))
-        assert not result.valid
-        assert result.counterexample is not None
-        assert len(result.counterexample.value_of(f.relation)) == 0
+        result = api.check(m, assertion,
+                           scope=Scope(per_sig={"A": 1, "B": 1}))
+        assert not result.holds
+        assert result.instance is not None
+        assert len(result.instance.value_of(f.relation)) == 0
         assert "counterexample" in result.describe()
 
     def test_stats_populated(self):
@@ -209,7 +218,8 @@ class TestRunAndCheck:
         a = m.sig("A")
         b = m.sig("B")
         a.field("f", b, mult="one")
-        result = run(m, scope=Scope(per_sig={"A": 2, "B": 2}))
+        scope = Scope(per_sig={"A": 2, "B": 2})
+        result = api.solve(ModuleProblem(m, scope=scope))
         assert result.stats.num_primary_vars == 4
         assert result.stats.num_clauses > 0
-        assert result.total_seconds >= result.solve_seconds
+        assert result.seconds >= result.detail["solve_seconds"]

@@ -156,6 +156,27 @@ class TestBatchCacheSemantics:
         finally:
             _REGISTRY.pop("exploding-test", None)
 
+    def test_uncompilable_problem_is_an_error_row_with_a_cache(
+            self, problems, sequential, tmp_path):
+        """Regression: keying compiles module problems, and a module that
+        cannot compile used to abort the whole cached batch instead of
+        becoming one ERROR row as it does without a cache."""
+        from repro.alloylite import Module, ModuleError, Scope
+
+        module = Module()
+        module.sig("A")
+        bad = api.ModuleProblem(module, scope=Scope(per_sig={"A": 0}))
+        with pytest.raises(ModuleError):
+            batch_cache_key(bad, api.Options())
+        cache_dir = tmp_path / "uncompilable_cache"
+        for directory in (None, cache_dir):
+            first, failed = api.solve_many([problems[0], bad],
+                                           cache_dir=directory)
+            assert _signature(first) == _signature(sequential[0])
+            assert failed.verdict is api.Verdict.ERROR
+            assert "must be >= 1" in failed.error
+        assert len(ResultCache(cache_dir)) == 1
+
     def test_bad_workers_rejected(self, problems):
         with pytest.raises(ValueError, match="workers must be an integer"):
             api.solve_many(problems[:1], workers=0)

@@ -11,7 +11,8 @@ from repro.api import (
     ProtocolProblem,
     Verdict,
 )
-from repro.kodkod import Bounds, Universe, ast
+from repro.checking import explore
+from repro.kodkod import DEFAULT_SBP_LENGTH, Bounds, Universe, ast
 from repro.mca import AgentNetwork, AgentPolicy, GeometricUtility
 
 
@@ -55,6 +56,8 @@ class TestSolve:
         assert result.backend == "kodkod"
         assert result.stats.num_clauses >= 0
         assert result.seconds >= 0.0
+        # Solving breaks symmetry by default (enumeration does not).
+        assert result.detail["symmetry"] == DEFAULT_SBP_LENGTH
 
     def test_unsat_formula(self, unary_problem):
         r, bounds = unary_problem
@@ -93,6 +96,8 @@ class TestCheck:
         assert result.holds
         assert result.counterexample is None
         assert "holds" in result.describe()
+        assert (result.describe()
+                == "assertion holds within the scope (no counterexample)")
 
     def test_refuted_assertion(self, small_module):
         # Sig scopes are exact, so "no B" is refuted by every instance.
@@ -104,6 +109,7 @@ class TestCheck:
         assert result.satisfiable  # the counterexample is a model
         assert result.counterexample is result.instance
         assert "counterexample" in result.describe()
+        assert result.describe().startswith("counterexample found:\n")
 
     def test_missing_assertion_rejected(self, small_module):
         m, _, _ = small_module
@@ -187,6 +193,13 @@ class TestRunProtocol:
         assert result.trace is None
         assert result.backend == "explorer"
         assert result.detail["paths_explored"] >= 1
+        # The backend reports the raw explorer's own verdict and counts.
+        p = two_agent_protocol
+        raw = explore(p.network, list(p.items), p.policies, max_rounds=10)
+        assert raw.all_converged == result.holds
+        assert (raw.max_rounds_to_converge
+                == result.detail["max_rounds_to_converge"])
+        assert raw.paths_explored == result.detail["paths_explored"]
 
     def test_positional_spelling(self, two_agent_protocol):
         p = two_agent_protocol
@@ -301,3 +314,17 @@ class TestResultRendering:
         result = api.enumerate(ast.Some(r), bounds,
                                options=Options(max_instances=2))
         assert len(result.instances) == 2
+
+
+class TestModelLayerUnified:
+    def test_check_verdict_carries_unified_result(self):
+        from repro.model import PolicyCombination, check_combination
+
+        verdict = check_combination(
+            PolicyCombination(submodular=True, release_outbid=False),
+            num_pnodes=2, num_vnodes=1, max_value=3,
+        )
+        assert isinstance(verdict.solution, api.Result)
+        assert verdict.solution.verdict is api.Verdict.UNSAT
+        assert verdict.solution.backend == "kodkod"
+        assert verdict.converges

@@ -1,30 +1,20 @@
-"""Façade parity: old entry points and repro.api agree on seeded scenarios.
+"""Façade parity: repro.api and the layers it wraps agree on seeded scenarios.
 
-One differential test per backend: the legacy call surface
-(``kodkod.engine.solve``/``iter_solutions``, ``alloylite.run``/``check``,
-``checking.explore_message_orders``) must produce the same verdicts and
-instance sets as the façade on scenarios drawn from ``campaign.specs``.
-The legacy names are deprecation shims, so each call is also asserted to
-warn.
+One differential test per backend: the façade must produce the same
+verdicts and instance sets as the lower layers driven directly — a
+:class:`repro.kodkod.engine.Session` over a formula or a compiled module,
+and :func:`repro.checking.explore` for a protocol — on scenarios drawn
+from ``campaign.specs``.
 """
-
-import warnings
 
 import pytest
 
 from repro import api
 from repro.alloylite import Module, Scope
-from repro.alloylite import check as legacy_check
-from repro.alloylite import iter_instances as legacy_iter_instances
-from repro.alloylite import run as legacy_run
 from repro.campaign.specs import materialize, random_sweep
-from repro.checking import explore_message_orders
+from repro.checking import explore
 from repro.kodkod import ast
-from repro.kodkod.engine import (
-    count_solutions as legacy_count,
-    iter_solutions as legacy_iter,
-    solve as legacy_solve,
-)
+from repro.kodkod.engine import Session
 from repro.kodkod.symmetry import DEFAULT_SBP_LENGTH
 
 RELATIONAL_SPECS = random_sweep(
@@ -38,21 +28,16 @@ AUCTION_SPECS = random_sweep(
 )
 
 
-def _quiet(fn, *args, **kwargs):
-    """Call a deprecated entry point, asserting it warns."""
-    with pytest.warns(DeprecationWarning):
-        return fn(*args, **kwargs)
-
-
 class TestKodkodBackendParity:
     @pytest.mark.parametrize(
         "spec", RELATIONAL_SPECS, ids=lambda s: s.label())
     def test_solve_verdict_parity(self, spec):
         scenario = materialize(spec)
-        old = _quiet(legacy_solve, scenario.formula, scenario.bounds)
+        direct = Session(scenario.formula, scenario.bounds,
+                         symmetry=DEFAULT_SBP_LENGTH).solve()
         new = api.solve(api.problem_from_spec(spec))
-        assert old.satisfiable == new.satisfiable
-        assert old.stats.num_clauses == new.stats.num_clauses
+        assert direct.satisfiable == new.satisfiable
+        assert direct.stats.num_clauses == new.stats.num_clauses
         # Default symmetry parity: both sides break with the same level.
         assert new.detail["symmetry"] == DEFAULT_SBP_LENGTH
 
@@ -60,41 +45,43 @@ class TestKodkodBackendParity:
         "spec", RELATIONAL_SPECS[:6], ids=lambda s: s.label())
     def test_enumeration_instance_set_parity(self, spec):
         scenario = materialize(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_keys = {
-                scenario.instance_key(inst)
-                for inst in legacy_iter(scenario.formula, scenario.bounds)
-            }
-            old_count = legacy_count(scenario.formula, scenario.bounds)
+        direct_keys = {
+            scenario.instance_key(inst)
+            for inst in Session(scenario.formula,
+                                scenario.bounds).iter_solutions()
+        }
+        direct_count = sum(
+            1 for _ in Session(scenario.formula,
+                               scenario.bounds).iter_solutions())
         # Share the materialization: relations compare by identity, so
         # instance_key must see the same Relation objects on both paths.
         new = api.enumerate(
             api.FormulaProblem(scenario.formula, scenario.bounds))
         new_keys = {scenario.instance_key(inst) for inst in new.instances}
-        assert old_keys == new_keys
-        assert old_count == len(new.instances)
+        assert direct_keys == new_keys
+        assert direct_count == len(new.instances)
 
 
 class TestExplorerBackendParity:
     @pytest.mark.parametrize("spec", AUCTION_SPECS, ids=lambda s: s.label())
     def test_exploration_verdict_parity(self, spec):
         scenario = materialize(spec)
-        old = _quiet(
-            explore_message_orders,
+        direct = explore(
             scenario.network, scenario.items, scenario.policies,
             max_rounds=8, max_paths=4000,
         )
         new = api.run_protocol(api.problem_from_spec(spec),
                                max_rounds=8, max_paths=4000)
-        assert old.all_converged == new.holds
-        assert (old.counterexample is None) == (new.trace is None)
-        assert (old.max_rounds_to_converge
+        assert direct.all_converged == new.holds
+        assert (direct.counterexample is None) == (new.trace is None)
+        assert (direct.max_rounds_to_converge
                 == new.detail["max_rounds_to_converge"])
-        assert old.paths_explored == new.detail["paths_explored"]
+        assert direct.paths_explored == new.detail["paths_explored"]
 
 
-class TestAlloyliteShimParity:
+class TestModuleBackendParity:
+    """Module commands against ``Module.compile`` plus a ``Session``."""
+
     @pytest.fixture
     def module(self):
         m = Module()
@@ -108,67 +95,60 @@ class TestAlloyliteShimParity:
         m, a, b, link = module
         scope = Scope(per_sig={"A": 2, "B": 2})
         predicate = ast.Some(link.relation)
-        old = _quiet(legacy_run, m, predicate, scope)
+        _, bounds, facts = m.compile(scope)
+        direct = Session(ast.And([facts, predicate]), bounds,
+                         symmetry=DEFAULT_SBP_LENGTH).solve()
         new = api.solve(api.ModuleProblem(m, "run", predicate, scope))
-        assert old.satisfiable == new.satisfiable
-        assert old.stats.num_clauses == new.stats.num_clauses
-        assert old.instance.describe() == new.instance.describe()
-        assert old.describe() == new.describe()
+        assert direct.satisfiable and new.satisfiable
+        assert direct.stats.num_clauses == new.stats.num_clauses
+        assert direct.instance.describe() == new.instance.describe()
+        assert new.describe() == direct.instance.describe()
 
     def test_check_parity_holds(self, module):
         m, a, b, link = module
         scope = Scope(per_sig={"A": 1, "B": 1})
         assertion = ast.Some(a.expr)  # a fact, so it holds
-        old = _quiet(legacy_check, m, assertion, scope)
+        _, bounds, facts = m.compile(scope)
+        direct = Session(ast.And([facts, ast.Not(assertion)]), bounds,
+                         symmetry=DEFAULT_SBP_LENGTH).solve()
         new = api.check(m, assertion, scope)
-        assert old.valid and new.holds
-        assert old.describe() == new.describe()
-        assert (old.describe()
+        assert not direct.satisfiable and new.holds
+        assert direct.stats.num_clauses == new.stats.num_clauses
+        assert (new.describe()
                 == "assertion holds within the scope (no counterexample)")
 
     def test_check_parity_counterexample(self, module):
         m, a, b, link = module
         scope = Scope(per_sig={"A": 1, "B": 1})
         assertion = ast.No(b.expr)  # refuted: sig scopes are exact
-        old = _quiet(legacy_check, m, assertion, scope)
+        _, bounds, facts = m.compile(scope)
+        direct = Session(ast.And([facts, ast.Not(assertion)]), bounds,
+                         symmetry=DEFAULT_SBP_LENGTH).solve()
         new = api.check(m, assertion, scope)
-        assert not old.valid and not new.holds
-        assert old.describe() == new.describe()
-        assert old.describe().startswith("counterexample found:\n")
+        assert direct.satisfiable and not new.holds
+        assert new.describe() == ("counterexample found:\n"
+                                  + direct.instance.describe())
 
     def test_iter_instances_parity(self, module):
         m, a, b, link = module
         scope = Scope(per_sig={"A": 1, "B": 2})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = [inst.describe() for inst in
-                   legacy_iter_instances(m, scope=scope)]
+        _, bounds, facts = m.compile(scope)
+        direct = [inst.describe() for inst in
+                  Session(facts, bounds).iter_solutions()]
         new = [inst.describe() for inst in
                api.enumerate(api.ModuleProblem(m, scope=scope)).instances]
-        assert sorted(old) == sorted(new)
-        assert old  # the module is satisfiable: parity over a nonempty set
+        assert sorted(direct) == sorted(new)
+        assert direct  # the module is satisfiable: parity over a nonempty set
 
     def test_iter_instances_stays_lazy(self, module):
         m, a, b, link = module
         scope = Scope(per_sig={"A": 2, "B": 2})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            iterator = legacy_iter_instances(m, scope=scope)
-            # One pull must not require enumerating the whole space.
-            first = next(iterator)
-        assert first is not None
+        _, bounds, facts = m.compile(scope)
+        iterator = Session(facts, bounds).iter_solutions()
+        # One pull must not require enumerating the whole space, and the
+        # streamed model is one the façade's enumeration also produces.
+        first = next(iterator)
         iterator.close()
-
-
-class TestModelLayerUnified:
-    def test_check_verdict_carries_unified_result(self):
-        from repro.model import PolicyCombination, check_combination
-
-        verdict = check_combination(
-            PolicyCombination(submodular=True, release_outbid=False),
-            num_pnodes=2, num_vnodes=1, max_value=3,
-        )
-        assert isinstance(verdict.solution, api.Result)
-        assert verdict.solution.verdict is api.Verdict.UNSAT
-        assert verdict.solution.backend == "kodkod"
-        assert verdict.converges
+        assert first is not None
+        new = api.enumerate(api.ModuleProblem(m, scope=scope)).instances
+        assert first.describe() in {inst.describe() for inst in new}

@@ -1,12 +1,17 @@
 """Public-API snapshot: accidental surface changes must fail loudly.
 
 The exported name sets and the signatures of the façade entry points are
-pinned here.  Changing them is allowed — but it must be a deliberate,
+pinned here, as are the exports of the layer packages the façade is
+built from, so a second way to run an operation cannot reappear beside
+it unnoticed.  Changing them is allowed — but it must be a deliberate,
 reviewed edit to this file, not a drive-by.
 """
 
+import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro import api
@@ -55,7 +60,6 @@ EXPECTED_API_ALL = [
     "backend_for",
     "batch_cache_key",
     "check",
-    "describe_verdict",
     "diff_problems",
     "enumerate",
     "get_backend",
@@ -71,6 +75,59 @@ EXPECTED_API_ALL = [
     "solve_delta",
     "solve_many",
 ]
+
+EXPECTED_SUBPACKAGE_ALL = {
+    "repro.kodkod": [
+        "Bounds",
+        "DEFAULT_SBP_LENGTH",
+        "DeltaSession",
+        "Evaluator",
+        "Expr",
+        "FalseF",
+        "Formula",
+        "Iden",
+        "Instance",
+        "NoneExpr",
+        "Relation",
+        "Session",
+        "Solution",
+        "SymmetryInfo",
+        "TranslationStats",
+        "Translator",
+        "TrueF",
+        "TupleSet",
+        "Univ",
+        "Universe",
+        "Variable",
+        "all_different",
+        "and_all",
+        "atom_partition",
+        "break_predicates",
+        "brute_force_instances",
+        "comprehension",
+        "exists",
+        "extract_instance",
+        "forall",
+        "or_any",
+        "relation",
+        "translate",
+        "variable",
+    ],
+    "repro.alloylite": [
+        "Field",
+        "Module",
+        "ModuleError",
+        "OrderedModule",
+        "Ordering",
+        "Scope",
+        "Sig",
+    ],
+    "repro.checking": [
+        "ExplorationResult",
+        "StateCanonicalizer",
+        "explore",
+    ],
+}
 
 EXPECTED_SIGNATURES = {
     "solve": "(problem, bounds=None, *, options: "
@@ -132,6 +189,13 @@ class TestSurfaceSnapshot:
             assert getattr(repro, name) is not None
         for name in api.__all__:
             assert getattr(api, name) is not None
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_SUBPACKAGE_ALL))
+    def test_subpackage_all_is_pinned(self, name):
+        package = importlib.import_module(name)
+        assert sorted(package.__all__) == sorted(EXPECTED_SUBPACKAGE_ALL[name])
+        for export in package.__all__:
+            assert getattr(package, export) is not None
 
     def test_repro_reexports_match_api(self):
         for name in set(repro.__all__) & set(api.__all__):

@@ -1,6 +1,6 @@
 """Tests for the explicit-state explorer."""
 
-from repro.checking import explore_message_orders
+from repro.checking import explore
 from repro.mca import AgentNetwork, AgentPolicy, GeometricUtility, RebidStrategy
 
 
@@ -21,7 +21,7 @@ def policies_for(n, items, growth=0.5, release=False, target=2):
 class TestHonestExploration:
     def test_all_orders_converge_two_agents(self):
         items = ["A", "B"]
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.complete(2), items, policies_for(2, items)
         )
         assert result.all_converged
@@ -30,7 +30,7 @@ class TestHonestExploration:
 
     def test_all_orders_converge_line_of_three(self):
         items = ["A"]
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.line(3), items, policies_for(3, items, target=1)
         )
         assert result.all_converged
@@ -38,8 +38,7 @@ class TestHonestExploration:
     def test_round_count_bounded(self):
         items = ["A", "B"]
         network = AgentNetwork.complete(2)
-        result = explore_message_orders(network, items,
-                                        policies_for(2, items))
+        result = explore(network, items, policies_for(2, items))
         from repro.mca import message_bound
 
         assert result.max_rounds_to_converge <= message_bound(network, items) + 1
@@ -52,7 +51,7 @@ class TestDivergentExploration:
         engine = figure2_engine(submodular=False, release_outbid=True)
         items = engine.items
         policies = {a: engine.agents[a].policy for a in engine.agents}
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.complete(2), items, policies, max_rounds=10
         )
         assert not result.all_converged
@@ -65,7 +64,7 @@ class TestDivergentExploration:
             1: AgentPolicy(utility=GeometricUtility({"A": 1}, 0.5), target=1,
                            rebid=RebidStrategy.FLIPFLOP),
         }
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.complete(2), items, policies, max_rounds=10
         )
         assert not result.all_converged
@@ -83,7 +82,7 @@ class TestCrossValidation:
             engine = figure2_engine(submodular=submodular,
                                     release_outbid=release)
             policies = {a: engine.agents[a].policy for a in engine.agents}
-            dynamic = explore_message_orders(
+            dynamic = explore(
                 AgentNetwork.complete(2), engine.items, policies,
                 max_rounds=10,
             )

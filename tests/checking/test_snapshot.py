@@ -2,7 +2,7 @@
 
 import copy
 
-from repro.checking import StateCanonicalizer, explore_message_orders
+from repro.checking import StateCanonicalizer, explore
 from repro.mca import (
     AgentNetwork,
     AgentPolicy,
@@ -118,7 +118,7 @@ class TestExplorerWithoutDeepcopy:
 
         monkeypatch.setattr(copy, "deepcopy", poisoned)
         items = ["A", "B"]
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.complete(2), items, _policies(2, items)
         )
         assert result.all_converged
@@ -136,11 +136,11 @@ class TestExplorerWithoutDeepcopy:
         for shared in (False, True):
             for network in networks:
                 policies = _policies(3, items, shared=shared)
-                memo = explore_message_orders(
+                memo = explore(
                     network, items, policies, max_rounds=8, memoize=True,
                     max_paths=100_000,
                 )
-                plain = explore_message_orders(
+                plain = explore(
                     network, items, policies, max_rounds=8, memoize=False,
                     max_paths=100_000,
                 )
@@ -153,10 +153,10 @@ class TestExplorerWithoutDeepcopy:
         items = ["A", "B"]
         policies = _policies(2, items, shared=False, growth=2.0, release=True)
         network = AgentNetwork.complete(2)
-        memo = explore_message_orders(
+        memo = explore(
             network, items, policies, max_rounds=8, memoize=True
         )
-        plain = explore_message_orders(
+        plain = explore(
             network, items, policies, max_rounds=8, memoize=False
         )
         assert memo.all_converged == plain.all_converged
@@ -167,7 +167,7 @@ class TestExplorerWithoutDeepcopy:
     def test_memo_table_hits_on_interchangeable_agents(self):
         items = ["A", "B", "C"]
         policies = _policies(3, items, shared=True)
-        result = explore_message_orders(
+        result = explore(
             AgentNetwork.complete(3), items, policies,
             max_rounds=10, max_paths=100_000,
         )

@@ -5,7 +5,9 @@ solver under the relational translator under the Alloy frontend under the
 paper's model, and the executable protocol against the bounded checker.
 """
 
-from repro.alloylite import OrderedModule, Scope, check, run
+from repro import api
+from repro.alloylite import OrderedModule, Scope
+from repro.api import ModuleProblem
 from repro.kodkod import ast
 from repro.kodkod.evaluator import Evaluator
 from repro.mca import (
@@ -38,15 +40,16 @@ class TestVerificationStack:
             "monotone",
         )
         grows = ast.Some(ast.Join(order.last, holds.expr))
-        result = run(m, grows, Scope(per_sig={"State": 3, "Token": 2}))
+        scope = Scope(per_sig={"State": 3, "Token": 2})
+        result = api.solve(ModuleProblem(m, "run", grows, scope))
         assert result.satisfiable
         ev = Evaluator(result.instance)
         assert ev.check(grows)
         # And the dual check: "nothing ever held" must be refutable.
         never = ast.ForAll([(s, state.expr)],
                            ast.No(ast.Join(s, holds.expr)))
-        verdict = check(m, never, Scope(per_sig={"State": 3, "Token": 2}))
-        assert not verdict.valid
+        verdict = api.check(m, never, scope)
+        assert not verdict.holds
 
     def test_encoding_comparison_consistency(self):
         """The encoding benchmark's invariants hold end to end."""

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kodkod import Bounds, Universe, ast, solve
+from repro import api
+from repro.kodkod import Bounds, Universe, ast
 
 ATOMS = ["a", "b", "c"]
 
@@ -27,7 +28,7 @@ def _bounds():
 
 
 def assert_valid(formula, bounds):
-    assert not solve(ast.Not(formula), bounds).satisfiable
+    assert not api.solve(ast.Not(formula), bounds).satisfiable
 
 
 class TestBooleanLaws:

@@ -4,15 +4,8 @@ import itertools
 
 import pytest
 
-from repro.kodkod import (
-    Bounds,
-    Universe,
-    atom_partition,
-    count_solutions,
-    iter_solutions,
-    relation,
-    solve,
-)
+from repro import api
+from repro.kodkod import Bounds, Universe, atom_partition, relation
 from repro.kodkod import ast
 
 
@@ -105,44 +98,46 @@ class TestSymmetryBreaking:
     def test_enumeration_counts_isomorphism_classes(self):
         _, bounds = self._subset_problem()
         # Subsets of 3 interchangeable atoms: 8 models, 4 sizes (classes).
-        assert count_solutions(ast.TrueF(), bounds) == 8
-        assert count_solutions(ast.TrueF(), bounds, symmetry=20) == 4
+        assert len(api.enumerate(ast.TrueF(), bounds).instances) == 8
+        canonical = api.enumerate(ast.TrueF(), bounds, symmetry=20)
+        assert len(canonical.instances) == 4
 
     def test_canonical_instances_cover_every_orbit(self):
         _, bounds = self._subset_problem()
         classes = atom_partition(bounds)
         full = {
             _orbit_key(i, bounds, classes)
-            for i in iter_solutions(ast.TrueF(), bounds)
+            for i in api.enumerate(ast.TrueF(), bounds).instances
         }
         broken = {
             _orbit_key(i, bounds, classes)
-            for i in iter_solutions(ast.TrueF(), bounds, symmetry=20)
+            for i in api.enumerate(ast.TrueF(), bounds, symmetry=20).instances
         }
         assert broken == full  # every isomorphism class keeps a witness
 
     def test_canonical_instances_are_a_subset_of_all(self):
         r, bounds = self._subset_problem()
         all_values = {
-            frozenset(i.value_of(r)) for i in iter_solutions(ast.TrueF(), bounds)
+            frozenset(i.value_of(r))
+            for i in api.enumerate(ast.TrueF(), bounds).instances
         }
         broken_values = {
             frozenset(i.value_of(r))
-            for i in iter_solutions(ast.TrueF(), bounds, symmetry=20)
+            for i in api.enumerate(ast.TrueF(), bounds, symmetry=20).instances
         }
         assert broken_values <= all_values
         assert len(broken_values) < len(all_values)
 
     def test_sat_verdict_preserved(self):
         r, bounds = self._subset_problem()
-        assert solve(r.count_eq(2), bounds, symmetry=20).satisfiable
-        assert solve(r.count_eq(2), bounds, symmetry=0).satisfiable
+        assert api.solve(r.count_eq(2), bounds, symmetry=20).satisfiable
+        assert api.solve(r.count_eq(2), bounds, symmetry=0).satisfiable
 
     def test_unsat_verdict_preserved(self):
         r, bounds = self._subset_problem()
         formula = ast.And([r.some(), r.no()])
-        assert not solve(formula, bounds, symmetry=20).satisfiable
-        assert not solve(formula, bounds, symmetry=0).satisfiable
+        assert not api.solve(formula, bounds, symmetry=20).satisfiable
+        assert not api.solve(formula, bounds, symmetry=0).satisfiable
 
     def test_verdicts_agree_on_assorted_formulas(self):
         r, bounds = self._subset_problem()
@@ -155,8 +150,8 @@ class TestSymmetryBreaking:
             ast.And([r.count_ge(2), r.lone()]),
         ]
         for formula in formulas:
-            with_sbp = solve(formula, bounds, symmetry=20).satisfiable
-            without = solve(formula, bounds, symmetry=0).satisfiable
+            with_sbp = api.solve(formula, bounds, symmetry=20).satisfiable
+            without = api.solve(formula, bounds, symmetry=0).satisfiable
             assert with_sbp == without, formula
 
     def test_interchangeable_agents_allocation_scenario(self):
@@ -180,17 +175,18 @@ class TestSymmetryBreaking:
 
         x = variable("x")
         f = forall(x, item_sig, x.join(alloc).one())
-        plain = count_solutions(f, bounds)
-        broken = count_solutions(f, bounds, symmetry=20)
+        plain = len(api.enumerate(f, bounds).instances)
+        broken = len(api.enumerate(f, bounds, symmetry=20).instances)
         assert plain == 9  # 3 agents per item, 2 items
         assert 0 < broken < plain
         classes = atom_partition(bounds)
         full_orbits = {
-            _orbit_key(i, bounds, classes) for i in iter_solutions(f, bounds)
+            _orbit_key(i, bounds, classes)
+            for i in api.enumerate(f, bounds).instances
         }
         broken_orbits = {
             _orbit_key(i, bounds, classes)
-            for i in iter_solutions(f, bounds, symmetry=20)
+            for i in api.enumerate(f, bounds, symmetry=20).instances
         }
         assert broken_orbits == full_orbits
 

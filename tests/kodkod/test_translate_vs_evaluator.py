@@ -10,10 +10,10 @@ semantics.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.evaluator import Evaluator, brute_force_instances
-from repro.kodkod.engine import iter_solutions
 from repro.kodkod.universe import Universe
 
 ATOMS = ["a", "b", "c"]
@@ -116,7 +116,8 @@ class TestPipelineAgainstEvaluator:
                 for rel in sorted(bounds.relations(), key=lambda r: r.name)
             )
 
-        sat_instances = {key(i) for i in iter_solutions(formula, bounds)}
+        found = api.enumerate(formula, bounds).instances
+        sat_instances = {key(i) for i in found}
         expected = {
             key(i)
             for i in brute_force_instances(bounds)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import api
 from repro.kodkod import ast
-from repro.kodkod.engine import solve, translate
 from repro.model import build_naive_static, build_optim_static, compare_encodings
 
 
@@ -16,34 +16,34 @@ class TestNaiveStatic:
 
     def test_consistent(self, compiled):
         _, _, bounds, facts = compiled
-        assert solve(facts, bounds).satisfiable
+        assert api.solve(facts, bounds).satisfiable
 
     def test_unique_id_holds(self, compiled):
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.unique_id_assertion())])
-        assert not solve(goal, bounds).satisfiable
+        assert not api.solve(goal, bounds).satisfiable
 
     def test_capacity_assertion_holds(self, compiled):
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.capacity_assertion())])
-        assert not solve(goal, bounds).satisfiable
+        assert not api.solve(goal, bounds).satisfiable
 
     def test_conflicting_bids_possible(self, compiled):
         """The conflict-free-init assertion must FAIL: bidding conflicts
         are what the agreement phase exists to resolve."""
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.conflict_free_init_assertion())])
-        assert solve(goal, bounds).satisfiable
+        assert api.solve(goal, bounds).satisfiable
 
     def test_connections_symmetric_in_instances(self, compiled):
         model, _, bounds, facts = compiled
-        sol = solve(facts, bounds)
+        sol = api.solve(facts, bounds)
         pairs = set(sol.instance.value_of(model.pconnections))
         assert all((b, a) in pairs for a, b in pairs)
 
     def test_capacity_respected_in_instances(self, compiled):
         model, universe, bounds, facts = compiled
-        sol = solve(facts, bounds)
+        sol = api.solve(facts, bounds)
         inst = sol.instance
         bids = list(inst.value_of(model.init_bids))
         caps = dict(inst.value_of(model.pcp))
@@ -62,26 +62,26 @@ class TestOptimStatic:
 
     def test_consistent(self, compiled):
         _, _, bounds, facts = compiled
-        assert solve(facts, bounds).satisfiable
+        assert api.solve(facts, bounds).satisfiable
 
     def test_unique_id_holds(self, compiled):
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.unique_id_assertion())])
-        assert not solve(goal, bounds).satisfiable
+        assert not api.solve(goal, bounds).satisfiable
 
     def test_capacity_assertion_holds(self, compiled):
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.capacity_assertion())])
-        assert not solve(goal, bounds).satisfiable
+        assert not api.solve(goal, bounds).satisfiable
 
     def test_conflicting_bids_possible(self, compiled):
         model, _, bounds, facts = compiled
         goal = ast.And([facts, ast.Not(model.conflict_free_init_assertion())])
-        assert solve(goal, bounds).satisfiable
+        assert api.solve(goal, bounds).satisfiable
 
     def test_triples_functional_in_instances(self, compiled):
         model, _, bounds, facts = compiled
-        sol = solve(facts, bounds)
+        sol = api.solve(facts, bounds)
         inst = sol.instance
         owner_of = {}
         for pnode_atom, triple_atom in inst.value_of(model.init_triples):
@@ -111,4 +111,5 @@ class TestEncodingComparison:
             _, nb, nf = naive.compile(p, v)
             optim = build_optim_static(max_value=3)
             _, ob, of = optim.compile(p, v)
-            assert solve(nf, nb).satisfiable == solve(of, ob).satisfiable
+            naive_sat = api.solve(nf, nb).satisfiable
+            assert naive_sat == api.solve(of, ob).satisfiable

@@ -18,8 +18,6 @@ from repro.sat.solver import Solver, solve_cnf
 from repro.sat.types import Status
 from tests.sat.brute_force import brute_force_satisfiable
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int,
                max_width: int = 4) -> CNF:

@@ -96,9 +96,15 @@ class TestSatelliteFabric:
             client.post_result(job_id, lease=claim["lease"],
                                worker="sat-slow", result=result)
         assert info.value.status == 409
-        # The job is back in the queue awaiting a fresh claim, unharmed.
+        # The job is back in the queue awaiting a fresh claim, unharmed:
+        # the stale posts left nothing in the shared cache, so the next
+        # claim ships the job instead of answering it from the cache.
         assert client.job(job_id)["state"] == "pending"
         assert client.metrics()["jobs"]["error"] == 0
+        assert hub.cache.get(claim["cache_key"]) is None
+        (fresh,) = client.claim("sat-fresh", limit=1)["claims"]
+        assert fresh["id"] == job_id
+        assert client.metrics()["cache_hits"] == 0
 
     def test_heartbeats_keep_a_short_lease_alive(self, hub, client):
         job_id = client.submit(formula_body(12))["id"]
@@ -185,12 +191,19 @@ class TestHubPolicies:
     def test_malformed_results_are_rejected(self, hub, client):
         job_id = client.submit(formula_body(14))["id"]
         (claim,) = client.claim("sat-v", limit=1)["claims"]
-        for body in ({"result": {"verdict": "sat"}},            # no lease
-                     {"lease": claim["lease"]},                 # no result
-                     {"lease": claim["lease"], "result": {}}):  # no verdict
+        lease = claim["lease"]
+        for body in ({"result": {"verdict": "sat"}},          # no lease
+                     {"lease": lease},                        # no result
+                     {"lease": lease, "result": {}},          # no verdict
+                     {"lease": lease, "result": {"verdict": "maybe"}},
+                     {"lease": lease, "result": {"verdict": "error"}},
+                     {"lease": lease, "result": {"verdict": "sat",
+                                                 "error": "boom"}}):
             with pytest.raises(ServiceError) as info:
                 client.request("POST", f"/v1/jobs/{job_id}/result", body)
             assert info.value.status == 400
+        assert client.job(job_id)["state"] == "running"
+        assert hub.cache.get(claim["cache_key"]) is None
         with pytest.raises(ServiceError) as info:
             client.post_result("nope", lease="x", worker="sat-v",
                                result={"verdict": "sat"})
