@@ -18,6 +18,7 @@ oracle          checks
 ``encodings``   Plaisted-Greenbaum vs Tseitin vs DIMACS round-trip solve
 ``symmetry``    solve with lex-leader SBP vs ``symmetry=0``
 ``session``     incremental enumeration vs a fresh solver per model
+``evaluator``   translator + solver enumeration vs brute-force ground eval
 ``explorer``    memoized schedule exploration vs plain DFS
 ``engines``     synchronous vs asynchronous (fifo + random) convergence
 ``delta``       ``solve_delta`` on a mutated problem vs fresh solve
@@ -61,13 +62,16 @@ from repro.fuzz.generators import KINDS, FuzzSpec, generate
 from repro.fuzz.mutators import coverage_signature, mutate_problem
 from repro.fuzz.shrink import ShrinkResult, problem_size, shrink
 
-FUZZ_SCHEMA = 3
+FUZZ_SCHEMA = 4
 """Bump to invalidate every cached fuzz result (semantic change).
 
 2: encodings oracle grew the vector-kernel arm (and the env-gated
    external-solver arm), changing detail keys and coverage signatures.
 3: delta oracle added (solve_delta vs fresh solve), changing the task
-   stream, coverage signatures and corpus evolution of every sweep."""
+   stream, coverage signatures and corpus evolution of every sweep.
+4: evaluator oracle added (enumeration vs brute-force ground evaluation,
+   the one formula oracle whose reference path bypasses the translator),
+   changing the task stream in the same way."""
 
 DEFAULT_CACHE_DIR = ".fuzz_cache"
 DEFAULT_ARTIFACTS_DIR = ".fuzz_artifacts"
@@ -75,6 +79,11 @@ DEFAULT_ARTIFACTS_DIR = ".fuzz_artifacts"
 _SESSION_FREE_TUPLE_CAP = 6
 """Session oracle gate: the fresh-solver reference path rebuilds a whole
 translation and solver per model, so the model space is capped at 2^6."""
+
+_EVALUATOR_FREE_TUPLE_CAP = 10
+"""Evaluator oracle gate: the reference path evaluates the formula on
+every instance within the bounds, so the instance space is capped at
+2^10."""
 
 _EXPLORER_AGENT_CAP = 3
 _EXPLORER_ITEM_CAP = 2
@@ -225,6 +234,10 @@ def _session_gate(problem: FormulaProblem) -> bool:
     return problem.bounds.free_tuple_count() <= _SESSION_FREE_TUPLE_CAP
 
 
+def _evaluator_gate(problem: FormulaProblem) -> bool:
+    return problem.bounds.free_tuple_count() <= _EVALUATOR_FREE_TUPLE_CAP
+
+
 def _explorer_gate(problem: ProtocolProblem) -> bool:
     return (
         len(problem.network.agents()) <= _EXPLORER_AGENT_CAP
@@ -258,6 +271,10 @@ FUZZ_ORACLES: dict[str, FuzzOracle] = {
     "session": FuzzOracle(
         "session", FormulaProblem, _campaign_formula_oracle("enumeration"),
         _session_gate, "incremental enumeration vs fresh solver per model"),
+    "evaluator": FuzzOracle(
+        "evaluator", FormulaProblem, _campaign_formula_oracle("evaluator"),
+        _evaluator_gate,
+        "translator + solver enumeration vs brute-force ground evaluation"),
     "explorer": FuzzOracle(
         "explorer", ProtocolProblem, _campaign_protocol_oracle("explorer"),
         _explorer_gate, "memoized schedule exploration vs plain DFS"),

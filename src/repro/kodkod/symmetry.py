@@ -89,21 +89,20 @@ def atom_partition(bounds: Bounds) -> list[list[int]]:
     relations = sorted(bounds.relations(), key=lambda r: r.name)
     bound_sets = [_index_tuples(bounds, rel) for rel in relations]
 
-    def signature(atom: int) -> tuple:
-        sig = []
-        for (lower, upper), rel in zip(bound_sets, relations):
-            for tuples in (lower, upper):
-                counts = [0] * rel.arity
-                for t in tuples:
-                    for pos, x in enumerate(t):
-                        if x == atom:
-                            counts[pos] += 1
-                sig.append(tuple(counts))
-        return tuple(sig)
+    # One scan over every bound tuple: counts[atom][slot][pos] is how often
+    # ``atom`` sits at ``pos`` in the bound of slot (relation, lower/upper).
+    slots = [(rel.arity, tuples) for (lower, upper), rel
+             in zip(bound_sets, relations) for tuples in (lower, upper)]
+    counts = [[[0] * arity for arity, _ in slots] for _ in range(len(universe))]
+    for slot, (_, tuples) in enumerate(slots):
+        for t in tuples:
+            for pos, x in enumerate(t):
+                counts[x][slot][pos] += 1
 
     by_signature: dict[tuple, list[int]] = {}
-    for atom in range(len(universe)):
-        by_signature.setdefault(signature(atom), []).append(atom)
+    for atom, atom_counts in enumerate(counts):
+        signature = tuple(map(tuple, atom_counts))
+        by_signature.setdefault(signature, []).append(atom)
 
     def interchangeable(a: int, b: int) -> bool:
         return all(

@@ -8,7 +8,9 @@ become circuit nodes; the root is compiled to CNF by Tseitin encoding.
 Quantifiers are ground: ``all x: D | F`` unrolls over the atoms in the
 upper bound of ``D``, guarding each instantiation by the atom's membership
 circuit.  This is sound and complete for finite scopes, which is the whole
-point of bounded verification.
+point of bounded verification.  A subterm that does not use every bound
+variable is translated once per binding of the variables it does use
+(Kodkod's translation cache), not once per instantiation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.kodkod import ast
 from repro.kodkod.boolcircuit import FALSE, TRUE, BooleanFactory
@@ -25,6 +28,24 @@ from repro.kodkod.symmetry import SymmetryInfo, atom_partition, break_predicates
 from repro.sat.cnf import CNF
 
 Env = dict[ast.Variable, int]
+Node = ast.Expr | ast.Formula
+
+
+def _children(node: Node) -> tuple[Node, ...]:
+    """Direct subterms of a non-binding node (leaves have none)."""
+    if isinstance(node, (ast.And, ast.Or)):
+        return tuple(node.parts)
+    if isinstance(node, (ast.Transpose, ast.Closure, ast.Not)):
+        return (node.inner,)
+    if isinstance(node, (ast._MultiplicityFormula, ast.CardinalityEq,
+                         ast.CardinalityGe)):
+        return (node.expr,)
+    if isinstance(node, ast.IfExpr):
+        return (node.cond, node.then_expr, node.else_expr)
+    if isinstance(node, (ast._BinaryExpr, ast.Product, ast.Join, ast.Subset,
+                         ast.Equal)):
+        return (node.left, node.right)
+    return ()
 
 
 @dataclass
@@ -123,6 +144,13 @@ class Translator:
         self._factory = BooleanFactory()
         self._relation_matrices: dict[ast.Relation, BoolMatrix] = {}
         self._tuple_inputs: dict[tuple[ast.Relation, tuple[int, ...]], int] = {}
+        # Per-translate() memo tables (emptied when translate() returns):
+        # the free variables of every node visited under a binding, and
+        # the translation of every node that ignores part of its binding,
+        # keyed by (node, atoms bound to its free variables...).  Sharing
+        # a cached matrix is safe: no matrix is mutated once built.
+        self._free: dict[Node, tuple[ast.Variable, ...]] = {}
+        self._memo: dict[tuple, BoolMatrix | int] = {}
 
     # ------------------------------------------------------------------
     # Relation leaves
@@ -152,52 +180,57 @@ class Translator:
     # Expressions
     # ------------------------------------------------------------------
 
-    def expr_matrix(self, expr: ast.Expr, env: Env | None = None) -> BoolMatrix:
-        """Translate an expression to its boolean matrix."""
-        env = env or {}
-        return self._expr(expr, env)
-
     def _expr(self, expr: ast.Expr, env: Env) -> BoolMatrix:
-        size = len(self._universe)
         if isinstance(expr, ast.Relation):
             return self._relation_matrix(expr)
+        key = self._memo_key(expr, env) if env else None
+        if key is not None:
+            cached = self._memo.get(key)
+            if cached is not None:
+                return cached
+        size = len(self._universe)
         if isinstance(expr, ast.Variable):
             try:
                 atom_index = env[expr]
             except KeyError:
                 raise ValueError(f"unbound variable {expr.name!r}") from None
-            matrix = BoolMatrix(self._factory, size, 1)
-            matrix.set((atom_index,), TRUE)
-            return matrix
-        if isinstance(expr, ast.Univ):
-            matrix = BoolMatrix(self._factory, size, 1)
+            result = BoolMatrix(self._factory, size, 1)
+            result.set((atom_index,), TRUE)
+        elif isinstance(expr, ast.Univ):
+            result = BoolMatrix(self._factory, size, 1)
             for i in range(size):
-                matrix.set((i,), TRUE)
-            return matrix
-        if isinstance(expr, ast.Iden):
-            matrix = BoolMatrix(self._factory, size, 2)
+                result.set((i,), TRUE)
+        elif isinstance(expr, ast.Iden):
+            result = BoolMatrix(self._factory, size, 2)
             for i in range(size):
-                matrix.set((i, i), TRUE)
-            return matrix
-        if isinstance(expr, ast.NoneExpr):
-            return BoolMatrix(self._factory, size, expr.arity)
-        if isinstance(expr, ast.Union):
-            return self._expr(expr.left, env).union(self._expr(expr.right, env))
-        if isinstance(expr, ast.Intersection):
-            return self._expr(expr.left, env).intersection(
+                result.set((i, i), TRUE)
+        elif isinstance(expr, ast.NoneExpr):
+            result = BoolMatrix(self._factory, size, expr.arity)
+        elif isinstance(expr, ast.Union):
+            result = self._expr(expr.left, env).union(
                 self._expr(expr.right, env)
             )
-        if isinstance(expr, ast.Difference):
-            return self._expr(expr.left, env).difference(self._expr(expr.right, env))
-        if isinstance(expr, ast.Product):
-            return self._expr(expr.left, env).product(self._expr(expr.right, env))
-        if isinstance(expr, ast.Join):
-            return self._expr(expr.left, env).join(self._expr(expr.right, env))
-        if isinstance(expr, ast.Transpose):
-            return self._expr(expr.inner, env).transpose()
-        if isinstance(expr, ast.Closure):
-            return self._expr(expr.inner, env).closure()
-        if isinstance(expr, ast.IfExpr):
+        elif isinstance(expr, ast.Intersection):
+            result = self._expr(expr.left, env).intersection(
+                self._expr(expr.right, env)
+            )
+        elif isinstance(expr, ast.Difference):
+            result = self._expr(expr.left, env).difference(
+                self._expr(expr.right, env)
+            )
+        elif isinstance(expr, ast.Product):
+            result = self._expr(expr.left, env).product(
+                self._expr(expr.right, env)
+            )
+        elif isinstance(expr, ast.Join):
+            result = self._expr(expr.left, env).join(
+                self._expr(expr.right, env)
+            )
+        elif isinstance(expr, ast.Transpose):
+            result = self._expr(expr.inner, env).transpose()
+        elif isinstance(expr, ast.Closure):
+            result = self._expr(expr.inner, env).closure()
+        elif isinstance(expr, ast.IfExpr):
             cond = self._formula(expr.cond, env)
             then_matrix = self._expr(expr.then_expr, env)
             else_matrix = self._expr(expr.else_expr, env)
@@ -211,114 +244,154 @@ class Translator:
                         cond, then_matrix.get(index), else_matrix.get(index)
                     ),
                 )
-            return result
-        if isinstance(expr, ast.Comprehension):
-            return self._comprehension(expr, env)
-        raise TypeError(f"unknown expression type: {type(expr).__name__}")
-
-    def _comprehension(self, expr: ast.Comprehension, env: Env) -> BoolMatrix:
-        size = len(self._universe)
-        result = BoolMatrix(self._factory, size, expr.arity)
-
-        def fill(decl_index: int, env_now: Env, index_prefix: tuple[int, ...],
-                 guards: list[int]) -> None:
-            if decl_index == len(expr.decls):
-                body_node = self._formula(expr.body, env_now)
-                result.set(
-                    index_prefix, self._factory.and_(guards + [body_node])
-                )
-                return
-            var, domain = expr.decls[decl_index]
-            domain_matrix = self._expr(domain, env_now)
-            for (atom_index,), membership in list(domain_matrix.cells()):
-                child_env = dict(env_now)
-                child_env[var] = atom_index
-                fill(
-                    decl_index + 1,
-                    child_env,
-                    index_prefix + (atom_index,),
-                    guards + [membership],
-                )
-
-        fill(0, env, (), [])
+        elif isinstance(expr, ast.Comprehension):
+            result = BoolMatrix(self._factory, size, expr.arity)
+            for atoms, child_env, guards in self._bindings(expr.decls, env):
+                body_node = self._formula(expr.body, child_env)
+                result.set(atoms, self._factory.and_([*guards, body_node]))
+        else:
+            raise TypeError(f"unknown expression type: {type(expr).__name__}")
+        if key is not None:
+            self._memo[key] = result
         return result
 
     # ------------------------------------------------------------------
     # Formulas
     # ------------------------------------------------------------------
 
-    def formula_node(self, formula: ast.Formula, env: Env | None = None) -> int:
-        """Translate a formula to a circuit node."""
-        return self._formula(formula, env or {})
-
     def _formula(self, formula: ast.Formula, env: Env) -> int:
+        key = self._memo_key(formula, env) if env else None
+        if key is not None:
+            cached = self._memo.get(key)
+            if cached is not None:
+                return cached
         if isinstance(formula, ast.TrueF):
-            return TRUE
-        if isinstance(formula, ast.FalseF):
-            return FALSE
-        if isinstance(formula, ast.Subset):
-            return self._expr(formula.left, env).subset_of(
+            result = TRUE
+        elif isinstance(formula, ast.FalseF):
+            result = FALSE
+        elif isinstance(formula, ast.Subset):
+            result = self._expr(formula.left, env).subset_of(
                 self._expr(formula.right, env)
             )
-        if isinstance(formula, ast.Equal):
-            return self._expr(formula.left, env).equals(
+        elif isinstance(formula, ast.Equal):
+            result = self._expr(formula.left, env).equals(
                 self._expr(formula.right, env)
             )
-        if isinstance(formula, ast.Some):
-            return self._expr(formula.expr, env).some()
-        if isinstance(formula, ast.No):
-            return self._expr(formula.expr, env).no()
-        if isinstance(formula, ast.One):
-            return self._expr(formula.expr, env).one()
-        if isinstance(formula, ast.Lone):
-            return self._expr(formula.expr, env).lone()
-        if isinstance(formula, ast.CardinalityEq):
-            return self._expr(formula.expr, env).count_eq(formula.count)
-        if isinstance(formula, ast.CardinalityGe):
-            return self._expr(formula.expr, env).count_ge(formula.count)
-        if isinstance(formula, ast.Not):
-            return -self._formula(formula.inner, env)
-        if isinstance(formula, ast.And):
-            return self._factory.and_(
+        elif isinstance(formula, ast.Some):
+            result = self._expr(formula.expr, env).some()
+        elif isinstance(formula, ast.No):
+            result = self._expr(formula.expr, env).no()
+        elif isinstance(formula, ast.One):
+            result = self._expr(formula.expr, env).one()
+        elif isinstance(formula, ast.Lone):
+            result = self._expr(formula.expr, env).lone()
+        elif isinstance(formula, ast.CardinalityEq):
+            result = self._expr(formula.expr, env).count_eq(formula.count)
+        elif isinstance(formula, ast.CardinalityGe):
+            result = self._expr(formula.expr, env).count_ge(formula.count)
+        elif isinstance(formula, ast.Not):
+            result = -self._formula(formula.inner, env)
+        elif isinstance(formula, ast.And):
+            result = self._factory.and_(
                 [self._formula(part, env) for part in formula.parts]
             )
-        if isinstance(formula, ast.Or):
-            return self._factory.or_(
+        elif isinstance(formula, ast.Or):
+            result = self._factory.or_(
                 [self._formula(part, env) for part in formula.parts]
             )
-        if isinstance(formula, ast.ForAll):
-            return self._quantified(formula, env, universal=True)
-        if isinstance(formula, ast.Exists):
-            return self._quantified(formula, env, universal=False)
-        raise TypeError(f"unknown formula type: {type(formula).__name__}")
-
-    def _quantified(self, formula: ast._Quantified, env: Env, universal: bool) -> int:
-        def unroll(decl_index: int, env_now: Env, guards: list[int]) -> list[int]:
-            if decl_index == len(formula.decls):
-                body_node = self._formula(formula.body, env_now)
-                if universal:
-                    # guards -> body
-                    return [
-                        self._factory.or_(
-                            [-g for g in guards] + [body_node]
-                        )
-                    ]
-                return [self._factory.and_(guards + [body_node])]
-            var, domain = formula.decls[decl_index]
-            domain_matrix = self._expr(domain, env_now)
-            instantiations: list[int] = []
-            for (atom_index,), membership in list(domain_matrix.cells()):
-                child_env = dict(env_now)
-                child_env[var] = atom_index
-                instantiations.extend(
-                    unroll(decl_index + 1, child_env, guards + [membership])
+        elif isinstance(formula, ast.ForAll):
+            # Each instantiation contributes guards -> body.
+            result = self._factory.and_([
+                self._factory.or_(
+                    [-g for g in guards]
+                    + [self._formula(formula.body, child_env)]
                 )
-            return instantiations
+                for _, child_env, guards in self._bindings(formula.decls, env)
+            ])
+        elif isinstance(formula, ast.Exists):
+            result = self._factory.or_([
+                self._factory.and_(
+                    [*guards, self._formula(formula.body, child_env)]
+                )
+                for _, child_env, guards in self._bindings(formula.decls, env)
+            ])
+        else:
+            raise TypeError(f"unknown formula type: {type(formula).__name__}")
+        if key is not None:
+            self._memo[key] = result
+        return result
 
-        nodes = unroll(0, env, [])
-        if universal:
-            return self._factory.and_(nodes)
-        return self._factory.or_(nodes)
+    def _bindings(
+        self, decls: list[tuple[ast.Variable, ast.Expr]], env: Env,
+        atoms: tuple[int, ...] = (), guards: tuple[int, ...] = (),
+    ) -> Iterator[tuple[tuple[int, ...], Env, tuple[int, ...]]]:
+        """Ground instantiations of ``decls`` under ``env``, in atom order.
+
+        Yields ``(atoms, child_env, guards)``: the atoms bound to the
+        declared variables, the extended environment, and the membership
+        circuit of each atom in its domain.  A later domain is translated
+        under the earlier declarations' bindings.  (A generator method
+        rather than a self-recursive closure: the closure would hold a
+        reference cycle through ``self`` and keep the translator alive
+        until the cyclic collector runs.)
+        """
+        depth = len(atoms)
+        if depth == len(decls):
+            yield atoms, env, guards
+            return
+        var, domain = decls[depth]
+        for (atom_index,), membership in list(self._expr(domain, env).cells()):
+            child_env = dict(env)
+            child_env[var] = atom_index
+            yield from self._bindings(
+                decls, child_env, atoms + (atom_index,), guards + (membership,)
+            )
+
+    # ------------------------------------------------------------------
+    # Translation cache
+    # ------------------------------------------------------------------
+
+    def _memo_key(self, node: Node, env: Env) -> tuple | None:
+        """Cache key of ``node`` under ``env``, or None when not cached.
+
+        A node is cached only when ``env`` binds variables the node does
+        not use: its translation is then shared by every binding that
+        agrees on the node's own free variables, so the key is the node
+        (AST nodes hash by identity) plus the atoms bound to them.  A free
+        variable missing from ``env`` yields no key; translating the node
+        reports it as unbound.
+        """
+        free = self._free_variables(node)
+        if len(free) >= len(env):
+            return None
+        try:
+            return (node, *[env[var] for var in free])
+        except KeyError:
+            return None
+
+    def _free_variables(self, node: Node) -> tuple[ast.Variable, ...]:
+        """The variables ``node`` uses that no quantifier inside it binds,
+        in first-occurrence order (memoised for this translation; one
+        frame per AST level, like the translation itself)."""
+        free = self._free.get(node)
+        if free is not None:
+            return free
+        found: dict[ast.Variable, None] = {}
+        if isinstance(node, ast.Variable):
+            found[node] = None
+        elif isinstance(node, (ast._Quantified, ast.Comprehension)):
+            bound: set[ast.Variable] = set()
+            for var, domain in node.decls:
+                found.update(dict.fromkeys(
+                    v for v in self._free_variables(domain) if v not in bound))
+                bound.add(var)
+            found.update(dict.fromkeys(
+                v for v in self._free_variables(node.body) if v not in bound))
+        else:
+            for child in _children(node):
+                found.update(dict.fromkeys(self._free_variables(child)))
+        free = self._free[node] = tuple(found)
+        return free
 
     # ------------------------------------------------------------------
     # End-to-end translation
@@ -358,6 +431,8 @@ class Translator:
                     input_vars[node] = cnf.new_var()
         finally:
             sys.setrecursionlimit(old_limit)
+            self._free.clear()
+            self._memo.clear()
         stats = TranslationStats(
             num_primary_vars=len(self._tuple_inputs),
             num_cnf_vars=cnf.num_vars,

@@ -42,7 +42,7 @@ class TestCli:
         assert artifact["cache_hits"] == 12
 
     def test_injected_fault_exits_nonzero_with_repro(self, tmp_path):
-        proc = _run(["--seed", "0", "--budget", "24", "--shards", "1",
+        proc = _run(["--seed", "0", "--budget", "30", "--shards", "1",
                      "--kinds", "formula", "--no-cache",
                      "--inject", "conjunction", "--artifacts", "arts",
                      "--json", "out.json"], tmp_path)

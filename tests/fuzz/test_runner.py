@@ -24,10 +24,16 @@ from repro.fuzz.runner import (
     run_oracle,
 )
 from repro.kodkod import ast
+from repro.kodkod.boolcircuit import BooleanFactory
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.universe import Universe
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+FAULT_BUDGET = 30
+"""Checks in the seed-0 formula sweeps armed with the conjunction fault:
+enough to reach the stream's first conjunction (``formula#5s1``) with
+every applicable oracle run on each input before it."""
 
 
 def _formula_problem(num_atoms=5):
@@ -56,6 +62,12 @@ class TestOracleSelection:
         large = _formula_problem(num_atoms=6)   # 12 free tuples
         assert "session" in oracles_for_problem(small)
         assert "session" not in oracles_for_problem(large)
+
+    def test_evaluator_oracle_is_gated_by_free_tuples(self):
+        small = _formula_problem(num_atoms=5)   # 10 free tuples
+        large = _formula_problem(num_atoms=6)   # 12 free tuples
+        assert "evaluator" in oracles_for_problem(small)
+        assert "evaluator" not in oracles_for_problem(large)
 
     def test_explorer_oracle_is_gated_by_size(self):
         for seed in range(10):
@@ -142,8 +154,9 @@ class TestFaultInjection:
     def test_injected_fault_is_caught_and_shrunk_small(self, tmp_path):
         """The subsystem's acceptance gate: an armed fault is caught and
         the reproducer shrinks to <= 5 nodes/agents."""
-        report = run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                          kinds=("formula",), inject="conjunction")
+        report = run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1,
+                          cache_dir=None, kinds=("formula",),
+                          inject="conjunction")
         assert report.disagreements
         for entry in report.disagreements:
             assert entry.fault == "conjunction"
@@ -160,10 +173,12 @@ class TestFaultInjection:
                 for d in report.disagreements
             ]
 
-        first = run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                         kinds=("formula",), inject="conjunction")
-        second = run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                          kinds=("formula",), inject="conjunction")
+        first = run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1,
+                         cache_dir=None, kinds=("formula",),
+                         inject="conjunction")
+        second = run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1,
+                          cache_dir=None, kinds=("formula",),
+                          inject="conjunction")
         assert signature(first) == signature(second)
         assert first.disagreements
 
@@ -184,9 +199,9 @@ class TestFaultInjection:
 
     def test_artifacts_written_for_each_failure(self, tmp_path):
         arts = tmp_path / "arts"
-        report = run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                          kinds=("formula",), inject="conjunction",
-                          artifacts_dir=arts)
+        report = run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1,
+                          cache_dir=None, kinds=("formula",),
+                          inject="conjunction", artifacts_dir=arts)
         assert report.disagreements
         for entry in report.disagreements:
             assert entry.repro_path is not None
@@ -200,9 +215,9 @@ class TestFaultInjection:
 
     def test_emitted_repro_script_reproduces_in_subprocess(self, tmp_path):
         arts = tmp_path / "arts"
-        report = run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                          kinds=("formula",), inject="conjunction",
-                          artifacts_dir=arts)
+        report = run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1,
+                          cache_dir=None, kinds=("formula",),
+                          inject="conjunction", artifacts_dir=arts)
         script = Path(report.disagreements[0].repro_path)
         proc = subprocess.run(
             [sys.executable, str(script)],
@@ -220,12 +235,37 @@ class TestFaultInjection:
     def test_replayed_artifacts_reproduce_with_fault_and_pass_without(
             self, tmp_path):
         arts = tmp_path / "arts"
-        run_fuzz(seed=0, budget=24, shards=1, cache_dir=None,
-                 kinds=("formula",), inject="conjunction", artifacts_dir=arts)
+        run_fuzz(seed=0, budget=FAULT_BUDGET, shards=1, cache_dir=None,
+                 kinds=("formula",), inject="conjunction",
+                 artifacts_dir=arts)
         with_fault = replay_corpus(arts, inject="conjunction")
         assert with_fault.disagreements
         without = replay_corpus(arts)
         assert without.clean
+
+
+class TestTranslationReference:
+    def test_evaluator_catches_a_bug_shared_by_both_encodings(
+            self, monkeypatch):
+        """An n-ary AND that drops its last child corrupts the circuit
+        before either CNF encoding sees it, so the oracles that compare
+        two translator paths agree; the ground evaluator does not use
+        the translator and disagrees."""
+        and_ = BooleanFactory.and_
+
+        def dropping_and(factory, children):
+            children = list(children)
+            if len(children) >= 3:
+                children = children[:-1]
+            return and_(factory, children)
+
+        problem = generate(FuzzSpec.make("formula", 0, size=1))
+        assert "evaluator" in oracles_for_problem(problem)
+        assert run_oracle("evaluator", problem).agree
+        monkeypatch.setattr(BooleanFactory, "and_", dropping_and)
+        assert not run_oracle("evaluator", problem).agree
+        assert run_oracle("encodings", problem).agree
+        assert run_oracle("symmetry", problem).agree
 
 
 class TestCrashHandling:
