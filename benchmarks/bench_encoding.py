@@ -38,9 +38,8 @@ def _compile(encoding_kind, pnodes, vnodes):
 
 @pytest.mark.parametrize("encoding_kind", ["naive", "optim"])
 def test_end_to_end_translate_solve(bench, report, encoding_kind):
-    """The headline perf-trajectory row: translate+solve end to end at the
-    largest seed scope (3 pnodes, 3 vnodes), compared in
-    ``BENCH_encoding.json`` against the pinned pre-refactor baseline."""
+    """The headline ``BENCH_encoding.json`` row: translate+solve end to
+    end at the largest seed scope (3 pnodes, 3 vnodes)."""
     bounds, facts = _compile(encoding_kind, 3, 3)
 
     def run():

@@ -33,7 +33,11 @@ Subpackages
 ``repro.checking``
     Explicit-state dynamic checking of the executable protocol.
 ``repro.campaign``
-    Sharded randomized differential verification sweeps.
+    Sharded randomized differential verification sweeps and the one
+    registry of differential oracles.
+``repro.jobs``
+    The result cache and process pool the campaign, fuzz, batch and
+    service paths share.
 ``repro.workloads``
     UAV / virtual-network / smart-grid workload generators.
 ``repro.analysis``

@@ -1,13 +1,13 @@
 """``solve_many``: the façade's batch path.
 
-Fans a list of problems out over the campaign runner's process-pool
-machinery (:func:`repro.campaign.runner.map_jobs`) and shares its
-content-addressed on-disk cache format (:class:`repro.campaign.runner.ResultCache`):
-each (problem fingerprint, result-affecting options) pair is computed
-once, and warm re-runs — from any process, with any worker count — are
-pure cache reads.  Error results (crash, stalled worker) are returned as
-``Verdict.ERROR`` rows and never cached, mirroring the campaign runner's
-retry-on-next-run policy.
+Fans a list of problems out over the shared process pool
+(:func:`repro.jobs.map_jobs`) and caches results in the shared
+content-addressed :class:`repro.jobs.ResultCache`: each (problem
+fingerprint, result-affecting options) pair is computed once, and warm
+re-runs — from any process, with any worker count — are pure cache
+reads.  Error results (crash, stalled worker) are returned as
+``Verdict.ERROR`` rows; the cache never stores them, so they are retried
+on the next run.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.api.facade import solve
 from repro.api.options import Options, resolve_options
 from repro.api.problems import Problem, problem_fingerprint
 from repro.api.result import Result, result_from_json, result_to_json
+from repro.jobs import ResultCache, map_jobs
 
 BATCH_SCHEMA = 1
 """Bump to invalidate every cached batch result (semantic change)."""
@@ -118,10 +119,6 @@ def solve_many(
     completes (in completion order, which is *not* input order).  The
     returned list is always in input order regardless.
     """
-    # Imported lazily: repro.campaign's oracles import this package, so a
-    # module-level import here would cycle.
-    from repro.campaign.runner import ResultCache, map_jobs
-
     opts = resolve_options(options, overrides)
     shards = opts.workers if workers is None else workers
     if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
@@ -146,9 +143,7 @@ def solve_many(
     misses: list[int] = []
     for index, problem in enumerate(problems):
         hit = cache.get(keys[index]) if keys[index] is not None else None
-        # Never serve an error from cache: crashes and timeouts may be
-        # environmental, so they are retried on the next run.
-        if hit is not None and hit.get("error") is None:
+        if hit is not None:
             result = result_from_json(hit)
             result.detail["cached"] = True
             results[index] = result
@@ -160,7 +155,7 @@ def solve_many(
     def record(index: int, payload: dict) -> None:
         result = result_from_json(payload)
         results[index] = result
-        if keys[index] is not None and result.error is None:
+        if keys[index] is not None:
             cache.put(keys[index], payload)
         if progress:
             progress(index, result)

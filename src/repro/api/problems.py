@@ -117,27 +117,14 @@ def problem_kind(problem: Problem) -> str:
 
 
 def problem_from_spec(spec) -> Problem:
-    """Lift a campaign :class:`~repro.campaign.specs.ScenarioSpec` into a
-    façade problem: relational specs become :class:`FormulaProblem`,
-    auction specs become :class:`ProtocolProblem`."""
+    """The façade problem a campaign
+    :class:`~repro.campaign.specs.ScenarioSpec` describes: relational specs
+    are :class:`FormulaProblem`, auction specs :class:`ProtocolProblem`."""
     # Imported lazily: repro.campaign imports repro.api (the oracles run
     # through the façade), so a module-level import here would cycle.
-    from repro.campaign.specs import (
-        AuctionScenario,
-        RelationalProblem,
-        materialize,
-    )
+    from repro.campaign.specs import materialize
 
-    scenario = materialize(spec)
-    if isinstance(scenario, RelationalProblem):
-        return FormulaProblem(scenario.formula, scenario.bounds)
-    if isinstance(scenario, AuctionScenario):
-        return ProtocolProblem(scenario.network, tuple(scenario.items),
-                               scenario.policies)
-    raise ValueError(
-        f"cannot lift family {spec.family!r} into a façade problem "
-        f"(materialized to {type(scenario).__name__})"
-    )
+    return materialize(spec)
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +148,9 @@ def _bounds_payload(bounds: Bounds) -> dict:
 
 def _auction_payload(network: AgentNetwork, items: Sequence[str],
                      policies: Mapping[int, AgentPolicy]) -> dict:
-    # Probe marginals against several bundle prefixes (mirrors
-    # campaign.specs.scenario_fingerprint): capacity-style utilities are
-    # constant on the empty bundle, so one probe would miss their shape.
+    # Probe marginals against several bundle prefixes: capacity-style
+    # utilities are constant on the empty bundle, so one probe would miss
+    # their shape.
     probes = [list(items[:size]) for size in range(3)]
     return {
         "agents": list(network.agents()),

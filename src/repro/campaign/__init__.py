@@ -3,26 +3,25 @@
 The campaign subsystem turns the verification stack into its own oracle:
 
 * :mod:`repro.campaign.specs` — seeded :class:`ScenarioSpec` generators
-  for every workload family plus random relational problems, with
-  grid/random sweep expansion;
-* :mod:`repro.campaign.oracles` — differential oracles pairing each fast
-  path (symmetry breaking, incremental sessions, the memoized explorer,
-  the engines) with a slow reference path;
-* :mod:`repro.campaign.runner` — a sharded process-pool runner with
-  per-task timeouts and a content-addressed on-disk result cache.
+  that materialize façade problems for every workload family plus random
+  relational problems, with grid/random sweep expansion;
+* :mod:`repro.campaign.oracles` — the one registry of differential
+  oracles, pairing each fast path (symmetry breaking, incremental
+  sessions, the memoized explorer, the engines) with a slow reference
+  path; the fuzz loop runs the same oracles;
+* :mod:`repro.campaign.runner` — a sharded runner with per-task
+  timeouts over the shared :mod:`repro.jobs` pool and result cache.
 
 ``python -m repro.campaign`` runs a default randomized sweep and writes a
 ``BENCH_campaign.json`` artifact; see the README's campaign section.
 """
 
-from repro.campaign.oracles import ORACLES, Oracle, OracleOutcome, oracles_for
+from repro.campaign.oracles import ORACLES, Oracle, OracleOutcome
 from repro.campaign.runner import (
     CACHE_SCHEMA,
     CampaignReport,
     CampaignResult,
     CampaignTask,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
     build_default_campaign,
     cache_key,
     execute_task,
@@ -30,8 +29,6 @@ from repro.campaign.runner import (
 )
 from repro.campaign.specs import (
     FAMILIES,
-    AuctionScenario,
-    RelationalProblem,
     ScenarioSpec,
     expand,
     grid_sweep,
@@ -43,17 +40,13 @@ from repro.campaign.specs import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "DEFAULT_CACHE_DIR",
     "FAMILIES",
     "ORACLES",
-    "AuctionScenario",
     "CampaignReport",
     "CampaignResult",
     "CampaignTask",
     "Oracle",
     "OracleOutcome",
-    "RelationalProblem",
-    "ResultCache",
     "ScenarioSpec",
     "build_default_campaign",
     "cache_key",
@@ -61,7 +54,6 @@ __all__ = [
     "expand",
     "grid_sweep",
     "materialize",
-    "oracles_for",
     "random_sweep",
     "register_family",
     "run_campaign",

@@ -3,7 +3,8 @@
 Builds the default campaign (every family, every oracle), runs it over
 the requested number of shards with the on-disk result cache, prints the
 per-oracle/per-family summary table, writes the ``BENCH_campaign.json``
-artifact and exits non-zero on any oracle disagreement or task error.
+artifact and exits 1 on any oracle disagreement or task error (2 on an
+invalid argument, before any work).
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ import argparse
 import sys
 
 from repro.analysis.report import render_campaign_table, write_campaign_json
-from repro.campaign.runner import (
-    DEFAULT_CACHE_DIR,
-    build_default_campaign,
-    run_campaign,
-)
+from repro.campaign.runner import build_default_campaign, run_campaign
+from repro.jobs import DEFAULT_CACHE_DIR
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,8 +51,11 @@ def main(argv: list[str] | None = None) -> int:
                              "worker CPU is actually captured")
     args = parser.parse_args(argv)
 
-    tasks = build_default_campaign(instances=args.instances,
-                                   base_seed=args.seed)
+    try:
+        tasks = build_default_campaign(instances=args.instances,
+                                       base_seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     def sweep():
         return run_campaign(

@@ -1,13 +1,14 @@
 """Differential oracles: fast paths checked against reference paths.
 
-Every optimization PR 1 added to the verification core has a slower,
-obviously-correct twin.  An oracle runs both on the same materialized
-scenario and reports whether they agree — across a large randomized sweep
-the whole stack becomes its own test oracle:
+Every optimization the verification core carries has a slower,
+obviously-correct twin.  An oracle runs both on the same façade problem
+and reports whether they agree — across a large randomized sweep the
+whole stack becomes its own test oracle:
 
 ==============  =====================================  ==========================
 oracle          fast path                              reference path
 ==============  =====================================  ==========================
+``encodings``   Plaisted-Greenbaum CNF                 Tseitin; DIMACS round trip
 ``symmetry``    ``api.solve`` with lex-leader SBP      ``api.solve(symmetry=0)``
 ``enumeration`` ``api.enumerate`` (one live session)   fresh solver per model
 ``evaluator``   ``api.enumerate`` (CDCL pipeline)      brute force + ground eval
@@ -18,10 +19,18 @@ oracle          fast path                              reference path
 ``delta``       ``solve_delta`` on a mutated problem   fresh ``api.solve``
 ==============  =====================================  ==========================
 
+:data:`ORACLES` is the one registry: the campaign runner and the fuzz
+loop both look oracles up here.  Each oracle is
+``run(problem, seed, params)`` over one façade problem type; it applies
+to any problem of that type, whichever family or generator built it.
+The campaign passes a spec's materialized problem, seed and params; the
+fuzz loop passes its sweep seed and no params.
+
 The ``external`` oracle needs a SAT-competition-conformant binary and is
 registered only when the ``REPRO_EXTERNAL_SOLVER`` environment variable
 names one (the nightly CI job installs picosat and sets it); call
-:func:`register_external_oracle` to wire a command explicitly.
+:func:`register_external_oracle` to wire a command explicitly.  The same
+variable adds an arm to ``encodings``.
 
 Fast paths go through the :mod:`repro.api` façade — the surface every
 user-facing caller takes — so the sweep exercises the exact production
@@ -31,7 +40,7 @@ that bypass the optimizations under test.
 
 An oracle *agrees* when the two paths produce the same verdict; the
 returned detail dict records what was compared so disagreements are
-diagnosable from the campaign JSON artifact alone.
+diagnosable from the JSON artifact alone.
 """
 
 from __future__ import annotations
@@ -41,21 +50,26 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.api import FormulaProblem, ProtocolProblem
+from repro.api import DeltaSession, FormulaProblem, Problem, ProtocolProblem
 from repro.api import enumerate as api_enumerate
 from repro.api import run_protocol, solve as api_solve
-from repro.campaign.specs import AuctionScenario, RelationalProblem, ScenarioSpec
 from repro.checking.explorer import explore
+from repro.kodkod.bounds import Bounds
 from repro.kodkod.engine import Session
 from repro.kodkod.evaluator import Evaluator, brute_force_instances
 from repro.kodkod.symmetry import DEFAULT_SBP_LENGTH
+from repro.kodkod.translate import Translator
 from repro.mca.convergence import consensus_report
 from repro.mca.engine import AsynchronousEngine, SynchronousEngine
+from repro.sat import dimacs
+from repro.sat.external import ExternalSolver, IncrementalExternalSolver
+from repro.sat.solver import Solver
+from repro.sat.types import Status
 
 
 @dataclass
 class OracleOutcome:
-    """Verdict of one oracle on one scenario."""
+    """Verdict of one oracle on one problem."""
 
     oracle: str
     agree: bool
@@ -65,49 +79,128 @@ class OracleOutcome:
 
 @dataclass(frozen=True)
 class Oracle:
-    """A named differential check over one scenario family shape."""
+    """A named differential check over one façade problem type.
+
+    ``problem_type`` is anything :func:`isinstance` accepts — a single
+    problem class or a tuple of them (``delta`` spans formula and
+    protocol problems).
+    """
 
     name: str
-    families: frozenset[str]
-    run: Callable[[ScenarioSpec, object], OracleOutcome]
+    problem_type: type | tuple[type, ...]
+    run: Callable[[Problem, int, dict], OracleOutcome]
     description: str = ""
 
-    def applicable(self, spec: ScenarioSpec) -> bool:
-        """Whether this oracle knows how to check the spec's family."""
-        return spec.family in self.families
+    def applicable(self, problem: Problem) -> bool:
+        """Whether this oracle knows how to check the problem."""
+        return isinstance(problem, self.problem_type)
 
 
 ORACLES: dict[str, Oracle] = {}
 
-_RELATIONAL = frozenset({"relational"})
-_AUCTIONS = frozenset({"mca", "dispatch", "uav", "vnet"})
-
 # Fresh-solver enumeration rebuilds the translation per model; cap the
-# model count so a pathological spec cannot stall a shard (specs whose
-# model space exceeds the cap are reported as truncated, still compared).
+# model count so a pathological problem cannot stall a shard (problems
+# whose model space exceeds the cap are reported as truncated, still
+# compared).
 _ENUMERATION_CAP = 1500
 
+_EXTERNAL_SOLVER_ENV = "REPRO_EXTERNAL_SOLVER"
 
-def register_oracle(name: str, families: frozenset[str], description: str = ""):
+
+def register_oracle(name: str, problem_type: type | tuple[type, ...],
+                    description: str = ""):
     """Decorator: register an oracle implementation under a name."""
 
-    def decorate(fn: Callable[[ScenarioSpec, object], OracleOutcome]):
-        ORACLES[name] = Oracle(name, families, fn, description)
+    def decorate(fn: Callable[[Problem, int, dict], OracleOutcome]):
+        ORACLES[name] = Oracle(name, problem_type, fn, description)
         return fn
 
     return decorate
 
 
-def oracles_for(spec: ScenarioSpec) -> list[str]:
-    """Names of every registered oracle applicable to a spec."""
-    return sorted(n for n, o in ORACLES.items() if o.applicable(spec))
+def _instance_key(bounds: Bounds, instance) -> tuple:
+    """Hashable identity of an instance on the bounded relations."""
+    return tuple(
+        (rel.name, frozenset(instance.value_of(rel)))
+        for rel in sorted(bounds.relations(), key=lambda r: r.name)
+    )
 
 
-@register_oracle("symmetry", _RELATIONAL,
+@register_oracle("encodings", FormulaProblem,
+                 "PG vs Tseitin vs DIMACS round trip vs vector kernel: "
+                 "same verdict")
+def _encodings_oracle(problem: FormulaProblem, seed: int,
+                      params: dict) -> OracleOutcome:
+    """PG vs Tseitin vs DIMACS-round-trip vs vector kernel: one verdict.
+
+    When ``REPRO_EXTERNAL_SOLVER`` names a SAT-competition-conformant
+    binary, the PG CNF is additionally round-tripped through it as a
+    fifth arm (the nightly CI job runs with picosat).  A value carrying
+    the ``dimacs-inc:`` prefix routes that arm through the persistent
+    incremental protocol instead (spawn once, stream the CNF over
+    stdin), exercising the same path enumeration uses.
+    """
+    def decide(encoding: str, kernel: str = "pure"):
+        translation = Translator(
+            problem.bounds, cnf_encoding=encoding).translate(problem.formula)
+        solver = Solver(kernel=kernel)
+        loaded = solver.add_cnf(translation.cnf)
+        status = solver.solve() if loaded else Status.UNSAT
+        return translation, status is Status.SAT, solver.stats
+
+    pg, pg_sat, pg_stats = decide("pg")
+    _, tseitin_sat, _ = decide("tseitin")
+    # The vector propagation kernel must preserve the verdict (it is
+    # search-trajectory identical to the pure loop; without numpy it
+    # falls back to "pure" and the arm degenerates to a re-run).
+    _, vector_sat, _ = decide("pg", kernel="vector")
+    # The DIMACS export path (used by repro scripts and the external
+    # cross-checking CLI) must also preserve the verdict — this is the
+    # round trip that hits the trivially-true/false translation edges.
+    back = dimacs.loads(pg.to_dimacs())
+    solver = Solver()
+    loaded = solver.add_cnf(back)
+    roundtrip_sat = (solver.solve() if loaded else Status.UNSAT) is Status.SAT
+    external_command = os.environ.get(_EXTERNAL_SOLVER_ENV)
+    external_sat = None
+    if external_command:
+        if external_command.startswith("dimacs-inc:"):
+            inc_command = external_command[len("dimacs-inc:"):].strip()
+            with IncrementalExternalSolver(inc_command, timeout=60) as inc:
+                inc.load_cnf(pg.cnf)
+                run = inc.solve()
+        else:
+            run = ExternalSolver(external_command, timeout=60).solve_cnf(pg.cnf)
+        external_sat = run.status is Status.SAT
+    agree = (pg_sat == tseitin_sat == roundtrip_sat == vector_sat
+             and (external_sat is None or external_sat == pg_sat))
+    detail_external = (
+        {} if external_sat is None else {"sat_external": external_sat})
+    return OracleOutcome(
+        oracle="encodings",
+        agree=agree,
+        detail={
+            "sat_pg": pg_sat,
+            "sat_tseitin": tseitin_sat,
+            "sat_dimacs_roundtrip": roundtrip_sat,
+            "sat_vector_kernel": vector_sat,
+            **detail_external,
+            "pg_clauses": pg.stats.num_clauses,
+            "clauses_saved_by_polarity": pg.stats.num_clauses_saved_by_polarity,
+            "cnf_vars": pg.stats.num_cnf_vars,
+            "gates": pg.factory.opcode_histogram(),
+            "conflicts": pg_stats["conflicts"],
+            "decisions": pg_stats["decisions"],
+            "restarts": pg_stats["restarts"],
+            "propagations": pg_stats["propagations"],
+        },
+    )
+
+
+@register_oracle("symmetry", FormulaProblem,
                  "solve with lex-leader SBP vs solve(symmetry=0): same verdict")
-def _symmetry_oracle(spec: ScenarioSpec,
-                     scenario: RelationalProblem) -> OracleOutcome:
-    problem = FormulaProblem(scenario.formula, scenario.bounds)
+def _symmetry_oracle(problem: FormulaProblem, seed: int,
+                     params: dict) -> OracleOutcome:
     fast = api_solve(problem, symmetry=DEFAULT_SBP_LENGTH)
     reference = api_solve(problem, symmetry=0)
     return OracleOutcome(
@@ -122,15 +215,14 @@ def _symmetry_oracle(spec: ScenarioSpec,
     )
 
 
-@register_oracle("enumeration", _RELATIONAL,
+@register_oracle("enumeration", FormulaProblem,
                  "Session-incremental enumeration vs fresh solver per model")
-def _enumeration_oracle(spec: ScenarioSpec,
-                        scenario: RelationalProblem) -> OracleOutcome:
-    formula, bounds = scenario.formula, scenario.bounds
+def _enumeration_oracle(problem: FormulaProblem, seed: int,
+                        params: dict) -> OracleOutcome:
+    formula, bounds = problem.formula, problem.bounds
     incremental = {
-        scenario.instance_key(inst)
-        for inst in api_enumerate(FormulaProblem(formula, bounds),
-                                  limit=_ENUMERATION_CAP).instances
+        _instance_key(bounds, inst)
+        for inst in api_enumerate(problem, limit=_ENUMERATION_CAP).instances
     }
     # Reference: a brand-new translation and solver for every model, with
     # the blocking clauses re-asserted from scratch each round.  No learned
@@ -145,7 +237,7 @@ def _enumeration_oracle(spec: ScenarioSpec,
         solution = fresh.solve()
         if not solution.satisfiable:
             break
-        reference.add(scenario.instance_key(solution.instance))
+        reference.add(_instance_key(bounds, solution.instance))
         primary = fresh.translation.primary_vars()
         if not primary:
             break
@@ -169,17 +261,17 @@ def _enumeration_oracle(spec: ScenarioSpec,
     )
 
 
-@register_oracle("evaluator", _RELATIONAL,
+@register_oracle("evaluator", FormulaProblem,
                  "translator + solver enumeration vs brute force + ground eval")
-def _evaluator_oracle(spec: ScenarioSpec,
-                      scenario: RelationalProblem) -> OracleOutcome:
-    formula, bounds = scenario.formula, scenario.bounds
+def _evaluator_oracle(problem: FormulaProblem, seed: int,
+                      params: dict) -> OracleOutcome:
+    formula, bounds = problem.formula, problem.bounds
     solved = {
-        scenario.instance_key(inst)
-        for inst in api_enumerate(FormulaProblem(formula, bounds)).instances
+        _instance_key(bounds, inst)
+        for inst in api_enumerate(problem).instances
     }
     ground = {
-        scenario.instance_key(inst)
+        _instance_key(bounds, inst)
         for inst in brute_force_instances(bounds)
         if Evaluator(inst).check(formula)
     }
@@ -195,26 +287,32 @@ def _evaluator_oracle(spec: ScenarioSpec,
     )
 
 
-@register_oracle("kernels", _RELATIONAL,
+def _backend_vs_pure(problem: FormulaProblem, backend: str) -> tuple:
+    """Solve and enumerate under ``backend``, then under the pure kernel.
+
+    Returns both solve results, both model sets and whether either
+    enumeration hit the cap.
+    """
+    fast = api_solve(problem, solver=backend)
+    reference = api_solve(problem, solver="kodkod")
+    fast_models, pure_models = (
+        {_instance_key(problem.bounds, inst)
+         for inst in api_enumerate(problem, solver=solver,
+                                   limit=_ENUMERATION_CAP).instances}
+        for solver in (backend, "kodkod")
+    )
+    truncated = (len(fast_models) >= _ENUMERATION_CAP
+                 or len(pure_models) >= _ENUMERATION_CAP)
+    return fast, reference, fast_models, pure_models, truncated
+
+
+@register_oracle("kernels", FormulaProblem,
                  "vector propagation kernel vs pure interpreted loop: "
                  "same verdict and same model set")
-def _kernels_oracle(spec: ScenarioSpec,
-                    scenario: RelationalProblem) -> OracleOutcome:
-    problem = FormulaProblem(scenario.formula, scenario.bounds)
-    fast = api_solve(problem, solver="kodkod-vector")
-    reference = api_solve(problem, solver="kodkod")
-    vector_models = {
-        scenario.instance_key(inst)
-        for inst in api_enumerate(problem, solver="kodkod-vector",
-                                  limit=_ENUMERATION_CAP).instances
-    }
-    pure_models = {
-        scenario.instance_key(inst)
-        for inst in api_enumerate(problem, solver="kodkod",
-                                  limit=_ENUMERATION_CAP).instances
-    }
-    truncated = (len(vector_models) >= _ENUMERATION_CAP
-                 or len(pure_models) >= _ENUMERATION_CAP)
+def _kernels_oracle(problem: FormulaProblem, seed: int,
+                    params: dict) -> OracleOutcome:
+    (fast, reference, vector_models, pure_models,
+     truncated) = _backend_vs_pure(problem, "kodkod-vector")
     # The kernels are search-trajectory identical, so (unlike the
     # enumeration oracle) even the truncated prefixes must match — any
     # difference is a kernel bug, not an enumeration-order artifact.
@@ -256,26 +354,13 @@ def register_external_oracle(command: str) -> None:
     else:
         backend = f"dimacs:{command}"
 
-    @register_oracle("external", _RELATIONAL,
+    @register_oracle("external", FormulaProblem,
                      f"external solver '{backend}' vs built-in "
                      "pipeline: same verdict and same model set")
-    def _external_oracle(spec: ScenarioSpec,
-                         scenario: RelationalProblem) -> OracleOutcome:
-        problem = FormulaProblem(scenario.formula, scenario.bounds)
-        fast = api_solve(problem, solver=backend)
-        reference = api_solve(problem, solver="kodkod")
-        external_models = {
-            scenario.instance_key(inst)
-            for inst in api_enumerate(problem, solver=backend,
-                                      limit=_ENUMERATION_CAP).instances
-        }
-        pure_models = {
-            scenario.instance_key(inst)
-            for inst in api_enumerate(problem, solver="kodkod",
-                                      limit=_ENUMERATION_CAP).instances
-        }
-        truncated = (len(external_models) >= _ENUMERATION_CAP
-                     or len(pure_models) >= _ENUMERATION_CAP)
+    def _external_oracle(problem: FormulaProblem, seed: int,
+                         params: dict) -> OracleOutcome:
+        (fast, reference, external_models, pure_models,
+         truncated) = _backend_vs_pure(problem, backend)
         # Distinct solvers walk the model space in different orders, so at
         # the cap only the counts are comparable (as in `enumeration`).
         agree = (fast.satisfiable == reference.satisfiable
@@ -297,27 +382,24 @@ def register_external_oracle(command: str) -> None:
         )
 
 
-_EXTERNAL_SOLVER_ENV = "REPRO_EXTERNAL_SOLVER"
-
 if os.environ.get(_EXTERNAL_SOLVER_ENV):
     register_external_oracle(os.environ[_EXTERNAL_SOLVER_ENV])
 
 
-@register_oracle("explorer", _AUCTIONS,
+def _explore_budget(params: dict) -> dict:
+    """Exploration bounds a protocol oracle reads from its params."""
+    return {"max_rounds": int(params.get("explore_rounds", 8)),
+            "max_paths": int(params.get("explore_paths", 4000))}
+
+
+@register_oracle("explorer", ProtocolProblem,
                  "memoized schedule exploration vs plain DFS: same verdict")
-def _explorer_oracle(spec: ScenarioSpec,
-                     scenario: AuctionScenario) -> OracleOutcome:
-    max_rounds = int(spec.param("explore_rounds", 8))
-    max_paths = int(spec.param("explore_paths", 4000))
-    memoized = run_protocol(
-        ProtocolProblem(scenario.network, tuple(scenario.items),
-                        scenario.policies),
-        max_rounds=max_rounds, max_paths=max_paths, memoize=True,
-    )
-    plain = explore(
-        scenario.network, scenario.items, scenario.policies,
-        max_rounds=max_rounds, max_paths=max_paths, memoize=False,
-    )
+def _explorer_oracle(problem: ProtocolProblem, seed: int,
+                     params: dict) -> OracleOutcome:
+    budget = _explore_budget(params)
+    memoized = run_protocol(problem, memoize=True, **budget)
+    plain = explore(problem.network, list(problem.items), problem.policies,
+                    memoize=False, **budget)
     memoized_worst = memoized.detail["max_rounds_to_converge"]
     agree = (
         memoized.holds == plain.all_converged
@@ -338,40 +420,33 @@ def _explorer_oracle(spec: ScenarioSpec,
     )
 
 
-@register_oracle("delta", _RELATIONAL | _AUCTIONS,
+@register_oracle("delta", (FormulaProblem, ProtocolProblem),
                  "solve_delta on a mutated problem vs fresh solve: "
                  "same verdict")
-def _delta_oracle(spec: ScenarioSpec, scenario) -> OracleOutcome:
+def _delta_oracle(problem: FormulaProblem | ProtocolProblem, seed: int,
+                  params: dict) -> OracleOutcome:
     """Verdict equivalence of the delta path against a fresh full solve.
 
-    Anchors a :class:`repro.api.DeltaSession` on the scenario's problem,
-    mutates the problem once (seeded by spec seed + problem identity, so
-    reruns are deterministic in any process), solves the mutant through
-    the session, and compares against a cold ``api.solve`` of the same
-    mutant.  Both the warm-reuse path (delta-safe edits) and the fallback
-    path (structural edits, protocol edits) flow through here — which
-    path was taken is recorded in the detail, but *any* verdict
-    difference is a disagreement regardless of path.
+    Anchors a :class:`repro.api.DeltaSession` on the problem, mutates it
+    once (seeded by seed + problem identity, so reruns are deterministic
+    in any process), solves the mutant through the session, and compares
+    against a cold ``api.solve`` of the same mutant.  Both the warm-reuse
+    path (delta-safe edits) and the fallback path (structural edits,
+    protocol edits) flow through here — which path was taken is recorded
+    in the detail, but *any* verdict difference is a disagreement
+    regardless of path.
     """
-    # Imported lazily: repro.fuzz pulls the campaign oracles in at
-    # package load time (and repro.api.delta pulls repro.fuzz in), so
-    # module-level imports here would cycle through three packages.
-    from repro.api.delta import DeltaSession
+    # Imported lazily: the fuzz runner imports this module while
+    # repro.fuzz loads, so a module-level import here would cycle.
     from repro.fuzz import codec
     from repro.fuzz.mutators import mutate_problem
 
-    if isinstance(scenario, AuctionScenario):
-        problem = ProtocolProblem(scenario.network, tuple(scenario.items),
-                                  scenario.policies)
-        opts = {
-            "max_rounds": int(spec.param("explore_rounds", 8)),
-            "max_paths": int(spec.param("explore_paths", 4000)),
-        }
+    if isinstance(problem, ProtocolProblem):
+        opts = _explore_budget(params)
     else:
-        problem = FormulaProblem(scenario.formula, scenario.bounds)
         opts = {"symmetry": 0}
     identity = codec.problem_identity(codec.problem_to_json(problem))
-    rng = random.Random(f"delta:{spec.seed}:{identity}")
+    rng = random.Random(f"delta:{seed}:{identity}")
     mutated = mutate_problem(problem, rng)
     if mutated is None:
         new_problem, mutation = problem, "identity"
@@ -398,21 +473,21 @@ def _delta_oracle(spec: ScenarioSpec, scenario) -> OracleOutcome:
     )
 
 
-@register_oracle("engines", _AUCTIONS,
+@register_oracle("engines", ProtocolProblem,
                  "synchronous vs asynchronous (fifo + random) convergence")
-def _engines_oracle(spec: ScenarioSpec,
-                    scenario: AuctionScenario) -> OracleOutcome:
-    max_rounds = int(spec.param("max_rounds", 300))
-    max_messages = int(spec.param("max_messages", 500000))
-    sync_engine = SynchronousEngine(
-        scenario.network, scenario.items, scenario.policies)
+def _engines_oracle(problem: ProtocolProblem, seed: int,
+                    params: dict) -> OracleOutcome:
+    max_rounds = int(params.get("max_rounds", 300))
+    max_messages = int(params.get("max_messages", 500000))
+    network, policies = problem.network, problem.policies
+    sync_engine = SynchronousEngine(network, list(problem.items), policies)
     sync = sync_engine.run(max_rounds=max_rounds)
     fifo_engine = AsynchronousEngine(
-        scenario.network, scenario.items, scenario.policies, scheduler="fifo")
+        network, list(problem.items), policies, scheduler="fifo")
     fifo = fifo_engine.run(max_messages=max_messages)
     random_engine = AsynchronousEngine(
-        scenario.network, scenario.items, scenario.policies,
-        scheduler="random", seed=spec.seed)
+        network, list(problem.items), policies,
+        scheduler="random", seed=seed)
     rand = random_engine.run(max_messages=max_messages)
     # The campaign families generate sub-modular, honest policies, where
     # the paper guarantees convergence under *every* schedule — so every

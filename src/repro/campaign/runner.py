@@ -2,14 +2,11 @@
 
 The runner takes a task list of ``(ScenarioSpec, oracle name)`` pairs,
 resolves what it can from the on-disk result cache, fans the misses out
-over a :class:`~concurrent.futures.ProcessPoolExecutor` (``shards``
-workers) with a per-task timeout, and aggregates everything into
-structured :class:`CampaignResult` records.
+over :func:`repro.jobs.map_jobs` (``shards`` worker processes) with a
+per-task stall timeout, and aggregates everything into structured
+:class:`CampaignResult` records.
 
-Cache layout
-------------
-
-``<cache_dir>/<k[:2]>/<k>.json`` where ``k`` is a sha256 over the
+A task's :class:`~repro.jobs.ResultCache` key is a sha256 over the
 canonical JSON of ``{schema, spec, oracle}``:
 
 * ``schema`` — :data:`CACHE_SCHEMA` bumps whenever result semantics
@@ -19,20 +16,14 @@ canonical JSON of ``{schema, spec, oracle}``:
   functions of the spec; see ``scenario_fingerprint``);
 * ``oracle`` — the oracle name (oracle tuning parameters travel inside
   the spec's params, so they are part of the key automatically).
-
-Entries are written atomically (temp file + rename), so concurrent shards
-and concurrent campaigns can share one cache directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -44,11 +35,10 @@ from repro.campaign.specs import (
     materialize,
     random_sweep,
 )
+from repro.jobs import DEFAULT_CACHE_DIR, ResultCache, map_jobs
 
 CACHE_SCHEMA = 1
 """Bump to invalidate every cached result (semantic change in any oracle)."""
-
-DEFAULT_CACHE_DIR = ".campaign_cache"
 
 CampaignTask = tuple[ScenarioSpec, str]
 
@@ -145,105 +135,6 @@ def cache_key(spec: ScenarioSpec, oracle_name: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-class ResultCache:
-    """Content-addressed on-disk store of campaign results.
-
-    Safe under concurrent multi-process writers and readers: every write
-    lands via an exclusive temp file plus an atomic ``os.replace``, so a
-    reader sees either nothing or one complete entry — never a
-    half-written one — and racing writers of the same key resolve to
-    whichever complete entry replaced last.  ``durable=True`` adds an
-    ``fsync`` before the rename (and of the directory after it), so an
-    entry that :meth:`put` has acknowledged survives a machine crash —
-    the verification service runs its shared result store in this mode,
-    backing its no-accepted-job-lost recovery guarantee.
-    """
-
-    def __init__(self, directory: str | Path, *, durable: bool = False) -> None:
-        self._dir = Path(directory)
-        self._durable = durable
-
-    @property
-    def directory(self) -> Path:
-        """Root of the cache tree."""
-        return self._dir
-
-    def _path(self, key: str) -> Path:
-        return self._dir / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """Stored result payload, or None on miss / unreadable entry.
-
-        A truncated or otherwise corrupt entry (killed writer, disk
-        hiccup) is a cache *miss*, never an exception: ``ValueError``
-        covers ``json.JSONDecodeError`` plus malformed-content cases,
-        and a payload that parses but is not a dict is rejected too.
-        """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def put(self, key: str, payload: dict) -> bool:
-        """Atomically persist one result payload under its key.
-
-        Best-effort: a failed write (disk, or a third-party oracle whose
-        detail dict is not JSON-able) must never abort the campaign, so
-        every failure is swallowed after cleaning up the temp file.
-        Returns True when the entry is fully in place (callers that need
-        the write — the service's worker pool — can react to False).
-        """
-        try:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError:
-            return False
-        try:
-            try:
-                handle = os.fdopen(fd, "w", encoding="utf-8")
-            except OSError:
-                os.close(fd)
-                raise
-            with handle:
-                json.dump(payload, handle, sort_keys=True)
-                if self._durable:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            if self._durable:
-                self._fsync_dir(path.parent)
-            return True
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        """Flush a rename to disk (POSIX: the directory holds the name)."""
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def __len__(self) -> int:
-        if not self._dir.is_dir():
-            return 0
-        return sum(1 for _ in self._dir.glob("*/*.json"))
-
-
 def _result_payload(spec: ScenarioSpec, oracle_name: str, *,
                     agree: bool, detail: dict, seconds: float,
                     error: str | None) -> dict:
@@ -278,13 +169,13 @@ def execute_task(spec_dict: dict, oracle_name: str) -> dict:
     started = time.perf_counter()
     try:
         oracle = ORACLES[oracle_name]
-        if not oracle.applicable(spec):
+        problem = materialize(spec)
+        if not oracle.applicable(problem):
             raise ValueError(
                 f"oracle {oracle_name!r} does not apply to family "
-                f"{spec.family!r} (accepts {sorted(oracle.families)})"
+                f"{spec.family!r} (a {type(problem).__name__})"
             )
-        scenario = materialize(spec)
-        outcome = oracle.run(spec, scenario)
+        outcome = oracle.run(problem, spec.seed, dict(spec.params))
     except Exception:
         return _result_payload(
             spec, oracle_name, agree=False, detail={},
@@ -295,90 +186,6 @@ def execute_task(spec_dict: dict, oracle_name: str) -> dict:
         spec, oracle_name, agree=outcome.agree, detail=outcome.detail,
         seconds=time.perf_counter() - started, error=None,
     )
-
-
-def map_jobs(
-    jobs: Sequence[tuple[int, tuple]],
-    worker: Callable[..., dict],
-    record: Callable[[int, dict], None],
-    failure_payload: Callable[[int, str, float], dict],
-    *,
-    shards: int,
-    task_timeout: float,
-    executor: ProcessPoolExecutor | None = None,
-) -> bool:
-    """Run ``worker(*args)`` for every ``(slot, args)`` job and record it.
-
-    The generic half of the campaign runner, shared with the façade's
-    ``solve_many`` batch path and the verification service's worker
-    pool.  ``shards <= 1`` runs inline (no pool, no preemption);
-    otherwise jobs fan out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` with the *stall*
-    semantics documented on :func:`run_campaign`: when no job completes
-    for ``task_timeout`` seconds, every unfinished job is recorded via
-    ``failure_payload(slot, error, seconds)`` and the workers are
-    killed.  ``worker`` must be a module-level (picklable) callable that
-    returns a JSON-able payload dict; a worker that raises is recorded
-    as a failure payload instead of aborting the batch.
-
-    ``executor`` lends an existing pool for this batch: long-running
-    callers (the service drains job batches continuously) reuse one pool
-    across calls instead of paying worker spawn per batch.  A lent pool
-    is left running on success and is **killed and shut down** after a
-    stall/crash, exactly like an owned one — the caller must replace it
-    then.  Returns True when the pool stayed healthy (always True on the
-    inline path), False when it was abandoned.
-    """
-    if executor is None and shards <= 1:
-        for slot, args in jobs:
-            record(slot, worker(*args))
-        return True
-    owned = executor is None
-    if owned:
-        executor = ProcessPoolExecutor(max_workers=shards)
-    abandoned = False
-    try:
-        pending = {
-            executor.submit(worker, *args): (slot, args)
-            for slot, args in jobs
-        }
-        while pending:
-            done, _ = wait(pending, timeout=task_timeout,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                # No completion for a full timeout window: every worker
-                # is wedged, so the queued jobs behind them can never
-                # start.  Record them all at once instead of burning one
-                # window per remaining job.
-                abandoned = True
-                for future, (slot, _args) in pending.items():
-                    queued = future.cancel()
-                    error = ("never started (pool stalled)" if queued
-                             else f"timeout after {task_timeout:g}s")
-                    record(slot, failure_payload(
-                        slot, error, 0.0 if queued else task_timeout))
-                break
-            for future in done:
-                slot, _args = pending.pop(future)
-                try:
-                    payload = future.result()
-                except Exception:  # worker or pool died
-                    abandoned = True
-                    payload = failure_payload(
-                        slot, traceback.format_exc(limit=4), 0.0)
-                record(slot, payload)
-    finally:
-        # A timed-out worker cannot be interrupted cooperatively, and a
-        # live worker keeps the interpreter from exiting (the pool's
-        # atexit hook joins it).  Kill the worker processes outright so
-        # the batch — and the process — finishes promptly.
-        if abandoned:
-            for process in list(
-                    (getattr(executor, "_processes", None) or {}).values()):
-                process.kill()
-        if owned or abandoned:
-            executor.shutdown(wait=True, cancel_futures=True)
-    return not abandoned
 
 
 def run_campaign(
@@ -392,7 +199,8 @@ def run_campaign(
 
     ``shards`` is the worker-process count (``<= 1`` runs inline, which is
     also the fallback for environments without working multiprocessing).
-    ``cache_dir=None`` disables the result cache.  ``task_timeout`` is a
+    ``cache_dir=None`` disables the result cache; errors are never
+    cached, so they are retried on the next run.  ``task_timeout`` is a
     *stall* bound on the sharded path: whenever no task completes for that
     long, every worker must be stuck, so all unfinished tasks are recorded
     as error results and the workers are killed — a few hung scenarios
@@ -407,9 +215,7 @@ def run_campaign(
     for index, (spec, oracle_name) in enumerate(tasks):
         hit = (cache.get(cache_key(spec, oracle_name))
                if cache is not None else None)
-        # Never serve an error from cache: crashes and timeouts may be
-        # environmental, so they are retried on the next run.
-        if hit is not None and hit.get("error") is None:
+        if hit is not None:
             result = CampaignResult.from_json(hit)
             result.cached = True
             results[index] = result
@@ -422,7 +228,7 @@ def run_campaign(
     def record(index: int, payload: dict) -> None:
         result = CampaignResult.from_json(payload)
         results[index] = result
-        if cache is not None and result.error is None:
+        if cache is not None:
             spec, oracle_name = tasks[index]
             cache.put(cache_key(spec, oracle_name), payload)
         if progress:
@@ -548,13 +354,10 @@ __all__ = [
     "CampaignReport",
     "CampaignResult",
     "CampaignTask",
-    "DEFAULT_CACHE_DIR",
-    "ResultCache",
     "build_default_campaign",
     "cache_key",
     "execute_task",
     "grid_sweep",
-    "map_jobs",
     "random_sweep",
     "run_campaign",
 ]

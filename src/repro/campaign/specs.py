@@ -3,14 +3,17 @@
 A :class:`ScenarioSpec` is a *pure description* of one randomized instance:
 a family name, a seed and a flat parameter mapping.  Materialization is a
 deterministic function of the spec alone — the same spec produces the same
-scenario in any process — which is what makes the campaign result cache
-(:mod:`repro.campaign.runner`) safe to key by the spec's content hash.
+façade problem in any process — which is what makes the campaign result
+cache (:mod:`repro.campaign.runner`) safe to key by the spec's content
+hash.
 
 Four workload families mirror the repo's application domains (random MCA
 auctions, economic-dispatch grids, UAV task sets, virtual-network
-topologies) and a fifth, ``relational``, generates random bounded
-relational problems for the kodkod-level oracles.  New families register
-through :func:`register_family`; see the README's campaign section.
+topologies) and materialize to :class:`~repro.api.ProtocolProblem`; a
+fifth, ``relational``, generates random bounded
+:class:`~repro.api.FormulaProblem` instances for the kodkod-level oracles.
+New families register through :func:`register_family`; see the README's
+campaign section.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.api.problems import (
+    FormulaProblem,
+    Problem,
+    ProtocolProblem,
+    problem_fingerprint,
+)
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.universe import Universe
@@ -88,53 +97,24 @@ class ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
-# Materialized scenario containers
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class AuctionScenario:
-    """A ready-to-run MCA auction (the common shape of the MCA families)."""
-
-    network: AgentNetwork
-    items: list[str]
-    policies: dict[int, AgentPolicy]
-
-
-@dataclass
-class RelationalProblem:
-    """A bounded relational problem for the kodkod-level oracles."""
-
-    formula: ast.Formula
-    bounds: Bounds
-
-    def instance_key(self, instance) -> tuple:
-        """Hashable identity of an instance on the bounded relations."""
-        return tuple(
-            (rel.name, frozenset(instance.value_of(rel)))
-            for rel in sorted(self.bounds.relations(), key=lambda r: r.name)
-        )
-
-
-# ----------------------------------------------------------------------
 # Family registry
 # ----------------------------------------------------------------------
 
-FAMILIES: dict[str, Callable[[ScenarioSpec], object]] = {}
+FAMILIES: dict[str, Callable[[ScenarioSpec], Problem]] = {}
 
 
 def register_family(name: str):
     """Decorator: register a generator under a family name."""
 
-    def decorate(fn: Callable[[ScenarioSpec], object]):
+    def decorate(fn: Callable[[ScenarioSpec], Problem]):
         FAMILIES[name] = fn
         return fn
 
     return decorate
 
 
-def materialize(spec: ScenarioSpec) -> object:
-    """Deterministically build the concrete scenario a spec describes."""
+def materialize(spec: ScenarioSpec) -> Problem:
+    """Deterministically build the façade problem a spec describes."""
     try:
         generator = FAMILIES[spec.family]
     except KeyError:
@@ -146,7 +126,7 @@ def materialize(spec: ScenarioSpec) -> object:
 
 
 @register_family("mca")
-def _mca_family(spec: ScenarioSpec) -> AuctionScenario:
+def _mca_family(spec: ScenarioSpec) -> ProtocolProblem:
     """Random connected networks with random sub-modular valuations.
 
     Sub-modular utilities plus honest rebidding is the regime where the
@@ -178,11 +158,11 @@ def _mca_family(spec: ScenarioSpec) -> AuctionScenario:
         policies[agent] = AgentPolicy(
             utility=GeometricUtility(base, growth=growth), target=target
         )
-    return AuctionScenario(network=network, items=items, policies=policies)
+    return ProtocolProblem(network, items, policies)
 
 
 @register_family("dispatch")
-def _dispatch_family(spec: ScenarioSpec) -> AuctionScenario:
+def _dispatch_family(spec: ScenarioSpec) -> ProtocolProblem:
     """Economic-dispatch grids (:func:`repro.workloads.economic_dispatch`)."""
     workload = economic_dispatch(
         num_units=int(spec.param("num_units", 5)),
@@ -190,15 +170,11 @@ def _dispatch_family(spec: ScenarioSpec) -> AuctionScenario:
         capacity_blocks=int(spec.param("capacity_blocks", 3)),
         seed=spec.seed,
     )
-    return AuctionScenario(
-        network=workload.network,
-        items=list(workload.items),
-        policies=workload.policies,
-    )
+    return ProtocolProblem(workload.network, workload.items, workload.policies)
 
 
 @register_family("uav")
-def _uav_family(spec: ScenarioSpec) -> AuctionScenario:
+def _uav_family(spec: ScenarioSpec) -> ProtocolProblem:
     """UAV fleets (:func:`repro.workloads.uav_task_allocation`)."""
     workload = uav_task_allocation(
         num_uavs=int(spec.param("num_uavs", 4)),
@@ -207,15 +183,11 @@ def _uav_family(spec: ScenarioSpec) -> AuctionScenario:
         capacity=int(spec.param("capacity", 3)),
         seed=spec.seed,
     )
-    return AuctionScenario(
-        network=workload.network,
-        items=list(workload.items),
-        policies=workload.policies,
-    )
+    return ProtocolProblem(workload.network, workload.items, workload.policies)
 
 
 @register_family("vnet")
-def _vnet_family(spec: ScenarioSpec) -> AuctionScenario:
+def _vnet_family(spec: ScenarioSpec) -> ProtocolProblem:
     """VN-embedding node auctions: physical nodes bid residual capacity.
 
     Materializes a grid substrate plus random requests and lifts the
@@ -244,11 +216,11 @@ def _vnet_family(spec: ScenarioSpec) -> AuctionScenario:
         ((a, b) for a, b, _ in workload.physical.links()),
         nodes=[n.node_id for n in workload.physical.nodes()],
     )
-    return AuctionScenario(network=network, items=items, policies=policies)
+    return ProtocolProblem(network, items, policies)
 
 
 @register_family("relational")
-def _relational_family(spec: ScenarioSpec) -> RelationalProblem:
+def _relational_family(spec: ScenarioSpec) -> FormulaProblem:
     """Random bounded relational problems over a small universe.
 
     A seeded port of the hypothesis strategy in
@@ -331,7 +303,7 @@ def _relational_family(spec: ScenarioSpec) -> RelationalProblem:
             return ast.ForAll([(var, ast.Univ())], body)
         return ast.Exists([(var, ast.Univ())], body)
 
-    return RelationalProblem(formula=formula(depth), bounds=bounds)
+    return FormulaProblem(formula(depth), bounds)
 
 
 # ----------------------------------------------------------------------
@@ -340,56 +312,13 @@ def _relational_family(spec: ScenarioSpec) -> RelationalProblem:
 
 
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
-    """Stable sha256 digest of the *materialized* scenario.
+    """Stable sha256 digest of the *materialized* problem.
 
     Two processes materializing the same spec must produce this exact
     digest — the determinism contract that makes the result cache's
     (spec hash, oracle) key sound.  Covered by a cross-process test.
     """
-    scenario = materialize(spec)
-    if isinstance(scenario, AuctionScenario):
-        # Probe marginals against several bundle prefixes: utilities like
-        # ResidualCapacityUtility are constant on the empty bundle, so the
-        # empty probe alone would not see the per-item demands.
-        probes = [scenario.items[:size] for size in range(3)]
-        payload = {
-            "agents": scenario.network.agents(),
-            "edges": list(scenario.network.edges()),
-            "items": scenario.items,
-            "policies": {
-                str(agent): {
-                    "target": policy.target,
-                    "release_outbid": policy.release_outbid,
-                    "rebid": policy.rebid.value,
-                    "marginals": {
-                        item: [
-                            round(policy.utility.marginal(item, probe), 6)
-                            for probe in probes
-                        ]
-                        for item in scenario.items
-                    },
-                }
-                for agent, policy in sorted(scenario.policies.items())
-            },
-        }
-    elif isinstance(scenario, RelationalProblem):
-        bounds = scenario.bounds
-        payload = {
-            "formula": repr(scenario.formula),
-            "universe": list(bounds.universe.atoms),
-            "bounds": {
-                rel.name: {
-                    "lower": sorted(bounds.lower(rel)),
-                    "upper": sorted(bounds.upper(rel)),
-                }
-                for rel in sorted(bounds.relations(), key=lambda r: r.name)
-            },
-        }
-    else:  # pragma: no cover - third-party families fingerprint via repr
-        payload = {"repr": repr(scenario)}
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+    return problem_fingerprint(materialize(spec))
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The fuzz subsystem invents adversarial inputs for every
 :mod:`repro.api` problem kind, checks each one through the stack's
-differential oracles, evolves a corpus by structural mutation under
-cheap coverage signals, and minimizes any disagreeing or crashing input
-into a human-readable reproducer.  ``python -m repro.fuzz`` runs a
+differential oracles (the one registry, :data:`repro.campaign.ORACLES`),
+evolves a corpus by structural mutation under cheap coverage signals,
+and minimizes any disagreeing or crashing input into a human-readable
+reproducer.  ``python -m repro.fuzz`` runs a
 sweep; see the README's "Fuzzing & shrinking" section.
 """
 
@@ -23,7 +24,6 @@ from repro.fuzz.generators import (
 )
 from repro.fuzz.mutators import coverage_signature, mutate_problem
 from repro.fuzz.runner import (
-    FUZZ_ORACLES,
     Disagreement,
     FuzzCheck,
     FuzzReport,
@@ -38,7 +38,6 @@ from repro.fuzz.shrink import ShrinkResult, problem_size, shrink
 __all__ = [
     "FAULTS",
     "FEATURE_POOLS",
-    "FUZZ_ORACLES",
     "Disagreement",
     "FuzzCheck",
     "FuzzReport",

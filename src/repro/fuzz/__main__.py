@@ -3,9 +3,10 @@
 Generates seeded random problems for every kind, checks each through the
 applicable differential oracles (sharded over a process pool, cached),
 shrinks any failure into a minimal reproducer, prints the per-oracle
-summary table, writes the ``BENCH_fuzz.json`` artifact and exits non-zero
-on any disagreement or error.  ``--replay DIR`` re-checks a corpus
-directory instead of generating new inputs.
+summary table, writes the ``BENCH_fuzz.json`` artifact and exits 1 on
+any disagreement or error (2 on an invalid argument, before any work).
+``--replay DIR`` re-checks a corpus directory instead of generating new
+inputs.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import argparse
 import sys
 
 from repro.analysis.report import render_fuzz_table, write_fuzz_json
+from repro.fuzz.generators import KINDS, MAX_SIZE
 from repro.fuzz.runner import (
     DEFAULT_ARTIFACTS_DIR,
-    DEFAULT_CACHE_DIR,
+    _check_sweep,
+    _corpus_entries,
     replay_corpus,
     run_fuzz,
 )
-from repro.fuzz.generators import KINDS, MAX_SIZE
+from repro.jobs import DEFAULT_CACHE_DIR
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,6 +72,14 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: %(const)s); forces --shards 1 so "
                              "worker CPU is actually captured")
     args = parser.parse_args(argv)
+    kinds = tuple(k for k in args.kinds.split(",") if k)
+    try:
+        if args.replay:
+            _corpus_entries(args.replay, args.inject)
+        else:
+            _check_sweep(args.budget, kinds, args.inject)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     profiled = None
     if args.profile:
@@ -90,8 +101,6 @@ def main(argv: list[str] | None = None) -> int:
                  f"{report.corpus_size} entries, "
                  f"{report.wall_seconds:.2f}s wall")
     else:
-        kinds = tuple(k for k in args.kinds.split(",") if k)
-
         def sweep():
             return run_fuzz(
                 seed=args.seed,

@@ -4,20 +4,20 @@ Generation 0 draws fresh random inputs (seeded swarm specs); every input
 is checked through each applicable differential oracle; inputs whose runs
 produce coverage nobody has seen yet enter the corpus; later generations
 mutate corpus members as well as drawing fresh inputs.  Checks fan out
-over the campaign runner's generic process pool
-(:func:`repro.campaign.runner.map_jobs`) and reuse its content-addressed
-on-disk cache format, so a warm re-run of the same seeded sweep is pure
-cache reads.
+over the shared process pool (:func:`repro.jobs.map_jobs`) and are cached
+in the shared :class:`~repro.jobs.ResultCache`, so a warm re-run of the
+same seeded sweep is pure cache reads.
 
-The oracles are the campaign's own differential checks, re-hosted on
-façade problems, plus a CNF-encoding differential unique to the fuzzer:
+The oracles are the campaign's own (:data:`repro.campaign.ORACLES`, the
+one registry); the fuzz loop only chooses which of them it runs and
+gates the ones whose reference path explodes with input size:
 
 ==============  ========================================================
 oracle          checks
 ==============  ========================================================
 ``encodings``   Plaisted-Greenbaum vs Tseitin vs DIMACS round-trip solve
 ``symmetry``    solve with lex-leader SBP vs ``symmetry=0``
-``session``     incremental enumeration vs a fresh solver per model
+``enumeration`` incremental enumeration vs a fresh solver per model
 ``evaluator``   translator + solver enumeration vs brute-force ground eval
 ``explorer``    memoized schedule exploration vs plain DFS
 ``engines``     synchronous vs asynchronous (fifo + random) convergence
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import re
 import time
@@ -48,21 +47,17 @@ from repro.api.problems import (
     ModuleProblem,
     Problem,
     ProtocolProblem,
+    problem_kind,
 )
 from repro.campaign.oracles import ORACLES, OracleOutcome
-from repro.campaign.runner import ResultCache, map_jobs
-from repro.campaign.specs import (
-    AuctionScenario,
-    RelationalProblem,
-    ScenarioSpec,
-)
 from repro.fuzz import codec
 from repro.fuzz.faults import FAULTS, fault_matches
 from repro.fuzz.generators import KINDS, FuzzSpec, generate
 from repro.fuzz.mutators import coverage_signature, mutate_problem
 from repro.fuzz.shrink import ShrinkResult, problem_size, shrink
+from repro.jobs import DEFAULT_CACHE_DIR, ResultCache, map_jobs
 
-FUZZ_SCHEMA = 4
+FUZZ_SCHEMA = 5
 """Bump to invalidate every cached fuzz result (semantic change).
 
 2: encodings oracle grew the vector-kernel arm (and the env-gated
@@ -71,14 +66,17 @@ FUZZ_SCHEMA = 4
    stream, coverage signatures and corpus evolution of every sweep.
 4: evaluator oracle added (enumeration vs brute-force ground evaluation,
    the one formula oracle whose reference path bypasses the translator),
-   changing the task stream in the same way."""
+   changing the task stream in the same way.
+5: the ``session`` oracle runs under its registry name ``enumeration``,
+   renaming its rows and coverage points and moving it before
+   ``evaluator`` in each input's oracle order."""
 
-DEFAULT_CACHE_DIR = ".fuzz_cache"
 DEFAULT_ARTIFACTS_DIR = ".fuzz_artifacts"
 
-_SESSION_FREE_TUPLE_CAP = 6
-"""Session oracle gate: the fresh-solver reference path rebuilds a whole
-translation and solver per model, so the model space is capped at 2^6."""
+_ENUMERATION_FREE_TUPLE_CAP = 6
+"""Enumeration oracle gate: the fresh-solver reference path rebuilds a
+whole translation and solver per model, so the model space is capped at
+2^6."""
 
 _EVALUATOR_FREE_TUPLE_CAP = 10
 """Evaluator oracle gate: the reference path evaluates the formula on
@@ -94,7 +92,7 @@ _GENERATION_SIZE = 12
 
 
 # ----------------------------------------------------------------------
-# Oracles over façade problems
+# The oracles the fuzz loop runs
 # ----------------------------------------------------------------------
 
 
@@ -110,128 +108,12 @@ def lift_module(problem: ModuleProblem) -> FormulaProblem:
     return FormulaProblem(goal, bounds)
 
 
-@dataclass(frozen=True)
-class FuzzOracle:
-    """A differential oracle over one problem kind, with a size gate.
-
-    ``problem_type`` is anything :func:`isinstance` accepts — a single
-    problem class or a tuple of them (the ``delta`` oracle spans both
-    formula and protocol problems).
-    """
-
-    name: str
-    problem_type: type | tuple[type, ...]
-    run: Callable[[Problem, int], OracleOutcome]
-    gate: Callable[[Problem], bool]
-    description: str = ""
-
-    def applicable(self, problem: Problem) -> bool:
-        """Whether this oracle can check the problem at its size."""
-        return isinstance(problem, self.problem_type) and self.gate(problem)
-
-
-def _encodings_oracle(problem: FormulaProblem, seed: int) -> OracleOutcome:
-    """PG vs Tseitin vs DIMACS-round-trip vs vector kernel: one verdict.
-
-    When ``REPRO_EXTERNAL_SOLVER`` names a SAT-competition-conformant
-    binary, the PG CNF is additionally round-tripped through it as a
-    fifth arm (the nightly CI job runs with picosat).  A value carrying
-    the ``dimacs-inc:`` prefix routes that arm through the persistent
-    incremental protocol instead (spawn once, stream the CNF over
-    stdin), exercising the same path enumeration uses.
-    """
-    from repro.kodkod.translate import Translator
-    from repro.sat import dimacs
-    from repro.sat.solver import Solver
-    from repro.sat.types import Status
-
-    def decide(encoding: str, kernel: str = "pure"):
-        translation = Translator(
-            problem.bounds, cnf_encoding=encoding).translate(problem.formula)
-        solver = Solver(kernel=kernel)
-        loaded = solver.add_cnf(translation.cnf)
-        status = solver.solve() if loaded else Status.UNSAT
-        return translation, status is Status.SAT, solver.stats
-
-    pg, pg_sat, pg_stats = decide("pg")
-    _, tseitin_sat, _ = decide("tseitin")
-    # The vector propagation kernel must preserve the verdict (it is
-    # search-trajectory identical to the pure loop; without numpy it
-    # falls back to "pure" and the arm degenerates to a re-run).
-    _, vector_sat, _ = decide("pg", kernel="vector")
-    # The DIMACS export path (used by repro scripts and the external
-    # cross-checking CLI) must also preserve the verdict — this is the
-    # round trip that hits the trivially-true/false translation edges.
-    back = dimacs.loads(pg.to_dimacs())
-    solver = Solver()
-    loaded = solver.add_cnf(back)
-    roundtrip_sat = (solver.solve() if loaded else Status.UNSAT) is Status.SAT
-    external_command = os.environ.get("REPRO_EXTERNAL_SOLVER")
-    external_sat = None
-    if external_command:
-        from repro.sat.external import ExternalSolver, IncrementalExternalSolver
-
-        if external_command.startswith("dimacs-inc:"):
-            inc_command = external_command[len("dimacs-inc:"):].strip()
-            with IncrementalExternalSolver(inc_command, timeout=60) as inc:
-                inc.load_cnf(pg.cnf)
-                run = inc.solve()
-        else:
-            run = ExternalSolver(external_command, timeout=60).solve_cnf(pg.cnf)
-        external_sat = run.status is Status.SAT
-    agree = (pg_sat == tseitin_sat == roundtrip_sat == vector_sat
-             and (external_sat is None or external_sat == pg_sat))
-    detail_external = (
-        {} if external_sat is None else {"sat_external": external_sat})
-    return OracleOutcome(
-        oracle="encodings",
-        agree=agree,
-        detail={
-            "sat_pg": pg_sat,
-            "sat_tseitin": tseitin_sat,
-            "sat_dimacs_roundtrip": roundtrip_sat,
-            "sat_vector_kernel": vector_sat,
-            **detail_external,
-            "pg_clauses": pg.stats.num_clauses,
-            "clauses_saved_by_polarity": pg.stats.num_clauses_saved_by_polarity,
-            "cnf_vars": pg.stats.num_cnf_vars,
-            "gates": pg.factory.opcode_histogram(),
-            "conflicts": pg_stats["conflicts"],
-            "decisions": pg_stats["decisions"],
-            "restarts": pg_stats["restarts"],
-            "propagations": pg_stats["propagations"],
-        },
-    )
-
-
-def _campaign_formula_oracle(name: str):
-    def run(problem: FormulaProblem, seed: int) -> OracleOutcome:
-        spec = ScenarioSpec.make("relational", seed)
-        scenario = RelationalProblem(problem.formula, problem.bounds)
-        return ORACLES[name].run(spec, scenario)
-
-    return run
-
-
-def _campaign_protocol_oracle(name: str):
-    def run(problem: ProtocolProblem, seed: int) -> OracleOutcome:
-        spec = ScenarioSpec.make("mca", seed)
-        scenario = AuctionScenario(
-            network=problem.network,
-            items=list(problem.items),
-            policies=dict(problem.policies),
-        )
-        return ORACLES[name].run(spec, scenario)
-
-    return run
-
-
 def _always(problem: Problem) -> bool:
     return True
 
 
-def _session_gate(problem: FormulaProblem) -> bool:
-    return problem.bounds.free_tuple_count() <= _SESSION_FREE_TUPLE_CAP
+def _enumeration_gate(problem: FormulaProblem) -> bool:
+    return problem.bounds.free_tuple_count() <= _ENUMERATION_FREE_TUPLE_CAP
 
 
 def _evaluator_gate(problem: FormulaProblem) -> bool:
@@ -246,13 +128,6 @@ def _explorer_gate(problem: ProtocolProblem) -> bool:
     )
 
 
-def _delta_oracle_run(problem: Problem, seed: int) -> OracleOutcome:
-    """Dispatch the campaign delta oracle by problem kind."""
-    if isinstance(problem, ProtocolProblem):
-        return _campaign_protocol_oracle("delta")(problem, seed)
-    return _campaign_formula_oracle("delta")(problem, seed)
-
-
 def _delta_gate(problem: Problem) -> bool:
     # Protocol mutants re-run the (factorial) explorer twice, so they
     # share the explorer's size gate; formula problems are always cheap.
@@ -261,65 +136,54 @@ def _delta_gate(problem: Problem) -> bool:
     return True
 
 
-FUZZ_ORACLES: dict[str, FuzzOracle] = {
-    "encodings": FuzzOracle(
-        "encodings", FormulaProblem, _encodings_oracle, _always,
-        "PG vs Tseitin vs DIMACS round-trip: same verdict"),
-    "symmetry": FuzzOracle(
-        "symmetry", FormulaProblem, _campaign_formula_oracle("symmetry"),
-        _always, "solve with lex-leader SBP vs solve(symmetry=0)"),
-    "session": FuzzOracle(
-        "session", FormulaProblem, _campaign_formula_oracle("enumeration"),
-        _session_gate, "incremental enumeration vs fresh solver per model"),
-    "evaluator": FuzzOracle(
-        "evaluator", FormulaProblem, _campaign_formula_oracle("evaluator"),
-        _evaluator_gate,
-        "translator + solver enumeration vs brute-force ground evaluation"),
-    "explorer": FuzzOracle(
-        "explorer", ProtocolProblem, _campaign_protocol_oracle("explorer"),
-        _explorer_gate, "memoized schedule exploration vs plain DFS"),
-    "engines": FuzzOracle(
-        "engines", ProtocolProblem, _campaign_protocol_oracle("engines"),
-        _always, "synchronous vs asynchronous convergence + consensus"),
-    "delta": FuzzOracle(
-        "delta", (FormulaProblem, ProtocolProblem), _delta_oracle_run,
-        _delta_gate, "solve_delta on a mutated problem vs fresh solve"),
+_FUZZ_GATES: dict[str, Callable[[Problem], bool]] = {
+    "encodings": _always,
+    "symmetry": _always,
+    "enumeration": _enumeration_gate,
+    "evaluator": _evaluator_gate,
+    "explorer": _explorer_gate,
+    "engines": _always,
+    "delta": _delta_gate,
 }
+"""Registry oracles the sweep runs, each with its input-size gate (a
+gate only sees problems its oracle applies to)."""
 
 
 def oracles_for_problem(problem: Problem) -> list[str]:
-    """Names of every oracle applicable to a problem (modules are lifted)."""
+    """Names of every oracle the sweep runs on a problem (modules are
+    lifted)."""
     if isinstance(problem, ModuleProblem):
         problem = lift_module(problem)
     return sorted(
-        name for name, oracle in FUZZ_ORACLES.items()
-        if oracle.applicable(problem)
+        name for name, gate in _FUZZ_GATES.items()
+        if ORACLES[name].applicable(problem) and gate(problem)
     )
 
 
 def run_oracle(name: str, problem: Problem, seed: int = 0,
                fault: str | None = None) -> OracleOutcome:
-    """Run one named oracle on one problem (the repro scripts' entry point).
+    """Run one registered oracle on one problem (the repro scripts' entry
+    point).
 
     Module problems are lowered first.  With ``fault`` armed (test-only),
     the outcome of a matching problem is forced to a disagreement.
     """
     try:
-        oracle = FUZZ_ORACLES[name]
+        oracle = ORACLES[name]
     except KeyError:
         raise ValueError(
-            f"unknown fuzz oracle {name!r}; known: {sorted(FUZZ_ORACLES)}"
+            f"unknown oracle {name!r}; known: {sorted(ORACLES)}"
         ) from None
     if isinstance(problem, ModuleProblem):
         problem = lift_module(problem)
-    if not isinstance(problem, oracle.problem_type):
+    if not oracle.applicable(problem):
         accepted = (oracle.problem_type if isinstance(oracle.problem_type, tuple)
                     else (oracle.problem_type,))
         raise ValueError(
             f"oracle {name!r} checks {'/'.join(t.__name__ for t in accepted)}, "
             f"got {type(problem).__name__}"
         )
-    outcome = oracle.run(problem, seed)
+    outcome = oracle.run(problem, seed, {})
     if fault is not None and fault_matches(fault, problem):
         outcome = OracleOutcome(
             oracle=outcome.oracle,
@@ -460,10 +324,15 @@ class FuzzReport:
 
 
 def _task_problem(task: Mapping) -> Problem:
+    """The problem a task's oracles check (modules are lifted)."""
     payload = task["payload"]
     if "spec" in payload:
-        return generate(FuzzSpec.from_dict(payload["spec"]))
-    return codec.problem_from_json(payload["problem"])
+        problem = generate(FuzzSpec.from_dict(payload["spec"]))
+    else:
+        problem = codec.problem_from_json(payload["problem"])
+    if isinstance(problem, ModuleProblem):
+        problem = lift_module(problem)
+    return problem
 
 
 def execute_fuzz_check(task: dict) -> dict:
@@ -534,8 +403,6 @@ def _shrink_failure(row: FuzzCheck, task: dict,
                     max_checks: int) -> tuple[ShrinkResult, Problem]:
     """Build the failure predicate for a row and run the shrinker."""
     problem = _task_problem(task)
-    if isinstance(problem, ModuleProblem):
-        problem = lift_module(problem)
     oracle = task["oracle"]
     seed = task["seed"]
     if row.error is not None:
@@ -560,6 +427,29 @@ def _shrink_failure(row: FuzzCheck, task: dict,
 
 def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
+
+
+def _check_fault(inject: str | None) -> None:
+    if inject is not None and inject not in FAULTS:
+        raise ValueError(
+            f"unknown fault {inject!r}; registered faults: {sorted(FAULTS)}"
+        )
+
+
+def _check_sweep(budget: int, kinds: Sequence[str],
+                 inject: str | None) -> None:
+    """Raise ValueError for arguments :func:`run_fuzz` rejects.
+
+    Runs before any work, so the CLI reports these as usage errors.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    unknown = sorted(set(kinds) - set(KINDS))
+    if unknown:
+        raise ValueError(f"unknown kind(s) {unknown}; known kinds: {KINDS}")
+    if not kinds:
+        raise ValueError("at least one problem kind is required")
+    _check_fault(inject)
 
 
 def run_fuzz(
@@ -590,17 +480,7 @@ def run_fuzz(
     ``artifacts_dir`` set, each failure also gets a standalone repro
     script and a corpus-format JSON entry on disk.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    unknown = sorted(set(kinds) - set(KINDS))
-    if unknown:
-        raise ValueError(f"unknown kind(s) {unknown}; known kinds: {KINDS}")
-    if not kinds:
-        raise ValueError("at least one problem kind is required")
-    if inject is not None and inject not in FAULTS:
-        raise ValueError(
-            f"unknown fault {inject!r}; registered faults: {sorted(FAULTS)}"
-        )
+    _check_sweep(budget, kinds, inject)
     started = time.perf_counter()
     rng = random.Random(f"fuzz-run:{seed}")
     cache = (ResultCache(cache_dir)
@@ -632,8 +512,6 @@ def run_fuzz(
                 parent = corpus[rng.randrange(len(corpus))]
                 try:
                     parent_problem = _task_problem({"payload": parent["payload"]})
-                    if isinstance(parent_problem, ModuleProblem):
-                        parent_problem = lift_module(parent_problem)
                     mutated = mutate_problem(parent_problem, rng)
                     if mutated is not None:
                         payload = {"problem": codec.problem_to_json(mutated[0])}
@@ -654,11 +532,7 @@ def run_fuzz(
                     continue
                 label = spec.label()
                 payload = {"spec": spec.as_dict()}
-            kind = {
-                FormulaProblem: "formula",
-                ModuleProblem: "module",
-                ProtocolProblem: "protocol",
-            }[type(problem)]
+            kind = problem_kind(problem)
             for oracle_name in oracles_for_problem(problem):
                 tasks.append({
                     "label": label,
@@ -676,8 +550,7 @@ def run_fuzz(
         misses: list[tuple[int, tuple]] = []
         for index, task in enumerate(tasks):
             hit = cache.get(fuzz_cache_key(task)) if cache is not None else None
-            # Never serve an error from cache: crashes may be environmental.
-            if hit is not None and hit.get("error") is None:
+            if hit is not None:
                 row = FuzzCheck.from_json(hit)
                 row.cached = True
                 slots[index] = row
@@ -688,7 +561,7 @@ def run_fuzz(
         def record(index: int, payload_dict: dict) -> None:
             row = FuzzCheck.from_json(payload_dict)
             slots[index] = row
-            if cache is not None and row.error is None:
+            if cache is not None:
                 cache.put(fuzz_cache_key(tasks[index]), payload_dict)
 
         def failure_payload(index: int, error: str, seconds: float) -> dict:
@@ -759,8 +632,6 @@ def _shrink_and_emit(failures: list[tuple[FuzzCheck, dict]],
             continue
         try:
             original = _task_problem(task)
-            if isinstance(original, ModuleProblem):
-                original = lift_module(original)
             original_payload = codec.problem_to_json(original)
         except Exception:
             continue
@@ -838,6 +709,21 @@ def _write_artifacts(entry: Disagreement, artifacts_dir: str | Path,
 # ----------------------------------------------------------------------
 
 
+def _corpus_entries(directory: str | Path,
+                    inject: str | None) -> list[Path]:
+    """The files :func:`replay_corpus` re-checks.
+
+    Raises ValueError, before any work, for an unknown fault or a
+    directory without entries: a typo'd path must fail loudly — an empty
+    replay would let the CI corpus gate go green while enforcing nothing.
+    """
+    _check_fault(inject)
+    entries = sorted(Path(directory).glob("*.json"))
+    if not entries:
+        raise ValueError(f"no corpus entries (*.json) found in {directory}")
+    return entries
+
+
 def replay_corpus(directory: str | Path, *,
                   inject: str | None = None) -> FuzzReport:
     """Re-check every corpus entry (``*.json``) in a directory, inline.
@@ -848,16 +734,11 @@ def replay_corpus(directory: str | Path, *,
     :class:`FuzzReport` (no shrinking: corpus entries are already
     minimal).
     """
-    directory = Path(directory)
     started = time.perf_counter()
     rows: list[FuzzCheck] = []
     disagreements: list[Disagreement] = []
     coverage: set[str] = set()
-    entries = sorted(directory.glob("*.json"))
-    if not entries:
-        # A typo'd path must fail loudly — an empty replay would let the
-        # CI corpus gate go green while enforcing nothing.
-        raise ValueError(f"no corpus entries (*.json) found in {directory}")
+    entries = _corpus_entries(directory, inject)
     for path in entries:
         data = json.loads(path.read_text(encoding="utf-8"))
         label = data.get("label", path.stem)
@@ -875,8 +756,6 @@ def replay_corpus(directory: str | Path, *,
             if not row.ok:
                 try:
                     original = _task_problem(task)
-                    if isinstance(original, ModuleProblem):
-                        original = lift_module(original)
                     original_payload = codec.problem_to_json(original)
                     size = problem_size(original)
                 except Exception:

@@ -3,8 +3,8 @@
 The service turns the library into a long-running system: clients POST
 problem submissions to ``/v1/jobs``, a persistent on-disk queue journals
 every accepted job, an async worker pool drains the queue through the
-campaign runner's process-pool machinery, and the content-addressed
-:class:`~repro.campaign.runner.ResultCache` is the shared result store —
+shared process-pool machinery, and the content-addressed
+:class:`~repro.jobs.ResultCache` is the shared result store —
 a job whose (problem fingerprint, options) pair was ever solved
 completes without solving again.
 
@@ -19,7 +19,7 @@ Layers (stdlib only — ``http.server``, ``threading``, ``json``):
 * :mod:`repro.service.workers` — the worker pool: cache-first completion,
   ``delta_of`` jobs routed through the warm
   :class:`~repro.api.DeltaSession` path, everything else fanned out over
-  a persistent :func:`~repro.campaign.runner.map_jobs` pool;
+  a persistent :func:`~repro.jobs.map_jobs` pool;
 * :mod:`repro.service.app` — the HTTP layer (`/v1/jobs`, `/v1/results`,
   `/v1/healthz`, `/v1/metrics`) with token-auth and per-client
   token-bucket rate-limit stubs;

@@ -51,7 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.api.result import Verdict, result_from_json
-from repro.campaign.runner import ResultCache
+from repro.jobs import ResultCache
 from repro.service.queue import (
     DONE,
     LOCAL_WORKER,
@@ -198,8 +198,8 @@ class VerificationService:
     def claim_jobs(self, payload) -> dict:
         """Lease up to N pending jobs to a remote satellite.
 
-        Jobs whose ``cache_key`` already has a (non-error) cached result
-        are completed inline instead of shipped — a satellite never
+        Jobs whose ``cache_key`` already has a cached result are
+        completed inline instead of shipped — a satellite never
         burns a solve the cache can answer.  ``delta_of`` jobs stay
         local: their whole point is the hub's warm session LRU.
         """
@@ -232,8 +232,7 @@ class VerificationService:
             if not batch:
                 break
             for record in batch:
-                hit = self.cache.get(record.cache_key)
-                if hit is not None and hit.get("error") is None:
+                if self.cache.get(record.cache_key) is not None:
                     self.queue.complete(record.id, lease=record.lease)
                     self.pool.metrics.count("cache_hits")
                     self.pool.metrics.observe_done(

@@ -11,7 +11,7 @@ but HTTP reachability to the hub:
   was computed;
 * it **posts** the ``result_to_json`` payload back over
   ``POST /v1/jobs/<id>/result`` — the hub writes it into the shared
-  :class:`~repro.campaign.runner.ResultCache` under the job's
+  :class:`~repro.jobs.ResultCache` under the job's
   ``cache_key`` before marking the job done;
 * a background thread **heartbeats** every held lease so a healthy
   satellite never lapses mid-solve.

@@ -1,10 +1,10 @@
-"""The async worker pool: drains the queue through the campaign runner.
+"""The async worker pool: drains the queue through the shared job pool.
 
 One dispatcher thread claims batches of pending jobs and completes them
 by the cheapest route available:
 
 * **cache hit** — the job's ``cache_key`` is already in the shared
-  :class:`~repro.campaign.runner.ResultCache`: the job completes without
+  :class:`~repro.jobs.ResultCache`: the job completes without
   solving anything (errors are never cached, so a hit is always a real
   verdict);
 * **delta job** — a ``delta_of`` submission is answered in-process
@@ -14,7 +14,7 @@ by the cheapest route available:
   which path answered);
 * **miss** — everything else fans out over a *persistent*
   :class:`~concurrent.futures.ProcessPoolExecutor` lent to
-  :func:`~repro.campaign.runner.map_jobs`, reusing the batch path's
+  :func:`~repro.jobs.map_jobs`, reusing the batch path's
   stall-kill semantics: a wedged pool is killed, the affected jobs are
   requeued (up to the queue's retry cap), and the pool is rebuilt for
   the next batch.
@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from repro.api.batch import DEFAULT_TASK_TIMEOUT, _solve_worker
 from repro.api.delta import DeltaSession
 from repro.api.options import Options
-from repro.campaign.runner import ResultCache, map_jobs
+from repro.jobs import ResultCache, map_jobs
 from repro.service.queue import JobQueue, JobRecord
 from repro.service.schema import decode_problem
 
@@ -218,8 +218,7 @@ class WorkerPool:
     def _process(self, claimed: list[JobRecord]) -> None:
         misses: list[JobRecord] = []
         for record in claimed:
-            hit = self.cache.get(record.cache_key)
-            if hit is not None and hit.get("error") is None:
+            if self.cache.get(record.cache_key) is not None:
                 self.metrics.count("cache_hits")
                 self._finish(record, latency_start=record.submitted_at)
             elif record.delta_of is not None:

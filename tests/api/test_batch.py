@@ -10,8 +10,8 @@ import pytest
 
 from repro import api
 from repro.api.batch import batch_cache_key
-from repro.campaign.runner import ResultCache
 from repro.campaign.specs import random_sweep
+from repro.jobs import ResultCache
 
 # 50+ seeded relational problems (3-atom universes keep each solve fast).
 BATCH_SPECS = random_sweep(
@@ -89,18 +89,17 @@ class TestTimeoutKnobs:
 
     @staticmethod
     def _spy_map_jobs(monkeypatch, captured):
-        import repro.campaign.runner as campaign_runner
+        import repro.api.batch as batch
 
-        real_map_jobs = campaign_runner.map_jobs
+        real_map_jobs = batch.map_jobs
 
         def spy(jobs, worker, record, failure, *, shards, task_timeout):
             captured.append(task_timeout)
             return real_map_jobs(jobs, worker, record, failure,
                                  shards=shards, task_timeout=task_timeout)
 
-        # solve_many imports map_jobs lazily from the runner module at
-        # call time, so patching the source module intercepts it.
-        monkeypatch.setattr(campaign_runner, "map_jobs", spy)
+        # solve_many calls the map_jobs bound in its own module.
+        monkeypatch.setattr(batch, "map_jobs", spy)
 
     def test_stall_bound_ignores_per_solve_timeout(self, problems,
                                                    monkeypatch):

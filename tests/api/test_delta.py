@@ -315,7 +315,8 @@ class TestVerdictEquivalenceSweep:
         disagreements = []
         paths = set()
         for spec in specs:
-            outcome = ORACLES["delta"].run(spec, materialize(spec))
+            outcome = ORACLES["delta"].run(materialize(spec), spec.seed,
+                                           dict(spec.params))
             paths.add(outcome.detail["delta_path"])
             if not outcome.agree:
                 disagreements.append((spec.label(), outcome.detail))

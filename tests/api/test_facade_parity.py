@@ -28,6 +28,14 @@ AUCTION_SPECS = random_sweep(
 )
 
 
+def _instance_key(bounds, instance):
+    """Hashable identity of an instance on the bounded relations."""
+    return tuple(
+        (rel.name, frozenset(instance.value_of(rel)))
+        for rel in sorted(bounds.relations(), key=lambda r: r.name)
+    )
+
+
 class TestKodkodBackendParity:
     @pytest.mark.parametrize(
         "spec", RELATIONAL_SPECS, ids=lambda s: s.label())
@@ -46,7 +54,7 @@ class TestKodkodBackendParity:
     def test_enumeration_instance_set_parity(self, spec):
         scenario = materialize(spec)
         direct_keys = {
-            scenario.instance_key(inst)
+            _instance_key(scenario.bounds, inst)
             for inst in Session(scenario.formula,
                                 scenario.bounds).iter_solutions()
         }
@@ -54,10 +62,11 @@ class TestKodkodBackendParity:
             1 for _ in Session(scenario.formula,
                                scenario.bounds).iter_solutions())
         # Share the materialization: relations compare by identity, so
-        # instance_key must see the same Relation objects on both paths.
+        # _instance_key must see the same Relation objects on both paths.
         new = api.enumerate(
             api.FormulaProblem(scenario.formula, scenario.bounds))
-        new_keys = {scenario.instance_key(inst) for inst in new.instances}
+        new_keys = {_instance_key(scenario.bounds, inst)
+                    for inst in new.instances}
         assert direct_keys == new_keys
         assert direct_count == len(new.instances)
 
@@ -67,7 +76,7 @@ class TestExplorerBackendParity:
     def test_exploration_verdict_parity(self, spec):
         scenario = materialize(spec)
         direct = explore(
-            scenario.network, scenario.items, scenario.policies,
+            scenario.network, list(scenario.items), scenario.policies,
             max_rounds=8, max_paths=4000,
         )
         new = api.run_protocol(api.problem_from_spec(spec),

@@ -2,9 +2,10 @@
 
 The exported name sets and the signatures of the façade entry points are
 pinned here, as are the exports of the layer packages the façade is
-built from, so a second way to run an operation cannot reappear beside
-it unnoticed.  Changing them is allowed — but it must be a deliberate,
-reviewed edit to this file, not a drive-by.
+built from and of the sweep and job modules around it, so a second way
+to run an operation (or a second oracle registry or result cache) cannot
+reappear beside it unnoticed.  Changing them is allowed — but it must be
+a deliberate, reviewed edit to this file, not a drive-by.
 """
 
 import importlib
@@ -126,6 +127,58 @@ EXPECTED_SUBPACKAGE_ALL = {
         "ExplorationResult",
         "StateCanonicalizer",
         "explore",
+    ],
+    "repro.campaign": [
+        "CACHE_SCHEMA",
+        "CampaignReport",
+        "CampaignResult",
+        "CampaignTask",
+        "FAMILIES",
+        "ORACLES",
+        "Oracle",
+        "OracleOutcome",
+        "ScenarioSpec",
+        "build_default_campaign",
+        "cache_key",
+        "execute_task",
+        "expand",
+        "grid_sweep",
+        "materialize",
+        "random_sweep",
+        "register_family",
+        "run_campaign",
+        "scenario_fingerprint",
+    ],
+    "repro.fuzz": [
+        "Disagreement",
+        "FAULTS",
+        "FEATURE_POOLS",
+        "FuzzCheck",
+        "FuzzReport",
+        "FuzzSpec",
+        "KINDS",
+        "ShrinkResult",
+        "coverage_signature",
+        "fault_matches",
+        "generate",
+        "lift_module",
+        "mutate_problem",
+        "oracles_for_problem",
+        "problem_from_json",
+        "problem_size",
+        "problem_to_json",
+        "problem_to_script",
+        "register_fault",
+        "replay_corpus",
+        "run_fuzz",
+        "run_oracle",
+        "shrink",
+        "swarm_mask",
+    ],
+    "repro.jobs": [
+        "DEFAULT_CACHE_DIR",
+        "ResultCache",
+        "map_jobs",
     ],
 }
 

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.campaign.runner import ResultCache, map_jobs
+from repro.jobs import ResultCache, map_jobs
 
 
 def _payload(worker: int, round_no: int) -> dict:

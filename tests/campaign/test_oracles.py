@@ -1,13 +1,33 @@
 """Differential-oracle tests: every registered oracle agrees on seeded
 random scenarios, and the registry/applicability plumbing works."""
 
+import dataclasses
+
 import pytest
 
-from repro.campaign import ORACLES, ScenarioSpec, materialize, oracles_for
+from repro.campaign import (
+    ORACLES,
+    OracleOutcome,
+    ScenarioSpec,
+    execute_task,
+    materialize,
+)
 from repro.campaign.specs import random_sweep
+from repro.fuzz import run_oracle
 
-EXPECTED_ORACLES = {"symmetry", "enumeration", "evaluator", "kernels",
-                    "explorer", "engines", "delta"}
+EXPECTED_ORACLES = {"encodings", "symmetry", "enumeration", "evaluator",
+                    "kernels", "explorer", "engines", "delta"}
+
+
+def _applicable(spec):
+    problem = materialize(spec)
+    return {name for name, oracle in ORACLES.items()
+            if oracle.applicable(problem)}
+
+
+def _run(name, spec):
+    """Run a registry oracle the way the campaign's execute_task does."""
+    return ORACLES[name].run(materialize(spec), spec.seed, dict(spec.params))
 
 
 class TestRegistry:
@@ -18,19 +38,37 @@ class TestRegistry:
         spec = ScenarioSpec.make("relational", 0)
         # "external" additionally appears when REPRO_EXTERNAL_SOLVER is
         # set in the environment (the nightly CI job does this).
-        assert set(oracles_for(spec)) - {"external"} == {
-            "symmetry", "enumeration", "evaluator", "kernels", "delta"}
+        assert _applicable(spec) - {"external"} == {
+            "encodings", "symmetry", "enumeration", "evaluator", "kernels",
+            "delta"}
 
     def test_auction_oracles(self):
         for family in ("mca", "dispatch", "uav", "vnet"):
             spec = ScenarioSpec.make(family, 0)
-            assert set(oracles_for(spec)) == {"explorer", "engines", "delta"}
+            assert _applicable(spec) == {"explorer", "engines", "delta"}
 
     def test_applicability(self):
         assert ORACLES["symmetry"].applicable(
-            ScenarioSpec.make("relational", 0))
+            materialize(ScenarioSpec.make("relational", 0)))
         assert not ORACLES["symmetry"].applicable(
-            ScenarioSpec.make("mca", 0))
+            materialize(ScenarioSpec.make("mca", 0)))
+
+    def test_campaign_and_fuzz_share_one_registry(self, monkeypatch):
+        """Replacing a registry entry reaches the campaign and the fuzz."""
+
+        def disagree(problem, seed, params):
+            return OracleOutcome("encodings", False, {"stub": True})
+
+        monkeypatch.setitem(ORACLES, "encodings", dataclasses.replace(
+            ORACLES["encodings"], run=disagree))
+        spec = ScenarioSpec.make("relational", 1, num_atoms=3)
+        payload = execute_task(spec.as_dict(), "encodings")
+        assert payload["error"] is None
+        assert payload["agree"] is False
+        assert payload["detail"] == {"stub": True}
+        outcome = run_oracle("encodings", materialize(spec))
+        assert not outcome.agree
+        assert outcome.detail == {"stub": True}
 
 
 class TestRelationalOracles:
@@ -38,14 +76,14 @@ class TestRelationalOracles:
     def test_symmetry_agrees(self, seed):
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=2,
                                  max_edges=4)
-        outcome = ORACLES["symmetry"].run(spec, materialize(spec))
+        outcome = _run("symmetry", spec)
         assert outcome.agree, outcome.detail
 
     @pytest.mark.parametrize("seed", range(8))
     def test_enumeration_agrees(self, seed):
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=1,
                                  max_edges=3)
-        outcome = ORACLES["enumeration"].run(spec, materialize(spec))
+        outcome = _run("enumeration", spec)
         assert outcome.agree, outcome.detail
         assert not outcome.detail["truncated"]
         assert (outcome.detail["incremental_models"]
@@ -55,7 +93,7 @@ class TestRelationalOracles:
     def test_kernels_agree(self, seed):
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=2,
                                  max_edges=4)
-        outcome = ORACLES["kernels"].run(spec, materialize(spec))
+        outcome = _run("kernels", spec)
         assert outcome.agree, outcome.detail
         assert outcome.detail["vector_models"] == outcome.detail["pure_models"]
 
@@ -80,7 +118,7 @@ class TestRelationalOracles:
             os.environ["PYTHONPATH"] = (
                 src + (os.pathsep + env_path if env_path else ""))
             try:
-                outcome = ORACLES["external"].run(spec, materialize(spec))
+                outcome = _run("external", spec)
             finally:
                 if env_path:
                     os.environ["PYTHONPATH"] = env_path
@@ -97,7 +135,7 @@ class TestRelationalOracles:
     def test_evaluator_agrees(self, seed):
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=2,
                                  max_edges=4)
-        outcome = ORACLES["evaluator"].run(spec, materialize(spec))
+        outcome = _run("evaluator", spec)
         assert outcome.agree, outcome.detail
         assert outcome.detail["only_sat"] == 0
         assert outcome.detail["only_ground"] == 0
@@ -115,7 +153,7 @@ class TestAuctionOracles:
         request_size=(2, 3)),
         ids=lambda s: s.label())
     def test_engines_converge_everywhere(self, spec):
-        outcome = ORACLES["engines"].run(spec, materialize(spec))
+        outcome = _run("engines", spec)
         assert outcome.agree, outcome.detail
         assert outcome.detail["converged_synchronous"]
         assert outcome.detail["consensus_async_random"]
@@ -127,7 +165,7 @@ class TestAuctionOracles:
         capacity_blocks=(1, 1)),
         ids=lambda s: s.label())
     def test_explorer_memo_matches_plain_dfs(self, spec):
-        outcome = ORACLES["explorer"].run(spec, materialize(spec))
+        outcome = _run("explorer", spec)
         assert outcome.agree, outcome.detail
         assert (outcome.detail["memoized_worst_rounds"]
                 == outcome.detail["plain_worst_rounds"])

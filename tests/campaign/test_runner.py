@@ -8,9 +8,9 @@ import pytest
 
 from repro.analysis import campaign_summary, render_campaign_table, \
     write_campaign_json
+from repro.api import FormulaProblem
 from repro.campaign import (
     CampaignResult,
-    ResultCache,
     ScenarioSpec,
     build_default_campaign,
     cache_key,
@@ -19,9 +19,10 @@ from repro.campaign import (
 )
 from repro.campaign.oracles import ORACLES, OracleOutcome, register_oracle
 from repro.campaign.specs import random_sweep
+from repro.jobs import ResultCache
 
 
-def _hang_oracle(spec, scenario):
+def _hang_oracle(problem, seed, params):
     time.sleep(120)
     return OracleOutcome("test-hang", True)
 
@@ -32,9 +33,9 @@ def hang_oracle():
 
     Registration happens before run_campaign creates its pool, so
     fork-started workers inherit it; the registry is restored afterwards
-    to keep ``oracles_for`` deterministic for the other test modules.
+    so the other test modules see only the real oracles.
     """
-    register_oracle("test-hang", frozenset({"relational"}),
+    register_oracle("test-hang", FormulaProblem,
                     "test-only oracle that never returns")(_hang_oracle)
     try:
         yield "test-hang"
@@ -84,6 +85,13 @@ class TestCache:
         assert cache.get("ab" * 32) == {"agree": True}
         assert len(cache) == 1
 
+    def test_put_refuses_error_payloads(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        assert cache.put("ef" * 32, {"agree": False, "error": "boom"}) is False
+        assert not (tmp_path / "c").exists()
+        assert cache.get("ef" * 32) is None
+        assert len(cache) == 0
+
     def test_unserializable_payload_does_not_crash(self, tmp_path):
         # A third-party oracle may return a non-JSON-able detail dict;
         # the cache write must fail silently, leaving no temp debris.
@@ -126,10 +134,14 @@ class TestCache:
 
     def test_cached_error_entries_are_retried(self, tmp_path):
         spec = ScenarioSpec.make("relational", 1, num_atoms=3)
-        cache = ResultCache(tmp_path / "c")
         poisoned = execute_task(spec.as_dict(), "symmetry")
         poisoned["error"] = "timeout after 1s"
-        cache.put(cache_key(spec, "symmetry"), poisoned)
+        # ResultCache.put refuses error payloads, so plant the entry the
+        # way an older writer would have left it on disk.
+        key = cache_key(spec, "symmetry")
+        entry = tmp_path / "c" / key[:2] / f"{key}.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps(poisoned))
         report = run_campaign([(spec, "symmetry")], shards=1,
                               cache_dir=tmp_path / "c")
         assert report.cache_hits == 0

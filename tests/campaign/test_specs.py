@@ -12,10 +12,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.api import FormulaProblem, ProtocolProblem
 from repro.campaign import (
     FAMILIES,
-    AuctionScenario,
-    RelationalProblem,
     ScenarioSpec,
     expand,
     grid_sweep,
@@ -106,8 +105,7 @@ class TestMaterializationDeterminism:
         for family in FAMILIES:
             spec = ScenarioSpec.make(family, 0)
             scenario = materialize(spec)
-            assert isinstance(scenario,
-                              (AuctionScenario, RelationalProblem))
+            assert isinstance(scenario, (ProtocolProblem, FormulaProblem))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario family"):
@@ -125,7 +123,7 @@ class TestFamilies:
     def test_auction_families_share_shape(self):
         for spec in SPEC_PER_FAMILY[:4]:
             scenario = materialize(spec)
-            assert isinstance(scenario, AuctionScenario)
+            assert isinstance(scenario, ProtocolProblem)
             assert scenario.items
             assert set(scenario.policies) == set(scenario.network.agents())
 

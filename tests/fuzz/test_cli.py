@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.fuzz.__main__ import main
+
 CORPUS = Path(__file__).parent / "corpus"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -78,3 +82,25 @@ class TestCli:
         proc = _run(["--seed", "3", "--budget", "12", "--shards", "2",
                      "--no-cache", "--json", "out.json"], tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestUsageErrors:
+    """Arguments the sweep rejects exit 2 (usage error) before any work;
+    exit 1 stays reserved for disagreements and crashes."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--budget", "0"], "budget must be positive"),
+        (["--kinds", "bogus"], "unknown kind"),
+        (["--kinds", ","], "at least one problem kind"),
+        (["--inject", "nope"], "unknown fault"),
+        (["--replay", "/nonexistent"], "no corpus entries"),
+        (["--replay", str(CORPUS), "--inject", "nope"], "unknown fault"),
+    ])
+    def test_rejected_argument_exits_two(self, args, message, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, "--no-cache", "--json", "out.json"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()

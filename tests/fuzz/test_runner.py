@@ -12,8 +12,8 @@ from repro.api.problems import problem_fingerprint
 from repro.api import solve as api_solve
 from repro.fuzz import codec
 from repro.fuzz.generators import FuzzSpec, generate
+from repro.campaign import ORACLES
 from repro.fuzz.runner import (
-    FUZZ_ORACLES,
     FuzzCheck,
     execute_fuzz_check,
     fuzz_cache_key,
@@ -57,11 +57,11 @@ class TestOracleSelection:
         assert "symmetry" in names
         assert "explorer" not in names
 
-    def test_session_oracle_is_gated_by_free_tuples(self):
+    def test_enumeration_oracle_is_gated_by_free_tuples(self):
         small = _formula_problem(num_atoms=3)   # 6 free tuples
         large = _formula_problem(num_atoms=6)   # 12 free tuples
-        assert "session" in oracles_for_problem(small)
-        assert "session" not in oracles_for_problem(large)
+        assert "enumeration" in oracles_for_problem(small)
+        assert "enumeration" not in oracles_for_problem(large)
 
     def test_evaluator_oracle_is_gated_by_free_tuples(self):
         small = _formula_problem(num_atoms=5)   # 10 free tuples
@@ -83,7 +83,7 @@ class TestOracleSelection:
         assert "encodings" in oracles_for_problem(problem)
 
     def test_unknown_oracle_rejected(self):
-        with pytest.raises(ValueError, match="unknown fuzz oracle"):
+        with pytest.raises(ValueError, match="unknown oracle"):
             run_oracle("haruspex", _formula_problem())
 
     def test_kind_mismatch_rejected(self):
@@ -270,17 +270,16 @@ class TestTranslationReference:
 
 class TestCrashHandling:
     def test_oracle_crash_is_recorded_not_raised(self):
-        def detonate(problem, seed):
+        def detonate(problem, seed, params):
             raise RuntimeError("kaboom")
 
-        original = FUZZ_ORACLES["encodings"]
-        FUZZ_ORACLES["encodings"] = dataclasses.replace(
-            original, run=detonate)
+        original = ORACLES["encodings"]
+        ORACLES["encodings"] = dataclasses.replace(original, run=detonate)
         try:
             report = run_fuzz(seed=0, budget=12, shards=1, cache_dir=None,
                               kinds=("formula",))
         finally:
-            FUZZ_ORACLES["encodings"] = original
+            ORACLES["encodings"] = original
         assert not report.clean
         assert report.errors
         assert any("kaboom" in (c.error or "") for c in report.errors)

@@ -233,14 +233,11 @@ class TestCampaignFamilyTrajectories:
 
     @staticmethod
     def _family_cnf(family: str, seed: int):
-        from repro.campaign.specs import (
-            RelationalProblem,
-            ScenarioSpec,
-            materialize,
-        )
+        from repro.api import FormulaProblem
+        from repro.campaign.specs import ScenarioSpec, materialize
 
         scenario = materialize(ScenarioSpec.make(family, seed))
-        if isinstance(scenario, RelationalProblem):
+        if isinstance(scenario, FormulaProblem):
             from repro.kodkod.translate import Translator
 
             translation = Translator(scenario.bounds).translate(

@@ -215,7 +215,7 @@ class TestSessionLifecycle:
         """Churning the delta-session LRU past its cap must close what it
         evicts — the regression was sessions leaking live solvers."""
         from repro.api.options import Options
-        from repro.campaign.runner import ResultCache
+        from repro.jobs import ResultCache
         from repro.service.queue import JobQueue
         from repro.service.schema import decode_submission
         from repro.service.workers import _SESSION_CAP, WorkerPool
