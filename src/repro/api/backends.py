@@ -2,31 +2,28 @@
 
 A backend knows how to decide some subset of the :data:`~repro.api.problems.Problem`
 union and always answers with the uniform :class:`~repro.api.result.Result`.
-Three backend families ship in-tree:
+Two backend classes ship in-tree:
 
-* ``kodkod`` — the bounded relational pipeline (translate → CDCL →
-  instance extraction) for formula and module problems;
-* ``kodkod-vector`` — the same pipeline with the solver's numpy
-  propagation kernel (:mod:`repro.sat.kernel`) switched on; it is
-  search-trajectory identical to ``kodkod`` and serves as its fast twin
-  in the differential oracles;
-* ``explorer`` — exhaustive schedule exploration of the executable
-  protocol for protocol problems.
+* :class:`KodkodBackend` — formula and module problems through the
+  bounded relational pipeline: lower the problem to (goal, bounds,
+  validity), translate, open a SAT engine, take models through
+  :meth:`~repro.kodkod.engine.Session.iter_solutions`, check each
+  instance against the goal, map the outcome to a verdict.  Its names
+  differ only in the engine: ``kodkod`` (the in-tree CDCL solver),
+  ``kodkod-vector`` (its numpy propagation kernel, search-trajectory
+  identical, so the two are a differential pair), ``dimacs:<command>``
+  (any SAT-competition binary, one process per solve) and
+  ``dimacs-inc:<command>`` (one persistent iCNF process per query, such
+  as ``python -m repro.sat.dimacs solve --incremental``; see
+  :mod:`repro.sat.external`).  External names are materialized on
+  first use, since the command is part of the name.
+* :class:`ExplorerBackend` (``explorer``) — exhaustive schedule
+  exploration of the executable protocol for protocol problems.
 
-In addition, any SAT-competition-conformant binary becomes a backend
-through the ``dimacs:`` prefix: ``Options(solver="dimacs:picosat")``
-resolves to a :class:`DimacsBackend` that round-trips the translated CNF
-through a DIMACS file and the external process (see
-:mod:`repro.sat.external`).  The ``dimacs-inc:`` prefix is its
-persistent twin: ``Options(solver="dimacs-inc:<command>")`` resolves to
-a :class:`DimacsIncBackend` that keeps one long-lived process per query
-and streams blocking clauses to it incrementally, so enumeration pays a
-single spawn for N models instead of N spawn+dump round trips.  The
-command must speak the iCNF stdin protocol (the in-tree
-``python -m repro.sat.dimacs solve --incremental`` does; plain one-shot
-binaries like picosat do not — keep those on ``dimacs:``).  Both are
-materialized on first use rather than pre-registered, since the command
-is part of the name.
+Every SAT or COUNTEREXAMPLE answer is checked: each instance the
+relational backend or the delta warm path (:mod:`repro.api.delta`)
+returns has passed ``Evaluator(instance).check(goal)``, and a failed
+check raises instead of becoming a verdict.
 
 Alternative engines (a parallel portfolio, a BDD-based finder) plug in by
 implementing :class:`Backend` and calling :func:`register_backend`; every
@@ -36,8 +33,9 @@ façade entry point and the batch path then reach them through
 
 from __future__ import annotations
 
+import contextlib
 import time
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.api.options import Options
 from repro.api.problems import (
@@ -53,15 +51,15 @@ from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.engine import Session
 from repro.kodkod.evaluator import Evaluator
-from repro.kodkod.instance import extract_instance
+from repro.kodkod.instance import Instance
 from repro.kodkod.symmetry import DEFAULT_SBP_LENGTH
-from repro.kodkod.translate import Translator
 from repro.sat.external import (
-    ExternalSolver,
     ExternalSolverError,
-    IncrementalExternalSolver,
+    open_external,
+    split_solver_name,
 )
-from repro.sat.types import Status
+from repro.sat.solver import Solver
+from repro.sat.types import Model, Status
 
 
 @runtime_checkable
@@ -108,16 +106,11 @@ def available_backends() -> list[str]:
     return list(_REGISTRY)
 
 
-# DimacsBackend / DimacsIncBackend instances materialized from
-# "dimacs:<command>" / "dimacs-inc:<command>" solver names, cached per
-# full name so repeated option resolution reuses them.  The backends
-# themselves hold no process state — the persistent process of the
-# incremental backend lives only for the duration of one solve/enumerate
-# call — so caching them is safe.
-_DIMACS_BACKENDS: dict[str, Backend] = {}
-
-_DIMACS_PREFIX = "dimacs:"
-_DIMACS_INC_PREFIX = "dimacs-inc:"
+# Backends materialized from "dimacs:<command>" / "dimacs-inc:<command>"
+# solver names, cached per normalized name so repeated option resolution
+# reuses them.  They hold no process state — an external process lives
+# only for the duration of one solve/enumerate call — so caching is safe.
+_EXTERNAL_BACKENDS: dict[str, Backend] = {}
 
 
 def get_backend(name: str) -> Backend:
@@ -132,25 +125,14 @@ def get_backend(name: str) -> Backend:
         return _REGISTRY[name]
     except KeyError:
         pass
-    for prefix, factory in ((_DIMACS_INC_PREFIX, DimacsIncBackend),
-                            (_DIMACS_PREFIX, DimacsBackend)):
-        if not name.startswith(prefix):
-            continue
-        command = name[len(prefix):].strip()
-        if not command:
-            raise ValueError(
-                f"empty external solver command: use '{prefix}<command>', "
-                f"e.g. Options(solver='{prefix}picosat')"
-            )
-        backend = _DIMACS_BACKENDS.get(prefix + command)
-        if backend is None:
-            backend = _DIMACS_BACKENDS[prefix + command] = factory(command)
-        return backend
-    raise ValueError(
-        f"unknown backend {name!r}; registered backends: "
-        f"{available_backends()} (or 'dimacs:<command>' / "
-        f"'dimacs-inc:<command>' for an external SAT solver)"
-    )
+    if split_solver_name(name) is None:
+        raise ValueError(
+            f"unknown backend {name!r}; registered backends: "
+            f"{available_backends()} (or 'dimacs:<command>' / "
+            f"'dimacs-inc:<command>' for an external SAT solver)"
+        )
+    backend = KodkodBackend(name)
+    return _EXTERNAL_BACKENDS.setdefault(backend.name, backend)
 
 
 def backend_for(problem: Problem, options: Options) -> Backend:
@@ -201,357 +183,161 @@ def _relational_goal(problem: Problem,
     )
 
 
+def _checked_result(session: Session, goal: ast.Formula, validity: bool,
+                    instances: Iterable[Instance], *, started: float,
+                    backend: str) -> Result:
+    """The one tail of every relational answer: check, verdict, Result.
+
+    Each instance is checked against ``goal`` as it is taken: a non-model
+    stops the query with :class:`AssertionError` and never becomes a
+    verdict.  The caller fills ``detail``.
+    """
+    taken = []
+    for instance in instances:
+        if not Evaluator(instance).check(goal):
+            raise AssertionError(
+                "internal error: SAT instance does not satisfy the goal "
+                "formula"
+            )
+        taken.append(instance)
+    if validity:
+        verdict = Verdict.COUNTEREXAMPLE if taken else Verdict.HOLDS
+    else:
+        verdict = Verdict.SAT if taken else Verdict.UNSAT
+    return Result(
+        verdict=verdict,
+        instances=taken,
+        stats=session.translation.stats,
+        solver_stats=session.solver_stats(),
+        seconds=time.perf_counter() - started,
+        backend=backend,
+    )
+
+
+_KERNELS = {"kodkod": "pure", "kodkod-vector": "vector"}
+
+
 class KodkodBackend:
-    """Formula/module problems via translate → CDCL → instance extraction.
+    """Formula/module problems via translate → SAT → instance extraction.
 
-    ``kernel`` selects the solver's propagation engine (``"pure"`` or
-    ``"vector"``; see :mod:`repro.sat.kernel`).  The two engines take
-    identical search trajectories, so ``kodkod`` and ``kodkod-vector``
-    answers are interchangeable — which is exactly what makes them useful
-    as a differential pair.
+    ``name`` selects the SAT engine (see the module docstring).
+    ``solve`` and ``enumerate`` run one query: ``solve`` takes at most
+    one model and adds no blocking clause.  External engines raise
+    :class:`~repro.sat.external.ExternalSolverError` when the binary is
+    missing, times out (``options.timeout`` is the per-solve budget),
+    breaks its protocol or reports SAT without a model.  Their
+    ``solver_stats`` are ``kernel`` (``"external"``),
+    ``external_wall_time``, ``external_invocations`` (solve rounds),
+    ``external_spawns`` and ``external_exit_code`` (of the last round).
     """
 
-    def __init__(self, kernel: str = "pure") -> None:
-        self.kernel = kernel
-        self.name = "kodkod" if kernel == "pure" else f"kodkod-{kernel}"
+    def __init__(self, name: str = "kodkod") -> None:
+        external = split_solver_name(name)
+        if external is None and name not in _KERNELS:
+            raise ValueError(
+                f"relational backend names are {sorted(_KERNELS)}, "
+                f"'dimacs:<command>' and 'dimacs-inc:<command>'; "
+                f"got {name!r}"
+            )
+        self.kernel = _KERNELS.get(name, "external")
+        self.command = external[1] if external else None
+        self.name = ":".join(external) if external else name
 
     def supports(self, problem: Problem) -> bool:
         return isinstance(problem, (FormulaProblem, ModuleProblem))
 
-    def _goal(self, problem: Problem) -> tuple[ast.Formula, Bounds, bool]:
-        """(goal formula, bounds, is_validity_query) for a problem."""
-        return _relational_goal(problem, self.name)
-
     def solve(self, problem: Problem, options: Options) -> Result:
-        started = time.perf_counter()
-        goal, bounds, validity = self._goal(problem)
-        symmetry = (DEFAULT_SBP_LENGTH if options.symmetry is None
-                    else options.symmetry)
-        session = Session(goal, bounds, symmetry=symmetry,
-                          kernel=self.kernel)
-        solution = session.solve()
-        if solution.satisfiable and isinstance(problem, ModuleProblem):
-            _validate(goal, solution.instance)
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if solution.satisfiable
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if solution.satisfiable else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=([solution.instance] if solution.instance is not None
-                       else []),
-            stats=solution.stats,
-            solver_stats=solution.solver_stats,
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={"solve_seconds": solution.solve_seconds,
-                    "symmetry": symmetry},
-        )
+        return self._query(problem, options, enumerating=False)
 
     def enumerate(self, problem: Problem, options: Options) -> Result:
+        return self._query(problem, options, enumerating=True)
+
+    def _engine(self, options: Options, enumerating: bool):
+        """Open the SAT engine of one query (a context manager)."""
+        if self.command is None:
+            return contextlib.nullcontext(Solver(kernel=self.kernel))
+        need = ("enumeration needs models to build blocking clauses"
+                if enumerating else
+                "enable model printing so instances can be extracted")
+        return contextlib.closing(_ExternalEngine(
+            open_external(self.name, options.timeout), self.command, need))
+
+    def _query(self, problem: Problem, options: Options,
+               enumerating: bool) -> Result:
         started = time.perf_counter()
-        goal, bounds, validity = self._goal(problem)
+        goal, bounds, validity = _relational_goal(problem, self.name)
         # Enumeration defaults to symmetry off so every model is produced;
-        # an explicit symmetry level enumerates canonical representatives.
-        symmetry = 0 if options.symmetry is None else options.symmetry
-        limit = options.max_instances
-        session = Session(goal, bounds, symmetry=symmetry,
-                          kernel=self.kernel)
-        instances = list(session.iter_solutions(limit))
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if instances
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if instances else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=instances,
-            stats=session.translation.stats,
-            solver_stats=session.solver_stats(),
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={
-                "num_instances": len(instances),
-                "truncated": limit is not None and len(instances) >= limit,
+        # an explicit level enumerates canonical representatives.
+        default, limit = ((0, options.max_instances) if enumerating
+                          else (DEFAULT_SBP_LENGTH, 1))
+        symmetry = default if options.symmetry is None else options.symmetry
+        with self._engine(options, enumerating) as engine:
+            session = Session(goal, bounds, symmetry=symmetry, solver=engine)
+            result = _checked_result(
+                session, goal, validity, session.iter_solutions(limit),
+                started=started, backend=self.name)
+        if enumerating:
+            count = len(result.instances)
+            result.detail = {
+                "num_instances": count,
+                "truncated": limit is not None and count >= limit,
                 "symmetry": symmetry,
-            },
-        )
-
-
-def _validate(goal: ast.Formula, instance) -> None:
-    """Sanity-check every instance the SAT pipeline returns for a module."""
-    assert instance is not None
-    if not Evaluator(instance).check(goal):
-        raise AssertionError(
-            "internal error: SAT instance does not satisfy the goal formula"
-        )
-
-
-# ----------------------------------------------------------------------
-# The external-solver backend (DIMACS round trip)
-# ----------------------------------------------------------------------
-
-
-class DimacsBackend:
-    """Formula/module problems decided by an external CDCL solver.
-
-    Translation and instance extraction stay in-tree; only the SAT search
-    is delegated: the translated CNF is written to a DIMACS file, the
-    external command is invoked on it (exit 10/20 convention), and the
-    ``v``-line model is parsed back and projected onto the primary
-    variables exactly as the built-in solver's models are.  Enumeration
-    re-invokes the solver with blocking clauses appended, so the instance
-    stream is distinct on primary-variable valuations just like
-    :meth:`KodkodBackend.enumerate`.
-
-    Raises :class:`~repro.sat.external.ExternalSolverError` with an
-    actionable message when the binary is missing, times out
-    (``options.timeout`` is the per-invocation budget), exits with an
-    unexpected code, or reports SAT without printing a model while one is
-    needed.
-    """
-
-    def __init__(self, command: str) -> None:
-        self.command = command
-        self.name = f"dimacs:{command}"
-
-    def supports(self, problem: Problem) -> bool:
-        return isinstance(problem, (FormulaProblem, ModuleProblem))
-
-    def _translate(self, problem: Problem, symmetry: int):
-        goal, bounds, validity = _relational_goal(problem, "dimacs")
-        translation = Translator(bounds, symmetry=symmetry).translate(goal)
-        return goal, translation, validity
-
-    def solve(self, problem: Problem, options: Options) -> Result:
-        started = time.perf_counter()
-        symmetry = (DEFAULT_SBP_LENGTH if options.symmetry is None
-                    else options.symmetry)
-        goal, translation, validity = self._translate(problem, symmetry)
-        external = ExternalSolver(self.command, timeout=options.timeout)
-        run = external.solve_cnf(
-            translation.cnf, comments=[f"repro dimacs backend {self.command}"])
-        instances = []
-        if run.status is Status.SAT:
-            if run.model is None:
-                raise ExternalSolverError(
-                    f"external solver {self.command!r} reported SAT without "
-                    "a v-line model; enable model printing so instances can "
-                    "be extracted"
-                )
-            instance = extract_instance(translation, run.model)
-            if isinstance(problem, ModuleProblem):
-                _validate(goal, instance)
-            instances = [instance]
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if instances
-                       else Verdict.HOLDS)
+            }
         else:
-            verdict = Verdict.SAT if instances else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=instances,
-            stats=translation.stats,
-            solver_stats={
-                "kernel": "external",
-                "external_wall_time": run.wall_seconds,
-                "external_invocations": 1,
-                "external_exit_code": run.exit_code,
-            },
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={"solve_seconds": run.wall_seconds,
-                    "symmetry": symmetry,
-                    "external_command": self.command},
-        )
-
-    def enumerate(self, problem: Problem, options: Options) -> Result:
-        started = time.perf_counter()
-        # Enumeration defaults to symmetry off so every model is produced
-        # (mirrors KodkodBackend.enumerate).
-        symmetry = 0 if options.symmetry is None else options.symmetry
-        goal, translation, validity = self._translate(problem, symmetry)
-        limit = options.max_instances
-        external = ExternalSolver(self.command, timeout=options.timeout)
-        cnf = translation.cnf.copy()
-        primary = translation.primary_vars()
-        instances = []
-        wall = 0.0
-        invocations = 0
-        while limit is None or len(instances) < limit:
-            run = external.solve_cnf(
-                cnf, comments=[f"repro dimacs backend {self.command} "
-                               f"model {invocations}"])
-            wall += run.wall_seconds
-            invocations += 1
-            if run.status is not Status.SAT:
-                break
-            if run.model is None:
-                raise ExternalSolverError(
-                    f"external solver {self.command!r} reported SAT without "
-                    "a v-line model; enumeration needs models to build "
-                    "blocking clauses"
-                )
-            instance = extract_instance(translation, run.model)
-            if isinstance(problem, ModuleProblem):
-                _validate(goal, instance)
-            instances.append(instance)
-            if not primary:
-                break  # nothing to block on: the model space is one point
-            cnf.add_clause([-v if run.model[v] else v for v in primary])
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if instances
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if instances else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=instances,
-            stats=translation.stats,
-            solver_stats={
-                "kernel": "external",
-                "external_wall_time": wall,
-                "external_invocations": invocations,
-            },
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={
-                "num_instances": len(instances),
-                "truncated": limit is not None and len(instances) >= limit,
-                "symmetry": symmetry,
-                "external_command": self.command,
-            },
-        )
+            result.detail = {"solve_seconds": session.solve_seconds,
+                             "symmetry": symmetry}
+        if self.command is not None:
+            result.detail["external_command"] = self.command
+        return result
 
 
-class DimacsIncBackend(DimacsBackend):
-    """External solving over one persistent incremental process.
+class _ExternalEngine:
+    """The :class:`~repro.sat.solver.Solver` surface a
+    :class:`~repro.kodkod.engine.Session` drives, over an external solver
+    from :func:`~repro.sat.external.open_external`."""
 
-    Same translation/extraction split as :class:`DimacsBackend`, but the
-    SAT search delegates to an :class:`~repro.sat.external.
-    IncrementalExternalSolver`: the process is spawned once per query,
-    the CNF is streamed to it over stdin, and enumeration sends each
-    blocking clause incrementally instead of re-invoking the command on a
-    freshly dumped file — so the external solver keeps its learned
-    clauses between models and the spawn cost is paid once for N models.
-    The process never outlives the query: ``solve``/``enumerate`` close
-    it before returning, so the cached backend object stays stateless.
+    kernel = "external"
 
-    ``solver_stats`` reports ``external_spawns`` (always 1 — asserted by
-    the fake-CDCL fixtures) next to ``external_invocations`` (solve
-    rounds).  The command must implement the iCNF stdin protocol; a
-    one-shot binary dies at the first solve request, which surfaces as an
-    :class:`~repro.sat.external.ExternalSolverError` telling the caller
-    to fall back to the ``dimacs:`` backend.
-    """
+    def __init__(self, solver, command: str, need: str) -> None:
+        self._solver = solver
+        self._command = command
+        self._need = need
+        self._run = None
+        self._wall = 0.0
 
-    def __init__(self, command: str) -> None:
-        super().__init__(command)
-        self.name = f"dimacs-inc:{command}"
+    def add_cnf(self, cnf) -> bool:
+        self._solver.load_cnf(cnf)
+        return True
 
-    def solve(self, problem: Problem, options: Options) -> Result:
-        started = time.perf_counter()
-        symmetry = (DEFAULT_SBP_LENGTH if options.symmetry is None
-                    else options.symmetry)
-        goal, translation, validity = self._translate(problem, symmetry)
-        with IncrementalExternalSolver(self.command,
-                                       timeout=options.timeout) as external:
-            external.load_cnf(translation.cnf)
-            run = external.solve()
-            spawns, invocations = external.spawn_count, external.solve_count
-        instances = []
-        if run.status is Status.SAT:
-            if run.model is None:
-                raise ExternalSolverError(
-                    f"external solver {self.command!r} reported SAT without "
-                    "a v-line model; enable model printing so instances can "
-                    "be extracted"
-                )
-            instance = extract_instance(translation, run.model)
-            if isinstance(problem, ModuleProblem):
-                _validate(goal, instance)
-            instances = [instance]
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if instances
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if instances else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=instances,
-            stats=translation.stats,
-            solver_stats={
-                "kernel": "external",
-                "external_wall_time": run.wall_seconds,
-                "external_invocations": invocations,
-                "external_spawns": spawns,
-                "external_exit_code": run.exit_code,
-            },
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={"solve_seconds": run.wall_seconds,
-                    "symmetry": symmetry,
-                    "external_command": self.command},
-        )
+    def add_clause(self, lits) -> bool:
+        self._solver.add_clause(lits)
+        return True
 
-    def enumerate(self, problem: Problem, options: Options) -> Result:
-        started = time.perf_counter()
-        # Enumeration defaults to symmetry off so every model is produced
-        # (mirrors KodkodBackend.enumerate).
-        symmetry = 0 if options.symmetry is None else options.symmetry
-        goal, translation, validity = self._translate(problem, symmetry)
-        limit = options.max_instances
-        instances = []
-        wall = 0.0
-        with IncrementalExternalSolver(self.command,
-                                       timeout=options.timeout) as external:
-            external.load_cnf(translation.cnf)
-            primary = translation.primary_vars()
-            while limit is None or len(instances) < limit:
-                run = external.solve()
-                wall += run.wall_seconds
-                if run.status is not Status.SAT:
-                    break
-                if run.model is None:
-                    raise ExternalSolverError(
-                        f"external solver {self.command!r} reported SAT "
-                        "without a v-line model; enumeration needs models "
-                        "to build blocking clauses"
-                    )
-                instance = extract_instance(translation, run.model)
-                if isinstance(problem, ModuleProblem):
-                    _validate(goal, instance)
-                instances.append(instance)
-                if not primary:
-                    break  # nothing to block on: the model space is one point
-                external.add_clause(
-                    [-v if run.model[v] else v for v in primary])
-            spawns, invocations = external.spawn_count, external.solve_count
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if instances
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if instances else Verdict.UNSAT
-        return Result(
-            verdict=verdict,
-            instances=instances,
-            stats=translation.stats,
-            solver_stats={
-                "kernel": "external",
-                "external_wall_time": wall,
-                "external_invocations": invocations,
-                "external_spawns": spawns,
-            },
-            seconds=time.perf_counter() - started,
-            backend=self.name,
-            detail={
-                "num_instances": len(instances),
-                "truncated": limit is not None and len(instances) >= limit,
-                "symmetry": symmetry,
-                "external_command": self.command,
-            },
-        )
+    def solve(self, assumptions=()) -> Status:
+        self._run = self._solver.solve(assumptions)
+        self._wall += self._run.wall_seconds
+        return self._run.status
+
+    def model(self) -> Model:
+        if self._run.model is None:
+            raise ExternalSolverError(
+                f"external solver {self._command!r} reported SAT without "
+                f"a v-line model; {self._need}"
+            )
+        return self._run.model
+
+    @property
+    def stats(self) -> dict:
+        return {
+            "external_wall_time": self._wall,
+            "external_invocations": self._solver.solve_count,
+            "external_spawns": self._solver.spawn_count,
+            "external_exit_code": (None if self._run is None
+                                   else self._run.exit_code),
+        }
+
+    def close(self) -> None:
+        self._solver.close()
 
 
 # ----------------------------------------------------------------------
@@ -604,5 +390,5 @@ class ExplorerBackend:
 
 
 register_backend(KodkodBackend())
-register_backend(KodkodBackend(kernel="vector"))
+register_backend(KodkodBackend("kodkod-vector"))
 register_backend(ExplorerBackend())

@@ -3,8 +3,8 @@
 A production verification service re-checks streams of problems that
 differ by one edit (a bid changes, one tuple leaves a bound).  Paying a
 full translate+solve per re-check throws away everything the previous
-query learned, so this module builds the warm path on top of the
-engine's :class:`~repro.kodkod.engine.DeltaSession`:
+query learned, so this module builds the warm path on one live
+:class:`~repro.kodkod.engine.Session` per anchor:
 
 * :func:`diff_problems` compares two problems structurally — formula
   trees via the fuzz codec's tagged encoding, bounds tuple-by-tuple,
@@ -12,7 +12,10 @@ engine's :class:`~repro.kodkod.engine.DeltaSession`:
   the edit into a :class:`ProblemDelta`;
 * :class:`DeltaSession` anchors a live solver on one problem and answers
   *delta-safe* variants (identical problem, bounds narrowed) through
-  unit assumptions on that solver, reusing its learned clauses;
+  unit assumptions on that solver
+  (:meth:`~repro.kodkod.engine.Session.assumptions_for`), reusing its
+  learned clauses; a warm answer's instance passes the same goal check
+  as every relational backend answer (:mod:`repro.api.backends`);
 * :func:`solve_delta` is the façade spelling:
   ``solve_delta(prev, new_problem)`` with ``prev`` either a problem (a
   one-shot anchor) or a ``DeltaSession`` (an amortized chain).
@@ -45,29 +48,24 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api.backends import _relational_goal, _validate
+from repro.api.backends import _KERNELS, _checked_result, _relational_goal
 from repro.api.facade import solve as _facade_solve
 from repro.api.options import Options, resolve_options
 from repro.api.problems import (
     FormulaProblem,
     ModuleProblem,
     Problem,
-    ProtocolProblem,
     problem_kind,
 )
-from repro.api.result import Result, Verdict
+from repro.api.result import Result
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
-from repro.kodkod.engine import DeltaSession as _EngineDeltaSession
-from repro.kodkod.engine import Solution
+from repro.kodkod.engine import Session, Solution
 
 # Tuple edits travel as (relation name, arity, atoms) triples: plain data
 # that survives the codec round trip and never relies on Relation object
 # identity across two independently-built problems.
 TupleEdit = tuple[str, int, tuple]
-
-_ENGINE_SOLVERS = (None, "kodkod", "kodkod-vector")
-"""Backends whose solve path the engine DeltaSession reproduces exactly."""
 
 _open_lock = threading.Lock()
 _open_sessions = 0
@@ -244,7 +242,7 @@ class DeltaSession:
     def __init__(self, problem: Problem, *, options: Options | None = None,
                  solve_anchor: bool = True, **overrides) -> None:
         self._opts = resolve_options(options, overrides)
-        self._engine: _EngineDeltaSession | None = None
+        self._engine: Session | None = None
         self._anchor: Problem | None = None
         self._anchor_goal: ast.Formula | None = None
         self._anchor_bounds: Bounds | None = None
@@ -304,13 +302,14 @@ class DeltaSession:
     # anchoring
     # ------------------------------------------------------------------
 
-    def _engine_kernel(self) -> str:
-        return "vector" if self._opts.solver == "kodkod-vector" else "pure"
+    def _in_tree(self) -> bool:
+        """Whether the backend runs on a Session a warm query reproduces."""
+        return self._opts.solver is None or self._opts.solver in _KERNELS
 
     def _warm_capable(self, problem: Problem) -> bool:
         return (
             isinstance(problem, (FormulaProblem, ModuleProblem))
-            and self._opts.solver in _ENGINE_SOLVERS
+            and self._in_tree()
             and self._opts.symmetry in (None, 0)
         )
 
@@ -326,14 +325,15 @@ class DeltaSession:
         if self._warm_capable(problem):
             goal, bounds, validity = _relational_goal(problem, "delta")
             started = time.perf_counter()
-            self._engine = _EngineDeltaSession(
-                goal, bounds, kernel=self._engine_kernel())
+            self._engine = Session(
+                goal, bounds, symmetry=0,
+                kernel=_KERNELS[self._opts.solver or "kodkod"])
             self._anchor_goal = goal
             self._anchor_bounds = bounds
             if run_solve:
                 solution = self._engine.solve()
                 self._result = self._wrap_solution(
-                    problem, solution, validity, started,
+                    solution, validity, started,
                     self._provenance(path, reason, delta))
         elif run_solve:
             result = _facade_solve(problem, options=self._opts)
@@ -359,30 +359,18 @@ class DeltaSession:
             block["warm_solve_seconds"] = round(warm_solve_seconds, 6)
         return block
 
-    def _wrap_solution(self, problem: Problem, solution: Solution,
-                       validity: bool, started: float,
-                       provenance: dict) -> Result:
-        if solution.satisfiable and isinstance(problem, ModuleProblem):
-            _validate(self._anchor_goal, solution.instance)
-        if validity:
-            verdict = (Verdict.COUNTEREXAMPLE if solution.satisfiable
-                       else Verdict.HOLDS)
-        else:
-            verdict = Verdict.SAT if solution.satisfiable else Verdict.UNSAT
-        backend = ("kodkod" if self._engine_kernel() == "pure"
-                   else "kodkod-vector")
-        return Result(
-            verdict=verdict,
-            instances=([solution.instance] if solution.instance is not None
-                       else []),
-            stats=solution.stats,
-            solver_stats=solution.solver_stats,
-            seconds=time.perf_counter() - started,
-            backend=backend,
-            detail={"solve_seconds": solution.solve_seconds,
-                    "symmetry": 0,
-                    "delta": provenance},
-        )
+    def _wrap_solution(self, solution: Solution, validity: bool,
+                       started: float, provenance: dict) -> Result:
+        # The instance comes from the anchor translation, whose relations
+        # the anchor goal names; a delta-safe edit leaves the goal as is.
+        result = _checked_result(
+            self._engine, self._anchor_goal, validity,
+            [solution.instance] if solution.satisfiable else [],
+            started=started, backend=self._opts.solver or "kodkod")
+        result.detail = {"solve_seconds": solution.solve_seconds,
+                         "symmetry": 0,
+                         "delta": provenance}
+        return result
 
     # ------------------------------------------------------------------
     # the delta solve
@@ -411,7 +399,7 @@ class DeltaSession:
                 if assumptions is not None:
                     solution = self._engine.solve(assumptions)
                     return self._wrap_solution(
-                        new_problem, solution, new_validity, started,
+                        solution, new_validity, started,
                         self._provenance(
                             "reused", delta.kind, delta,
                             assumptions=len(assumptions),
@@ -433,7 +421,7 @@ class DeltaSession:
                 reason = "unsolved_anchor"
             elif self._opts.symmetry not in (None, 0) and delta.delta_safe:
                 reason = "symmetry"
-            elif self._opts.solver not in _ENGINE_SOLVERS and delta.delta_safe:
+            elif not self._in_tree() and delta.delta_safe:
                 reason = "foreign_backend"
             else:
                 reason = delta.kind

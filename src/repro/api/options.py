@@ -34,7 +34,11 @@ class Options:
     selects the first registered backend that supports the problem.
     ``"kodkod-vector"`` runs the relational pipeline on the numpy
     propagation kernel; ``"dimacs:<command>"`` delegates the SAT search
-    to an external solver binary (e.g. ``"dimacs:picosat"``)."""
+    to an external solver binary, one process per solve (e.g.
+    ``"dimacs:picosat"``), and ``"dimacs-inc:<command>"`` to one
+    persistent process per query that speaks the iCNF stdin protocol
+    (e.g. ``"dimacs-inc:python -m repro.sat.dimacs solve
+    --incremental"``).  The HTTP service accepts only registered names."""
 
     symmetry: int | None = None
     """Lex-leader symmetry-breaking predicate length; 0 disables breaking,

@@ -62,7 +62,7 @@ from repro.kodkod.translate import Translator
 from repro.mca.convergence import consensus_report
 from repro.mca.engine import AsynchronousEngine, SynchronousEngine
 from repro.sat import dimacs
-from repro.sat.external import ExternalSolver, IncrementalExternalSolver
+from repro.sat.external import open_external, split_solver_name
 from repro.sat.solver import Solver
 from repro.sat.types import Status
 
@@ -107,6 +107,12 @@ _ENUMERATION_CAP = 1500
 _EXTERNAL_SOLVER_ENV = "REPRO_EXTERNAL_SOLVER"
 
 
+def _external_solver_name(value: str) -> str:
+    """The solver name an external command selects: a ``dimacs:`` or
+    ``dimacs-inc:`` name as given, a bare command as ``dimacs:``."""
+    return value if split_solver_name(value) else f"dimacs:{value}"
+
+
 def register_oracle(name: str, problem_type: type | tuple[type, ...],
                     description: str = ""):
     """Decorator: register an oracle implementation under a name."""
@@ -138,7 +144,8 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
     fifth arm (the nightly CI job runs with picosat).  A value carrying
     the ``dimacs-inc:`` prefix routes that arm through the persistent
     incremental protocol instead (spawn once, stream the CNF over
-    stdin), exercising the same path enumeration uses.
+    stdin); either way the solver is opened exactly as the relational
+    backend opens it (:func:`repro.sat.external.open_external`).
     """
     def decide(encoding: str, kernel: str = "pure"):
         translation = Translator(
@@ -164,14 +171,10 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
     external_command = os.environ.get(_EXTERNAL_SOLVER_ENV)
     external_sat = None
     if external_command:
-        if external_command.startswith("dimacs-inc:"):
-            inc_command = external_command[len("dimacs-inc:"):].strip()
-            with IncrementalExternalSolver(inc_command, timeout=60) as inc:
-                inc.load_cnf(pg.cnf)
-                run = inc.solve()
-        else:
-            run = ExternalSolver(external_command, timeout=60).solve_cnf(pg.cnf)
-        external_sat = run.status is Status.SAT
+        with open_external(_external_solver_name(external_command),
+                           timeout=60) as external:
+            external.load_cnf(pg.cnf)
+            external_sat = external.solve().status is Status.SAT
     agree = (pg_sat == tseitin_sat == roundtrip_sat == vector_sat
              and (external_sat is None or external_sat == pg_sat))
     detail_external = (
@@ -344,15 +347,12 @@ def register_external_oracle(command: str) -> None:
 
     A command already carrying the ``dimacs-inc:`` prefix selects the
     persistent incremental backend instead (one process per query,
-    blocking clauses streamed over stdin) — the nightly CI arms
-    ``REPRO_EXTERNAL_SOLVER`` this way on one leg so the incremental
-    protocol is differentially checked too.
+    blocking clauses streamed over stdin) — CI arms
+    ``REPRO_EXTERNAL_SOLVER`` this way so the incremental protocol is
+    differentially checked too.
     """
-    if command.startswith("dimacs-inc:"):
-        backend = command
-        command = command[len("dimacs-inc:"):].strip()
-    else:
-        backend = f"dimacs:{command}"
+    backend = _external_solver_name(command)
+    _, command = split_solver_name(backend)
 
     @register_oracle("external", FormulaProblem,
                      f"external solver '{backend}' vs built-in "

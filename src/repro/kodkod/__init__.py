@@ -26,7 +26,7 @@ from repro.kodkod.ast import (
     variable,
 )
 from repro.kodkod.bounds import Bounds
-from repro.kodkod.engine import DeltaSession, Session, Solution, translate
+from repro.kodkod.engine import Session, Solution, translate
 from repro.kodkod.evaluator import Evaluator, brute_force_instances
 from repro.kodkod.instance import Instance, extract_instance
 from repro.kodkod.symmetry import (
@@ -41,7 +41,6 @@ from repro.kodkod.universe import TupleSet, Universe
 __all__ = [
     "Bounds",
     "DEFAULT_SBP_LENGTH",
-    "DeltaSession",
     "Session",
     "SymmetryInfo",
     "atom_partition",

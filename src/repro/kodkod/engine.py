@@ -7,10 +7,13 @@ extraction (:mod:`repro.kodkod.instance`).  The one-call operations
 ``kodkod`` backend drives the sessions defined here.
 
 The core abstraction is the :class:`Session`: one translation, one live
-:class:`~repro.sat.solver.Solver`, reused across queries.  Follow-up
-queries go through *assumptions* and enumeration goes through *blocking
-clauses* on the same solver, so learned clauses are retained between
-queries instead of being thrown away by a rebuild.
+SAT engine, reused across queries.  Follow-up queries go through
+*assumptions* and enumeration goes through *blocking clauses* on the
+same engine, so learned clauses are retained between queries instead of
+being thrown away by a rebuild.  The engine is the in-tree
+:class:`~repro.sat.solver.Solver` unless another with its surface is
+injected, which is how the external backends of :mod:`repro.api.backends`
+run the one model loop, :meth:`Session.iter_solutions`, on a process.
 """
 
 from __future__ import annotations
@@ -58,13 +61,16 @@ class Session:
       clause over the primary variables, which is how :meth:`iter_solutions`
       walks the model space without ever rebuilding the solver;
     * :meth:`assume_tuple` turns a (relation, tuple) presence/absence into
-      an assumption literal for hypothetical queries.
+      an assumption literal for hypothetical queries, and
+      :meth:`assumptions_for` does so for a whole bound-narrowing edit.
 
     ``symmetry`` is the lex-leader predicate length passed to the
     translator (0 disables breaking; see :mod:`repro.kodkod.symmetry`).
     ``kernel`` selects the propagation engine of the session's solver
     (``"pure"`` or ``"vector"``; see :mod:`repro.sat.kernel`) and is
-    ignored when an explicit ``solver`` is injected.
+    ignored when an explicit ``solver`` is injected.  An injected engine
+    whose ``stats`` carry no ``propagations`` count gets no
+    ``propagations_per_second`` rate.
 
     .. warning::
        Symmetry breaking restricts the model space to one canonical
@@ -102,6 +108,11 @@ class Session:
         """The live solver (one per session, shared across queries)."""
         return self._solver
 
+    @property
+    def solve_seconds(self) -> float:
+        """Seconds spent in :meth:`solve` calls so far."""
+        return self._solve_seconds_total
+
     def clause_db_stats(self) -> dict[str, float]:
         """Clause-database statistics of the live solver."""
         return self._solver.clause_db_stats()
@@ -115,7 +126,7 @@ class Session:
         but outside the timed window)."""
         stats = dict(self._solver.stats)
         stats["kernel"] = self._solver.kernel
-        if self._solve_seconds_total > 0:
+        if self._solve_seconds_total > 0 and "propagations" in stats:
             stats["propagations_per_second"] = round(
                 self._solve_propagations_total / self._solve_seconds_total
             )
@@ -144,6 +155,31 @@ class Session:
         var = self._translation.input_vars[node]
         return var if present else -var
 
+    def assumptions_for(self, dropped: Iterable[tuple[str, int, tuple]],
+                        promoted: Iterable[tuple[str, int, tuple]],
+                        ) -> list[Lit] | None:
+        """Assumption literals realizing a bound-narrowing edit.
+
+        A variant that only drops free tuples from upper bounds or
+        promotes them into lower bounds is an assumption set over this
+        translation, so it keeps every learned clause.  ``dropped`` /
+        ``promoted`` are ``(relation name, arity, atoms)`` triples,
+        assumed absent / present.  Returns ``None`` for an unknown
+        relation or a tuple that is not free (solve the variant afresh
+        then).  Use ``symmetry=0`` sessions (see the class warning).
+        """
+        relations = {(rel.name, rel.arity): rel
+                     for rel in self._translation.bounds.relations()}
+        literals: list[Lit] = []
+        try:
+            for present, edits in ((True, promoted), (False, dropped)):
+                for name, arity, atoms in edits:
+                    literals.append(self.assume_tuple(
+                        relations[(name, arity)], tuple(atoms), present))
+        except KeyError:
+            return None
+        return literals
+
     def solve(self, assumptions: Iterable[Lit] = ()) -> Solution:
         """Decide the problem under optional assumption literals.
 
@@ -157,7 +193,7 @@ class Session:
         key = tuple(sorted(assumption_list))
         # Activate the blocking clauses scoped to this assumption set.
         effective = assumption_list + self._scoped_blockers.get(key, [])
-        propagations_before = self._solver.stats["propagations"]
+        propagations_before = self._solver.stats.get("propagations", 0)
         if not self._ok:
             status = Status.UNSAT
         else:
@@ -166,7 +202,7 @@ class Session:
         elapsed = time.perf_counter() - started
         self._solve_seconds_total += elapsed
         self._solve_propagations_total += (
-            self._solver.stats["propagations"] - propagations_before
+            self._solver.stats.get("propagations", 0) - propagations_before
         )
         solver_stats = self.solver_stats()
         if status is Status.SAT:
@@ -213,7 +249,12 @@ class Session:
         return True
 
     def iter_solutions(self, limit: int | None = None) -> Iterator[Instance]:
-        """Enumerate instances, distinct on the bounded relations' valuations."""
+        """Enumerate instances, distinct on the bounded relations' valuations.
+
+        The one model loop: solve, yield the instance, block it, repeat.
+        The ``limit``-th instance is not blocked, so ``limit=1`` is a plain
+        :meth:`solve` that leaves the engine as it found the model.
+        """
         if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative")
         produced = 0
@@ -223,78 +264,6 @@ class Session:
                 return
             yield solution.instance
             produced += 1
-            if not self.block_current():
+            if produced == limit or not self.block_current():
                 return
 
-
-class DeltaSession:
-    """A :class:`Session` specialized for *delta re-solves*: deciding a
-    stream of bound-narrowed variants of one anchor problem on a single
-    live solver.
-
-    The anchor translation assigns every free tuple a CNF variable, so a
-    variant that only narrows the bounds — dropping free tuples from an
-    upper bound, promoting free tuples into a lower bound — is exactly an
-    assumption set over the anchor's variables: no re-translation, and
-    clauses learned by earlier queries keep working for later ones.
-    :meth:`assumptions_for` performs that mapping; :meth:`solve` decides
-    under the resulting assumptions.
-
-    .. warning::
-       Symmetry breaking is hard-wired to 0 here, mirroring the
-       :class:`Session` caveat: the lex-leader predicate is computed from
-       the *anchor* bounds and restricts the model space to canonical
-       representatives, so under narrowed bounds it could refute variants
-       whose only models are non-canonical for the anchor.  Callers that
-       want symmetry breaking must fall back to a fresh full translation
-       (the façade's ``solve_delta`` does exactly that).
-    """
-
-    def __init__(self, formula: ast.Formula, bounds: Bounds,
-                 kernel: str = "pure") -> None:
-        self._session = Session(formula, bounds, symmetry=0, kernel=kernel)
-        self._relations = {
-            (rel.name, rel.arity): rel for rel in bounds.relations()
-        }
-
-    @property
-    def session(self) -> Session:
-        """The underlying incremental session (one live solver)."""
-        return self._session
-
-    @property
-    def translation(self) -> Translation:
-        """The anchor translation every delta query is answered over."""
-        return self._session.translation
-
-    def assumptions_for(self, dropped: Iterable[tuple[str, int, tuple]],
-                        promoted: Iterable[tuple[str, int, tuple]],
-                        ) -> list[Lit] | None:
-        """Assumption literals realizing a bound-narrowing edit.
-
-        ``dropped``/``promoted`` are ``(relation name, arity, atoms)``
-        triples: tuples removed from an upper bound (assumed absent) and
-        tuples promoted into a lower bound (assumed present).  Returns
-        ``None`` when any edit cannot be expressed over the anchor
-        translation — an unknown relation, or a free tuple the translator
-        never materialized a variable for (relations unmentioned by the
-        formula are translated lazily) — in which case the caller must
-        fall back to a fresh full solve.
-        """
-        literals: list[Lit] = []
-        try:
-            for name, arity, atoms in promoted:
-                relation = self._relations[(name, arity)]
-                literals.append(self._session.assume_tuple(
-                    relation, tuple(atoms), present=True))
-            for name, arity, atoms in dropped:
-                relation = self._relations[(name, arity)]
-                literals.append(self._session.assume_tuple(
-                    relation, tuple(atoms), present=False))
-        except KeyError:
-            return None
-        return literals
-
-    def solve(self, assumptions: Iterable[Lit] = ()) -> Solution:
-        """Decide the anchor problem under delta assumptions."""
-        return self._session.solve(assumptions)

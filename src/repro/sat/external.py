@@ -15,10 +15,6 @@ standard one:
 external path can be exercised end to end without any third-party binary
 by pointing it back at the in-tree CLI.
 
-The API layer exposes this through the backend registry as
-``Options(solver="dimacs:<command>")`` — see
-:class:`repro.api.backends.DimacsBackend`.
-
 For model enumeration the one-shot contract is wasteful: every model pays
 a process spawn plus a full DIMACS dump, and the external solver relearns
 the formula from scratch each round.  :class:`IncrementalExternalSolver`
@@ -35,8 +31,13 @@ tooling and ``picosat --all``-style loops standardized on):
 ``python -m repro.sat.dimacs solve --incremental`` implements the server
 side of this protocol on top of the in-tree solver's native incremental
 API, so the persistent path is testable without third-party binaries.
-The API layer exposes it as ``Options(solver="dimacs-inc:<command>")``
-— see :class:`repro.api.backends.DimacsIncBackend`.
+
+Both classes share one surface (``load_cnf``, ``add_clause``,
+``solve(assumptions)`` → :class:`ExternalRun`, ``close``, and the
+``spawn_count``/``solve_count`` counters); the one-shot class spawns a
+process per ``solve``.  :func:`open_external` opens either from its
+``Options.solver`` name, ``"dimacs:<command>"`` or
+``"dimacs-inc:<command>"`` (see :mod:`repro.api.backends`).
 """
 
 from __future__ import annotations
@@ -131,33 +132,72 @@ def parse_solver_output(text: str, num_vars: int,
     return status, Model(values)
 
 
+def _argv(command: str | list[str], example: str) -> list[str]:
+    """A solver command as argv: a list verbatim, a string split with
+    :mod:`shlex`."""
+    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    if not argv:
+        raise ValueError(f"external solver command is empty: pass e.g. "
+                         f"Options(solver={example!r})")
+    return argv
+
+
 class ExternalSolver:
     """Run an external CDCL binary on CNF formulas via temp DIMACS files.
 
     ``command`` is the solver invocation without the file argument, either
     a pre-split argv or a shell-ish string split with :mod:`shlex`
     (``"picosat"``, ``"python -m repro.sat.dimacs solve"``, ...).
+    :meth:`solve_cnf` decides one formula; :meth:`load_cnf`,
+    :meth:`add_clause` and :meth:`solve` keep a formula between calls and
+    re-dump it to a fresh process on every solve.
     """
 
     def __init__(self, command: str | list[str],
                  timeout: float | None = None) -> None:
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        if not argv:
-            raise ValueError(
-                "external solver command is empty: pass e.g. "
-                "Options(solver='dimacs:picosat')"
-            )
-        self.command = argv
+        self.command = _argv(command, "dimacs:picosat")
         self.timeout = timeout
+        self.spawn_count = 0
+        self.solve_count = 0
+        self._cnf = CNF()
 
-    def solve_cnf(self, cnf: CNF, comments: list[str] | None = None) -> ExternalRun:
+    def load_cnf(self, cnf: CNF) -> None:
+        """Add ``cnf``'s variables and clauses to the formula :meth:`solve`
+        decides."""
+        self._cnf.new_vars(cnf.num_vars - self._cnf.num_vars)
+        self._cnf.extend(cnf.clauses())
+
+    def add_clause(self, lits: Sequence[int]) -> None:
+        """Add one clause (e.g. a blocking clause between solves)."""
+        self._cnf.add_clause(lits)
+
+    def solve(self, assumptions: Iterable[int] = ()) -> ExternalRun:
+        """Decide the loaded formula, with each assumption as a unit
+        clause, in one fresh solver process."""
+        cnf = self._cnf
+        units = [[lit] for lit in assumptions]
+        if units:
+            cnf = cnf.copy()
+            cnf.extend(units)
+        return self.solve_cnf(cnf)
+
+    def close(self) -> None:
+        """Nothing to release: every solve's process has already exited."""
+
+    def __enter__(self) -> "ExternalSolver":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def solve_cnf(self, cnf: CNF) -> ExternalRun:
         """Dump ``cnf`` to a temp file, invoke the solver, parse the answer."""
         handle = tempfile.NamedTemporaryFile(
             mode="w", suffix=".cnf", prefix="repro-", encoding="ascii",
             delete=False)
         try:
             with handle:
-                handle.write(dumps(cnf, comments=comments))
+                handle.write(dumps(cnf))
             started = time.perf_counter()
             try:
                 completed = subprocess.run(
@@ -184,6 +224,8 @@ class ExternalSolver:
                     f"the {self.timeout:.1f}s timeout and was killed"
                 ) from exc
             wall = time.perf_counter() - started
+            self.spawn_count += 1
+            self.solve_count += 1
             if completed.returncode not in (_EXIT_SAT, _EXIT_UNSAT):
                 stderr = (completed.stderr or "").strip()
                 raise ExternalSolverError(
@@ -227,14 +269,8 @@ class IncrementalExternalSolver:
 
     def __init__(self, command: str | list[str],
                  timeout: float | None = None) -> None:
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        if not argv:
-            raise ValueError(
-                "external solver command is empty: pass e.g. "
-                "Options(solver='dimacs-inc:python -m repro.sat.dimacs "
-                "solve --incremental')"
-            )
-        self.command = argv
+        self.command = _argv(
+            command, "dimacs-inc:python -m repro.sat.dimacs solve --incremental")
         self.timeout = timeout
         self.spawn_count = 0
         self.solve_count = 0
@@ -425,3 +461,36 @@ class IncrementalExternalSolver:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+_PROTOCOLS = {"dimacs": ExternalSolver, "dimacs-inc": IncrementalExternalSolver}
+
+
+def split_solver_name(name: str) -> tuple[str, str] | None:
+    """``(prefix, command)`` of a ``dimacs:<command>`` or
+    ``dimacs-inc:<command>`` solver name; ``None`` for any other name.
+
+    Raises :class:`ValueError` when a known prefix has an empty command.
+    """
+    prefix, colon, command = name.partition(":")
+    if not colon or prefix not in _PROTOCOLS:
+        return None
+    command = command.strip()
+    if not command:
+        raise ValueError(
+            f"empty external solver command: use '{prefix}:<command>', "
+            f"e.g. Options(solver='{prefix}:picosat')"
+        )
+    return prefix, command
+
+
+def open_external(name: str, timeout: float | None = None,
+                  ) -> ExternalSolver | IncrementalExternalSolver:
+    """The external solver a ``dimacs:``/``dimacs-inc:`` name (one that
+    :func:`split_solver_name` accepts) selects.
+
+    Nothing is spawned until the first ``load_cnf``/``solve``; ``timeout``
+    is the per-solve budget.
+    """
+    prefix, command = split_solver_name(name)
+    return _PROTOCOLS[prefix](command, timeout=timeout)

@@ -180,13 +180,16 @@ class SatelliteWorker:
         # Imported lazily: satellites should start (and report a bad hub
         # URL) fast, before paying the full solver import.
         from repro.api.batch import _solve_worker
-        from repro.api.options import Options
-        from repro.service.schema import SchemaError, decode_problem
+        from repro.service.schema import (
+            SchemaError,
+            decode_options,
+            decode_problem,
+        )
 
         payload = claim.get("payload") or {}
         try:
             problem = decode_problem(payload["problem"])
-            options = Options.from_json(payload.get("options") or {})
+            options = decode_options(payload.get("options"))
         except (SchemaError, KeyError, TypeError, ValueError) as exc:
             return {"verdict": "error", "seconds": 0.0,
                     "error": f"satellite could not decode job: {exc}"}

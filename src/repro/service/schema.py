@@ -7,7 +7,11 @@ One submission format, one job envelope, one result format:
   ``spec`` (a campaign :class:`~repro.campaign.specs.ScenarioSpec` dict,
   lifted through :func:`~repro.api.problem_from_spec`), plus optional
   ``options`` (any subset of :class:`~repro.api.Options` fields) and an
-  optional ``delta_of`` anchor job id for warm re-verification;
+  optional ``delta_of`` anchor job id for warm re-verification.  The
+  ``solver`` option must be ``None`` or a registered backend name
+  (:func:`~repro.api.available_backends`): an external
+  ``dimacs:<command>`` name would make the hub or a satellite run the
+  command, so only in-process callers of :mod:`repro.api` may use one;
 * **job ids** are content addresses: a sha256 over the problem
   fingerprint, the result-affecting options signature and the delta
   anchor — resubmitting the same work yields the same id, which is what
@@ -31,6 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro.api.backends import available_backends
 from repro.api.batch import batch_cache_key
 from repro.api.options import Options
 from repro.api.problems import (
@@ -99,6 +104,27 @@ def job_id_for(fingerprint: str, options: Options,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def decode_options(payload) -> Options:
+    """Decode a job's ``options`` object (missing or empty: defaults).
+
+    Raises :class:`SchemaError` for invalid fields, and for a ``solver``
+    that is not a registered backend: the service never resolves
+    ``dimacs:``/``dimacs-inc:`` names, whose command it would spawn.
+    """
+    try:
+        options = Options.from_json(payload or {})
+    except ValueError as exc:
+        raise SchemaError(f"invalid options: {exc}") from exc
+    registered = available_backends()
+    if options.solver is not None and options.solver not in registered:
+        raise SchemaError(
+            f"invalid options: solver {options.solver!r} is not a "
+            f"registered backend; the service runs only {registered} "
+            f"(or null to pick one by problem kind)"
+        )
+    return options
+
+
 def decode_problem(payload: dict) -> Problem:
     """Decode a submission's problem tree (all three kinds).
 
@@ -156,10 +182,7 @@ def decode_submission(payload) -> JobSubmission:
             "a submission needs exactly one of 'problem' (a codec tree) "
             "or 'spec' (a campaign scenario spec)"
         )
-    try:
-        options = Options.from_json(payload.get("options") or {})
-    except ValueError as exc:
-        raise SchemaError(f"invalid options: {exc}") from exc
+    options = decode_options(payload.get("options"))
     if has_problem:
         problem = decode_problem(payload["problem"])
     else:

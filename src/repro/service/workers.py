@@ -37,7 +37,7 @@ from repro.api.delta import DeltaSession
 from repro.api.options import Options
 from repro.jobs import ResultCache, map_jobs
 from repro.service.queue import JobQueue, JobRecord
-from repro.service.schema import decode_problem
+from repro.service.schema import decode_options, decode_problem
 
 _LATENCY_BUCKETS = tuple(0.001 * 2 ** i for i in range(18))
 """Histogram bucket upper bounds: 1 ms .. ~131 s, powers of two."""
@@ -237,7 +237,7 @@ class WorkerPool:
         self.metrics.observe_done(time.time() - latency_start)
 
     def _job_options(self, record: JobRecord) -> Options:
-        return Options.from_json(record.payload.get("options") or {})
+        return decode_options(record.payload.get("options"))
 
     def _solve_delta_job(self, record: JobRecord) -> None:
         """Answer a ``delta_of`` job on a warm (LRU-cached) session."""

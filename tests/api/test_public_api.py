@@ -81,7 +81,6 @@ EXPECTED_SUBPACKAGE_ALL = {
     "repro.kodkod": [
         "Bounds",
         "DEFAULT_SBP_LENGTH",
-        "DeltaSession",
         "Evaluator",
         "Expr",
         "FalseF",

@@ -38,6 +38,10 @@ REMOVED_NAMES = [
     ("repro.checking.explorer", "explore_message_orders"),
     ("repro.api", "describe_verdict"),
     ("repro.api.result", "describe_verdict"),
+    ("repro.kodkod", "DeltaSession"),
+    ("repro.kodkod.engine", "DeltaSession"),
+    ("repro.api.backends", "DimacsBackend"),
+    ("repro.api.backends", "DimacsIncBackend"),
 ]
 
 

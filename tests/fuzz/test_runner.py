@@ -244,28 +244,50 @@ class TestFaultInjection:
         assert without.clean
 
 
+def _dropping_and(monkeypatch):
+    """Patch n-ary ANDs to drop their last child: a circuit bug both CNF
+    encodings share."""
+    and_ = BooleanFactory.and_
+
+    def dropping_and(factory, children):
+        children = list(children)
+        if len(children) >= 3:
+            children = children[:-1]
+        return and_(factory, children)
+
+    monkeypatch.setattr(BooleanFactory, "and_", dropping_and)
+
+
 class TestTranslationReference:
     def test_evaluator_catches_a_bug_shared_by_both_encodings(
             self, monkeypatch):
         """An n-ary AND that drops its last child corrupts the circuit
         before either CNF encoding sees it, so the oracles that compare
         two translator paths agree; the ground evaluator does not use
-        the translator and disagrees."""
-        and_ = BooleanFactory.and_
-
-        def dropping_and(factory, children):
-            children = list(children)
-            if len(children) >= 3:
-                children = children[:-1]
-            return and_(factory, children)
-
-        problem = generate(FuzzSpec.make("formula", 0, size=1))
+        the translator and disagrees.  On this input the bug loses
+        models, so every model the pipeline does return still passes
+        the goal check."""
+        problem = generate(FuzzSpec.make("formula", 11, size=1))
         assert "evaluator" in oracles_for_problem(problem)
         assert run_oracle("evaluator", problem).agree
-        monkeypatch.setattr(BooleanFactory, "and_", dropping_and)
-        assert not run_oracle("evaluator", problem).agree
+        _dropping_and(monkeypatch)
+        outcome = run_oracle("evaluator", problem)
+        assert not outcome.agree
+        assert outcome.detail["only_ground"] > 0
         assert run_oracle("encodings", problem).agree
         assert run_oracle("symmetry", problem).agree
+
+    def test_goal_check_catches_a_bug_that_invents_models(
+            self, monkeypatch):
+        """On this input the same bug yields models that do not satisfy
+        the formula: the check every relational answer passes raises
+        before the evaluator oracle can compare model sets."""
+        problem = generate(FuzzSpec.make("formula", 0, size=1))
+        assert run_oracle("evaluator", problem).agree
+        _dropping_and(monkeypatch)
+        with pytest.raises(AssertionError,
+                           match="does not satisfy the goal formula"):
+            run_oracle("evaluator", problem)
 
 
 class TestCrashHandling:

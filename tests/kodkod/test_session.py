@@ -1,8 +1,8 @@
-"""Tests for the incremental model-finding Session and DeltaSession."""
+"""Tests for the incremental model-finding Session."""
 
 import pytest
 
-from repro.kodkod import Bounds, DeltaSession, Session, Universe, relation
+from repro.kodkod import Bounds, Session, Universe, relation
 from repro.kodkod import ast
 from repro.sat.solver import Solver
 
@@ -210,9 +210,12 @@ class TestScopedBlocking:
 
 
 class TestDeltaSession:
+    """Delta re-solves: bound-narrowing edits as assumptions on one live
+    session (:meth:`Session.assumptions_for`)."""
+
     def test_dropped_tuples_become_absence_assumptions(self, three_atoms):
         r, bounds = _free_unary(three_atoms)
-        delta = DeltaSession(r.some(), bounds)
+        delta = Session(r.some(), bounds)
         assumptions = delta.assumptions_for(
             dropped=[("r", 1, ("a",)), ("r", 1, ("b",))], promoted=[])
         assert assumptions is not None and len(assumptions) == 2
@@ -222,7 +225,7 @@ class TestDeltaSession:
 
     def test_promoted_tuples_become_presence_assumptions(self, three_atoms):
         r, bounds = _free_unary(three_atoms)
-        delta = DeltaSession(ast.TrueF(), bounds)
+        delta = Session(ast.TrueF(), bounds)
         assumptions = delta.assumptions_for(
             dropped=[], promoted=[("r", 1, ("c",))])
         solution = delta.solve(assumptions)
@@ -231,7 +234,7 @@ class TestDeltaSession:
 
     def test_narrowing_to_unsat_matches_fresh_solve(self, three_atoms):
         r, bounds = _free_unary(three_atoms)
-        delta = DeltaSession(r.some(), bounds)
+        delta = Session(r.some(), bounds)
         assumptions = delta.assumptions_for(
             dropped=[("r", 1, (a,)) for a in ("a", "b", "c")], promoted=[])
         assert not delta.solve(assumptions).satisfiable
@@ -240,7 +243,7 @@ class TestDeltaSession:
 
     def test_unknown_relation_returns_none(self, three_atoms):
         r, bounds = _free_unary(three_atoms)
-        delta = DeltaSession(r.some(), bounds)
+        delta = Session(r.some(), bounds)
         assert delta.assumptions_for(
             dropped=[("nope", 1, ("a",))], promoted=[]) is None
 
@@ -251,7 +254,7 @@ class TestDeltaSession:
         r, bounds = _free_unary(three_atoms)
         s = relation("s", 1)
         bounds.bound(s, three_atoms.empty(1), three_atoms.all_tuples(1))
-        delta = DeltaSession(r.some(), bounds)
+        delta = Session(r.some(), bounds)
         assumptions = delta.assumptions_for(
             dropped=[("s", 1, ("a",))], promoted=[("s", 1, ("b",))])
         assert assumptions is not None
@@ -262,8 +265,8 @@ class TestDeltaSession:
 
     def test_solver_persists_across_delta_queries(self, three_atoms):
         r, bounds = _free_unary(three_atoms)
-        delta = DeltaSession(r.some(), bounds)
-        solver = delta.session.solver
+        delta = Session(r.some(), bounds)
+        solver = delta.solver
         delta.solve(delta.assumptions_for([("r", 1, ("a",))], []))
         delta.solve(delta.assumptions_for([("r", 1, ("b",))], []))
-        assert delta.session.solver is solver
+        assert delta.solver is solver

@@ -9,6 +9,7 @@ SAT-competition protocol.
 """
 
 import os
+import shlex
 import sys
 import textwrap
 from pathlib import Path
@@ -21,7 +22,9 @@ from repro.sat.external import (
     ExternalSolver,
     ExternalSolverError,
     IncrementalExternalSolver,
+    open_external,
     parse_solver_output,
+    split_solver_name,
 )
 from repro.sat.types import Status
 
@@ -150,6 +153,57 @@ class TestExternalSolverConstruction:
             ExternalSolver("   ")
 
 
+class TestSharedSurface:
+    """Both external solvers answer ``load_cnf``/``add_clause``/``solve``."""
+
+    def test_one_shot_solver_keeps_the_formula_between_solves(
+            self, tmp_path):
+        # The fake echoes each dumped file's clause lines back on stderr
+        # and answers UNSAT, so the test reads what every spawn received.
+        log = tmp_path / "clauses.log"
+        command = fake_solver(tmp_path, f"""
+            lines = [l for l in open(path) if l[:1] not in "cp"]
+            with open({str(log)!r}, "a") as fh:
+                fh.write("|".join(l.strip() for l in lines) + "\\n")
+            sys.exit(20)
+        """)
+        with ExternalSolver(command) as solver:
+            solver.load_cnf(sample_cnf())
+            assert solver.solve().status is Status.UNSAT
+            solver.add_clause([3])
+            assert solver.solve([-1]).status is Status.UNSAT
+            assert solver.solve().status is Status.UNSAT
+            assert solver.spawn_count == solver.solve_count == 3
+        base = "1 2 0|-1 3 0|-2 -3 0"
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            base, base + "|3 0|-1 0", base + "|3 0"]
+
+    def test_load_keeps_unmentioned_variables(self):
+        cnf = CNF()
+        cnf.new_vars(5)
+        cnf.add_clause([1])
+        solver = ExternalSolver("unused")
+        solver.load_cnf(cnf)
+        assert solver._cnf.num_vars == 5
+
+    def test_names_select_the_protocol(self):
+        assert split_solver_name("kodkod") is None
+        assert split_solver_name("c:/tools/picosat") is None
+        assert split_solver_name("dimacs: picosat -v ") == (
+            "dimacs", "picosat -v")
+        assert split_solver_name("dimacs-inc:x --incremental") == (
+            "dimacs-inc", "x --incremental")
+        one_shot = open_external("dimacs:picosat", timeout=5)
+        assert type(one_shot) is ExternalSolver
+        assert one_shot.command == ["picosat"] and one_shot.timeout == 5
+        incremental = open_external("dimacs-inc:picosat-inc")
+        assert type(incremental) is IncrementalExternalSolver
+        assert incremental.command == ["picosat-inc"]
+        assert incremental.spawn_count == 0  # nothing spawned yet
+        with pytest.raises(ValueError, match="empty external solver"):
+            split_solver_name("dimacs-inc:  ")
+
+
 class TestFakeSolverSubprocess:
     """Protocol conformance against scripted CDCL stand-ins."""
 
@@ -247,10 +301,10 @@ class TestSelfHostedEndToEnd:
 
 class TestDimacsBackendRegistry:
     def test_dimacs_prefix_resolves_dynamically(self):
-        from repro.api.backends import DimacsBackend, get_backend
+        from repro.api.backends import KodkodBackend, get_backend
 
         backend = get_backend("dimacs:picosat")
-        assert isinstance(backend, DimacsBackend)
+        assert isinstance(backend, KodkodBackend)
         assert backend.name == "dimacs:picosat"
         # Cached: the same command yields the same instance.
         assert get_backend("dimacs:picosat") is backend
@@ -509,10 +563,10 @@ class TestDimacsIncBackend:
         monkeypatch.setenv("PYTHONPATH", joined)
 
     def test_prefix_resolves_dynamically(self):
-        from repro.api.backends import DimacsIncBackend, get_backend
+        from repro.api.backends import KodkodBackend, get_backend
 
         backend = get_backend("dimacs-inc:picosat-inc")
-        assert isinstance(backend, DimacsIncBackend)
+        assert isinstance(backend, KodkodBackend)
         assert backend.name == "dimacs-inc:picosat-inc"
         assert get_backend("dimacs-inc:picosat-inc") is backend
         # The inc cache is keyed separately from the one-shot cache.
@@ -573,3 +627,82 @@ class TestDimacsIncBackend:
         assert result.solver_stats["external_spawns"] == 1
         assert result.solver_stats["external_invocations"] == 1
         assert result.solver_stats["kernel"] == "external"
+
+
+class TestLyingSolver:
+    """A SAT engine that answers with a non-model yields an error, never a
+    verdict: every relational answer is checked against its goal."""
+
+    CHECK_ERROR = "SAT instance does not satisfy the goal formula"
+
+    @pytest.fixture(params=["dimacs", "dimacs-inc"])
+    def liar(self, request, tmp_path):
+        """``(prefix, argv, spawn log)`` of a solver that claims every
+        formula is SAT with the all-false model."""
+        log = tmp_path / "spawns.log"
+        stamp = f"""
+            with open({str(log)!r}, "a") as fh:
+                fh.write("spawn\\n")
+        """
+        if request.param == "dimacs":
+            argv = fake_solver(tmp_path, stamp + """
+                print("s SATISFIABLE")
+                print("v 0")
+                sys.exit(10)
+            """)
+        else:
+            argv = fake_inc_solver(tmp_path, stamp + """
+                for _ in asks():
+                    answer("s SATISFIABLE", "v 0")
+            """)
+        return f"{request.param}:{shlex.join(argv)}", log
+
+    @staticmethod
+    def _some_r():
+        from repro.kodkod import ast
+        from repro.kodkod.bounds import Bounds
+        from repro.kodkod.universe import Universe
+
+        universe = Universe(["a", "b", "c"])
+        r = ast.Relation("r", 1)
+        bounds = Bounds(universe)
+        bounds.bound(r, universe.empty(1), universe.all_tuples(1))
+        return ast.Some(r), bounds
+
+    def test_solve_raises_the_check_error(self, liar):
+        from repro import api
+
+        name, _ = liar
+        formula, bounds = self._some_r()
+        with pytest.raises(AssertionError, match=self.CHECK_ERROR):
+            api.solve(formula, bounds, solver=name, symmetry=0)
+
+    def test_enumerate_raises_the_check_error(self, liar):
+        from repro import api
+
+        name, _ = liar
+        formula, bounds = self._some_r()
+        with pytest.raises(AssertionError, match=self.CHECK_ERROR):
+            api.enumerate(formula, bounds, solver=name, limit=3)
+
+    def test_check_stops_the_search_at_the_first_bad_model(self, liar):
+        from repro import api
+
+        name, log = liar
+        formula, bounds = self._some_r()
+        with pytest.raises(AssertionError, match=self.CHECK_ERROR):
+            api.enumerate(formula, bounds, solver=name)
+        assert log.read_text(encoding="utf-8") == "spawn\n"
+
+    def test_batch_row_is_an_error_and_is_not_cached(self, liar, tmp_path):
+        from repro import api
+
+        name, _ = liar
+        formula, bounds = self._some_r()
+        cache_dir = tmp_path / "cache"
+        [row] = api.solve_many([api.FormulaProblem(formula, bounds)],
+                               solver=name, symmetry=0,
+                               cache_dir=str(cache_dir))
+        assert row.verdict is api.Verdict.ERROR
+        assert self.CHECK_ERROR in row.error
+        assert not [p for p in cache_dir.rglob("*") if p.is_file()]

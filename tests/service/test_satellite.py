@@ -145,6 +145,22 @@ class TestSatelliteFabric:
         assert "could not decode" in final["error"]
 
 
+    def test_a_claim_naming_an_external_solver_is_refused(
+            self, hub, client, tmp_path):
+        """A satellite runs only registered backends, whatever a claim's
+        options say: it posts a decode error and spawns nothing."""
+        client.submit(formula_body(15))
+        (claim,) = client.claim("sat-ext", limit=1)["claims"]
+        marker = tmp_path / "spawned"
+        payload = {**claim["payload"],
+                   "options": {"solver": f"dimacs:touch {marker}"}}
+        worker = SatelliteWorker(hub.url, worker_id="sat-ext")
+        result = worker._solve_claim({**claim, "payload": payload})
+        assert "could not decode" in result["error"]
+        assert "not a registered backend" in result["error"]
+        assert not marker.exists()
+
+
 class TestHubPolicies:
     def test_cached_work_is_answered_inline_not_shipped(self, tmp_path):
         body = formula_body(13)

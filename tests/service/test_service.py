@@ -228,6 +228,25 @@ class TestEdgePolicies:
         finally:
             service.stop()
 
+    @pytest.mark.parametrize("prefix", ["dimacs", "dimacs-inc"])
+    def test_external_solver_names_are_400_and_spawn_nothing(
+            self, service, client, tmp_path, prefix):
+        """An external solver name would make the hub run its command, so
+        the edge accepts only registered backends."""
+        marker = tmp_path / "spawned"
+        body = {"problem": problem_to_json(
+                    generate(FuzzSpec.make("formula", 2))),
+                "options": {"solver": f"{prefix}:touch {marker}"}}
+        with pytest.raises(ServiceError) as info:
+            client.submit(body)
+        assert info.value.status == 400
+        assert "'kodkod'" in str(info.value)  # names what it does run
+        assert client.metrics()["jobs"] == {
+            "pending": 0, "running": 0, "done": 0, "error": 0}
+        journal = service.config.queue_dir / "journal.jsonl"
+        assert not journal.exists() or journal.read_text() == ""
+        assert not marker.exists()
+
     def test_rate_limiting_is_off_by_default(self, client):
         for _ in range(30):
             client.healthz()
