@@ -1,34 +1,22 @@
-"""Benchmark: propagation kernels, the conflict path, and external CDCL.
+"""Benchmark: solver throughput on two CNF shapes, and external CDCL.
 
-The vector kernel (``Solver(kernel="vector")``) bulk-filters watcher
-lists with numpy while keeping the search trajectory bit-identical to the
-pure interpreter.  Two workload shapes are measured:
+Two workload shapes are measured on the in-tree solver:
 
 * **propagation-heavy** (``chain_cnf``): almost all time is spent
-  scanning long watcher lists whose blockers are already true — the
-  shape the propagation filter vectorizes;
+  scanning long watcher lists whose blockers are already true;
 * **conflict-heavy** (``conflict_cnf``): an unsatisfiable pigeonhole
   core whose every core literal fans out into hundreds of never-mutating
   noise clauses, so the solver both dives through ``_analyze`` /
-  ``_minimize`` / VSIDS bumping thousands of times *and* scans watcher
-  lists the vector filter can prune in one operation — end to end, the
-  shape the conflict-path kernel assists target.
+  ``_minimize`` / VSIDS bumping thousands of times *and* scans long
+  watcher lists.
 
-Rows land in ``BENCH_solver.json`` with per-row throughput metadata;
-the cross-kernel ratio of the same run is recorded in the ``[vector]``
-rows' ``speedup_vs_pure`` metadata, so the artifact reads the same on
-any hardware.
-
-CI regression gates: ``test_vector_kernel_not_slower_than_pure`` (the
-propagation workload must never fall behind the interpreter) and
-``test_vector_conflict_speedup`` (the conflict-heavy workload must stay
-≥2x end to end).
+Rows land in ``BENCH_solver.json`` with per-row throughput metadata.
 
 The external row times a real CDCL binary (picosat/cadical/kissat, if
 one is on PATH) against the built-in solver on a campaign-sized consensus
 check, and is skipped — not failed — when none is installed.
 
-Run as a script for a profiled conflict-heavy sweep (uploaded by the CI
+Run as a script for a profiled conflict-heavy solve (uploaded by the CI
 bench-smoke job so future PRs can see what dominates)::
 
     python benchmarks/bench_solver_kernels.py --profile [PATH]
@@ -45,8 +33,7 @@ from repro.sat.types import Status
 
 # Chain + fanout shape: deciding the guard g False triggers a unit chain
 # c1 -> c2 -> ... while every chain variable watches `fanout` noise
-# clauses (-c_i, -g, x_j) whose blocker -g is already true, so whole
-# watcher lists vanish in one vectorized filter.
+# clauses (-c_i, -g, x_j) whose blocker -g is already true.
 N_CHAIN = 48
 FANOUT = 400
 POOL = 16
@@ -69,45 +56,16 @@ def chain_cnf():
     return cnf, g
 
 
-def _warm_solver(kernel):
+def _warm_solver():
     cnf, g = chain_cnf()
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     assert solver.add_cnf(cnf)
-    assert solver.solve([-g]) is Status.SAT  # builds watch lists + caches
+    assert solver.solve([-g]) is Status.SAT  # builds the watch lists
     return solver, g
 
 
-def _throughput(kernel, solves=SOLVES_PER_RUN):
-    """(propagations, seconds) for ``solves`` warm assumption solves."""
-    solver, g = _warm_solver(kernel)
-    before = solver.stats["propagations"]
-    started = time.perf_counter()
-    for _ in range(solves):
-        assert solver.solve([-g]) is Status.SAT
-    seconds = time.perf_counter() - started
-    return solver.stats["propagations"] - before, seconds
-
-
-# Seconds of the pure row of each workload, stashed so the [vector] row
-# of the same session can record the cross-kernel ratio measured on the
-# *same* hardware (parametrize order runs pure first).
-_PURE_SECONDS: dict[str, float] = {}
-
-
-def _cross_kernel_meta(bench, workload: str, kernel: str, seconds: float):
-    """Record the within-run vector-vs-pure ratio on the [vector] row."""
-    if kernel == "pure":
-        _PURE_SECONDS[workload] = seconds
-    elif workload in _PURE_SECONDS:
-        bench.meta(speedup_vs_pure=round(
-            _PURE_SECONDS[workload] / max(seconds, 1e-9), 2))
-
-
-@pytest.mark.parametrize("kernel", ["pure", "vector"])
-def test_propagation_throughput(bench, report, kernel):
-    if kernel == "vector":
-        pytest.importorskip("numpy")
-    solver, g = _warm_solver(kernel)
+def test_propagation_throughput(bench, report):
+    solver, g = _warm_solver()
 
     def run():
         before = solver.stats["propagations"]
@@ -118,30 +76,11 @@ def test_propagation_throughput(bench, report, kernel):
     propagations = bench(run)
     seconds = bench._row["seconds"]
     pps = propagations / max(seconds, 1e-9)
-    bench.meta(kernel=solver.kernel, propagations=propagations,
+    bench.meta(propagations=propagations,
                propagations_per_second=round(pps))
-    _cross_kernel_meta(bench, "propagation", kernel, seconds)
     report.append(
-        f"kernel={kernel}: {propagations} propagations in {seconds:.4f}s "
+        f"propagation: {propagations} propagations in {seconds:.4f}s "
         f"({pps / 1000:.0f} kprops/s)"
-    )
-
-
-def test_vector_kernel_not_slower_than_pure():
-    """CI regression gate: the vector kernel must not fall behind the
-    interpreter on the workload built for it (best-of-3 each)."""
-    pytest.importorskip("numpy")
-    pure_pps = max(
-        props / max(secs, 1e-9)
-        for props, secs in (_throughput("pure", solves=5) for _ in range(3))
-    )
-    vector_pps = max(
-        props / max(secs, 1e-9)
-        for props, secs in (_throughput("vector", solves=5) for _ in range(3))
-    )
-    assert vector_pps >= pure_pps, (
-        f"vector kernel regressed below pure: "
-        f"{vector_pps:.0f} < {pure_pps:.0f} propagations/s"
     )
 
 
@@ -150,13 +89,10 @@ def test_vector_kernel_not_slower_than_pure():
 # every core literal v gets a mirror m (clause (v, m): falsifying v
 # propagates m) fanning out into `fanout` noise clauses (-m, -guard,
 # x_j).  Under the assumption -guard those noise lists consist entirely
-# of blocker-true entries that never mutate, so the vector filter prunes
-# each list in one cached operation while the interpreter walks all
-# `fanout` entries — and the conflict-path assists batch the analysis
-# work the pigeonhole core generates.
+# of blocker-true entries that never mutate, and the propagation loop
+# walks all `fanout` entries of each.
 PHP_HOLES = 6
 NOISE_FANOUT = 800
-CONFLICT_GATE_SPEEDUP = 2.0
 
 
 def conflict_cnf():
@@ -181,9 +117,9 @@ def conflict_cnf():
     return cnf, guard
 
 
-def _conflict_solve(kernel, cnf, guard):
+def _conflict_solve(cnf, guard):
     """One cold end-to-end solve; returns (conflicts, seconds)."""
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     assert solver.add_cnf(cnf)
     started = time.perf_counter()
     status = solver.solve([-guard])
@@ -192,49 +128,17 @@ def _conflict_solve(kernel, cnf, guard):
     return solver.stats["conflicts"], seconds
 
 
-@pytest.mark.parametrize("kernel", ["pure", "vector"])
-def test_conflict_throughput(bench, report, kernel):
+def test_conflict_throughput(bench, report):
     """End-to-end conflict-heavy solve (cold solver per run)."""
-    if kernel == "vector":
-        pytest.importorskip("numpy")
     cnf, guard = conflict_cnf()
-    conflicts = bench(lambda: _conflict_solve(kernel, cnf, guard)[0])
+    conflicts = bench(lambda: _conflict_solve(cnf, guard)[0])
     seconds = bench._row["seconds"]
     cps = conflicts / max(seconds, 1e-9)
-    bench.meta(kernel=kernel, conflicts=conflicts,
-               conflicts_per_second=round(cps),
+    bench.meta(conflicts=conflicts, conflicts_per_second=round(cps),
                holes=PHP_HOLES, fanout=NOISE_FANOUT)
-    _cross_kernel_meta(bench, "conflict", kernel, seconds)
     report.append(
-        f"conflict kernel={kernel}: {conflicts} conflicts in {seconds:.4f}s "
+        f"conflict: {conflicts} conflicts in {seconds:.4f}s "
         f"({cps / 1000:.1f} kconf/s)"
-    )
-
-
-def test_vector_conflict_speedup(report):
-    """CI regression gate: ≥2x end-to-end on the conflict-heavy workload
-    (best-of-2 each; the ratio is hardware-independent)."""
-    pytest.importorskip("numpy")
-    cnf, guard = conflict_cnf()
-    pure_conflicts, pure_secs = min(
-        (_conflict_solve("pure", cnf, guard) for _ in range(2)),
-        key=lambda pair: pair[1])
-    vector_conflicts, vector_secs = min(
-        (_conflict_solve("vector", cnf, guard) for _ in range(2)),
-        key=lambda pair: pair[1])
-    # Bit-identical trajectories are asserted by the differential tests;
-    # re-check the cheap invariant here so a divergence cannot masquerade
-    # as a speedup.
-    assert vector_conflicts == pure_conflicts
-    speedup = pure_secs / max(vector_secs, 1e-9)
-    report.append(
-        f"conflict gate: pure {pure_secs:.4f}s vs vector {vector_secs:.4f}s "
-        f"({speedup:.2f}x)"
-    )
-    assert speedup >= CONFLICT_GATE_SPEEDUP, (
-        f"vector kernel below the {CONFLICT_GATE_SPEEDUP}x gate on the "
-        f"conflict-heavy workload: pure {pure_secs:.4f}s / "
-        f"vector {vector_secs:.4f}s = {speedup:.2f}x"
     )
 
 
@@ -284,14 +188,14 @@ def test_external_solver_end_to_end(bench, report):
 
 
 def main(argv=None) -> int:
-    """Profiled conflict-heavy sweep: ``--profile [PATH]`` writes the
+    """Profiled conflict-heavy solve: ``--profile [PATH]`` writes the
     cProfile cumulative table (default ``BENCH_solver.profile.txt``) so
     the CI artifact shows what dominates the conflict path."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_solver_kernels.py",
-        description="Run the conflict-heavy kernel sweep under cProfile.")
+        description="Run the conflict-heavy solve under cProfile.")
     parser.add_argument("--profile", nargs="?", metavar="PATH",
                         const="BENCH_solver.profile.txt",
                         default="BENCH_solver.profile.txt",
@@ -302,17 +206,9 @@ def main(argv=None) -> int:
     from repro.analysis.profiling import run_profiled
 
     cnf, guard = conflict_cnf()
-
-    def sweep():
-        return {kernel: _conflict_solve(kernel, cnf, guard)
-                for kernel in ("pure", "vector")}
-
-    results = run_profiled(sweep, args.profile)
-    (pure_conflicts, pure_secs) = results["pure"]
-    (vector_conflicts, vector_secs) = results["vector"]
-    print(f"pure:   {pure_conflicts} conflicts in {pure_secs:.4f}s")
-    print(f"vector: {vector_conflicts} conflicts in {vector_secs:.4f}s "
-          f"({pure_secs / max(vector_secs, 1e-9):.2f}x)")
+    conflicts, seconds = run_profiled(
+        lambda: _conflict_solve(cnf, guard), args.profile)
+    print(f"{conflicts} conflicts in {seconds:.4f}s")
     print(f"profile: {args.profile}")
     return 0
 

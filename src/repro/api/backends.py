@@ -10,20 +10,20 @@ Two backend classes ship in-tree:
   :meth:`~repro.kodkod.engine.Session.iter_solutions`, check each
   instance against the goal, map the outcome to a verdict.  Its names
   differ only in the engine: ``kodkod`` (the in-tree CDCL solver),
-  ``kodkod-vector`` (its numpy propagation kernel, search-trajectory
-  identical, so the two are a differential pair), ``dimacs:<command>``
-  (any SAT-competition binary, one process per solve) and
-  ``dimacs-inc:<command>`` (one persistent iCNF process per query, such
-  as ``python -m repro.sat.dimacs solve --incremental``; see
-  :mod:`repro.sat.external`).  External names are materialized on
+  ``dimacs:<command>`` (any SAT-competition binary, one process per
+  solve) and ``dimacs-inc:<command>`` (one persistent iCNF process per
+  query, such as ``python -m repro.sat.dimacs solve --incremental``;
+  see :mod:`repro.sat.external`).  External names are materialized on
   first use, since the command is part of the name.
 * :class:`ExplorerBackend` (``explorer``) — exhaustive schedule
   exploration of the executable protocol for protocol problems.
 
 Every SAT or COUNTEREXAMPLE answer is checked: each instance the
 relational backend or the delta warm path (:mod:`repro.api.delta`)
-returns has passed ``Evaluator(instance).check(goal)``, and a failed
-check raises instead of becoming a verdict.
+returns has passed :func:`_is_model` (within the bounds, and
+``Evaluator(instance).check(goal)``), and a failed check raises instead
+of becoming a verdict.  The service hub runs the same check on every
+instance a satellite posts.
 
 Alternative engines (a parallel portfolio, a BDD-based finder) plug in by
 implementing :class:`Backend` and calling :func:`register_backend`; every
@@ -183,18 +183,34 @@ def _relational_goal(problem: Problem,
     )
 
 
+def _is_model(goal: ast.Formula, bounds: Bounds, instance: Instance) -> bool:
+    """The one instance check: ``instance`` ranges over the bounds'
+    universe, gives every bounded relation a value between its lower and
+    upper bound, and satisfies ``goal``."""
+    if instance.universe is not bounds.universe:
+        return False
+    for relation in bounds.relations():
+        value = instance.value_of(relation)
+        if not (bounds.lower(relation).issubset(value)
+                and value.issubset(bounds.upper(relation))):
+            return False
+    return Evaluator(instance).check(goal)
+
+
 def _checked_result(session: Session, goal: ast.Formula, validity: bool,
                     instances: Iterable[Instance], *, started: float,
                     backend: str) -> Result:
     """The one tail of every relational answer: check, verdict, Result.
 
-    Each instance is checked against ``goal`` as it is taken: a non-model
-    stops the query with :class:`AssertionError` and never becomes a
-    verdict.  The caller fills ``detail``.
+    Each instance is checked (:func:`_is_model` against ``goal`` and the
+    session's bounds) as it is taken: a non-model stops the query with
+    :class:`AssertionError` and never becomes a verdict.  The caller
+    fills ``detail``.
     """
+    bounds = session.translation.bounds
     taken = []
     for instance in instances:
-        if not Evaluator(instance).check(goal):
+        if not _is_model(goal, bounds, instance):
             raise AssertionError(
                 "internal error: SAT instance does not satisfy the goal "
                 "formula"
@@ -214,9 +230,6 @@ def _checked_result(session: Session, goal: ast.Formula, validity: bool,
     )
 
 
-_KERNELS = {"kodkod": "pure", "kodkod-vector": "vector"}
-
-
 class KodkodBackend:
     """Formula/module problems via translate → SAT → instance extraction.
 
@@ -233,13 +246,12 @@ class KodkodBackend:
 
     def __init__(self, name: str = "kodkod") -> None:
         external = split_solver_name(name)
-        if external is None and name not in _KERNELS:
+        if external is None and name != "kodkod":
             raise ValueError(
-                f"relational backend names are {sorted(_KERNELS)}, "
+                f"relational backend names are 'kodkod', "
                 f"'dimacs:<command>' and 'dimacs-inc:<command>'; "
                 f"got {name!r}"
             )
-        self.kernel = _KERNELS.get(name, "external")
         self.command = external[1] if external else None
         self.name = ":".join(external) if external else name
 
@@ -255,7 +267,7 @@ class KodkodBackend:
     def _engine(self, options: Options, enumerating: bool):
         """Open the SAT engine of one query (a context manager)."""
         if self.command is None:
-            return contextlib.nullcontext(Solver(kernel=self.kernel))
+            return contextlib.nullcontext(Solver())
         need = ("enumeration needs models to build blocking clauses"
                 if enumerating else
                 "enable model printing so instances can be extracted")
@@ -390,5 +402,4 @@ class ExplorerBackend:
 
 
 register_backend(KodkodBackend())
-register_backend(KodkodBackend("kodkod-vector"))
 register_backend(ExplorerBackend())

@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api.backends import _KERNELS, _checked_result, _relational_goal
+from repro.api.backends import _checked_result, _relational_goal
 from repro.api.facade import solve as _facade_solve
 from repro.api.options import Options, resolve_options
 from repro.api.problems import (
@@ -232,7 +232,7 @@ class DeltaSession:
     edits keeps a warm anchor as close as possible to the stream.
 
     Warm-capable means: a formula/module problem, ``options.solver`` in
-    ``{None, "kodkod", "kodkod-vector"}``, and ``options.symmetry`` in
+    ``{None, "kodkod"}``, and ``options.symmetry`` in
     ``{None, 0}`` (the warm path always translates with ``symmetry=0``,
     which is verdict-preserving; see the module docstring warning).
     Protocol problems and foreign backends never reuse a solver, but an
@@ -304,7 +304,7 @@ class DeltaSession:
 
     def _in_tree(self) -> bool:
         """Whether the backend runs on a Session a warm query reproduces."""
-        return self._opts.solver is None or self._opts.solver in _KERNELS
+        return self._opts.solver in (None, "kodkod")
 
     def _warm_capable(self, problem: Problem) -> bool:
         return (
@@ -325,9 +325,7 @@ class DeltaSession:
         if self._warm_capable(problem):
             goal, bounds, validity = _relational_goal(problem, "delta")
             started = time.perf_counter()
-            self._engine = Session(
-                goal, bounds, symmetry=0,
-                kernel=_KERNELS[self._opts.solver or "kodkod"])
+            self._engine = Session(goal, bounds, symmetry=0)
             self._anchor_goal = goal
             self._anchor_bounds = bounds
             if run_solve:

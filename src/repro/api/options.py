@@ -31,9 +31,9 @@ class Options:
 
     solver: str | None = None
     """Backend name (see :func:`repro.api.available_backends`); ``None``
-    selects the first registered backend that supports the problem.
-    ``"kodkod-vector"`` runs the relational pipeline on the numpy
-    propagation kernel; ``"dimacs:<command>"`` delegates the SAT search
+    selects the first registered backend that supports the problem
+    (``"kodkod"`` for formula and module problems, ``"explorer"`` for
+    protocol problems).  ``"dimacs:<command>"`` delegates the SAT search
     to an external solver binary, one process per solve (e.g.
     ``"dimacs:picosat"``), and ``"dimacs-inc:<command>"`` to one
     persistent process per query that speaks the iCNF stdin protocol

@@ -12,8 +12,7 @@ oracle          fast path                              reference path
 ``symmetry``    ``api.solve`` with lex-leader SBP      ``api.solve(symmetry=0)``
 ``enumeration`` ``api.enumerate`` (one live session)   fresh solver per model
 ``evaluator``   ``api.enumerate`` (CDCL pipeline)      brute force + ground eval
-``kernels``     ``solver="kodkod-vector"`` (numpy)     ``solver="kodkod"`` (pure)
-``external``    ``solver="dimacs:<cmd>"`` (env-gated)  ``solver="kodkod"`` (pure)
+``external``    ``solver="dimacs:<cmd>"`` (env-gated)  ``solver="kodkod"``
 ``explorer``    ``api.run_protocol`` (memoized)        plain DFS (``memoize=False``)
 ``engines``     synchronous lock-step engine           asynchronous delivery
 ``delta``       ``solve_delta`` on a mutated problem   fresh ``api.solve``
@@ -133,34 +132,29 @@ def _instance_key(bounds: Bounds, instance) -> tuple:
 
 
 @register_oracle("encodings", FormulaProblem,
-                 "PG vs Tseitin vs DIMACS round trip vs vector kernel: "
-                 "same verdict")
+                 "PG vs Tseitin vs DIMACS round trip: same verdict")
 def _encodings_oracle(problem: FormulaProblem, seed: int,
                       params: dict) -> OracleOutcome:
-    """PG vs Tseitin vs DIMACS-round-trip vs vector kernel: one verdict.
+    """PG vs Tseitin vs DIMACS-round-trip: one verdict.
 
     When ``REPRO_EXTERNAL_SOLVER`` names a SAT-competition-conformant
     binary, the PG CNF is additionally round-tripped through it as a
-    fifth arm (the nightly CI job runs with picosat).  A value carrying
+    fourth arm (the nightly CI job runs with picosat).  A value carrying
     the ``dimacs-inc:`` prefix routes that arm through the persistent
     incremental protocol instead (spawn once, stream the CNF over
     stdin); either way the solver is opened exactly as the relational
     backend opens it (:func:`repro.sat.external.open_external`).
     """
-    def decide(encoding: str, kernel: str = "pure"):
+    def decide(encoding: str):
         translation = Translator(
             problem.bounds, cnf_encoding=encoding).translate(problem.formula)
-        solver = Solver(kernel=kernel)
+        solver = Solver()
         loaded = solver.add_cnf(translation.cnf)
         status = solver.solve() if loaded else Status.UNSAT
         return translation, status is Status.SAT, solver.stats
 
     pg, pg_sat, pg_stats = decide("pg")
     _, tseitin_sat, _ = decide("tseitin")
-    # The vector propagation kernel must preserve the verdict (it is
-    # search-trajectory identical to the pure loop; without numpy it
-    # falls back to "pure" and the arm degenerates to a re-run).
-    _, vector_sat, _ = decide("pg", kernel="vector")
     # The DIMACS export path (used by repro scripts and the external
     # cross-checking CLI) must also preserve the verdict — this is the
     # round trip that hits the trivially-true/false translation edges.
@@ -175,7 +169,7 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
                            timeout=60) as external:
             external.load_cnf(pg.cnf)
             external_sat = external.solve().status is Status.SAT
-    agree = (pg_sat == tseitin_sat == roundtrip_sat == vector_sat
+    agree = (pg_sat == tseitin_sat == roundtrip_sat
              and (external_sat is None or external_sat == pg_sat))
     detail_external = (
         {} if external_sat is None else {"sat_external": external_sat})
@@ -186,7 +180,6 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
             "sat_pg": pg_sat,
             "sat_tseitin": tseitin_sat,
             "sat_dimacs_roundtrip": roundtrip_sat,
-            "sat_vector_kernel": vector_sat,
             **detail_external,
             "pg_clauses": pg.stats.num_clauses,
             "clauses_saved_by_polarity": pg.stats.num_clauses_saved_by_polarity,
@@ -290,60 +283,13 @@ def _evaluator_oracle(problem: FormulaProblem, seed: int,
     )
 
 
-def _backend_vs_pure(problem: FormulaProblem, backend: str) -> tuple:
-    """Solve and enumerate under ``backend``, then under the pure kernel.
-
-    Returns both solve results, both model sets and whether either
-    enumeration hit the cap.
-    """
-    fast = api_solve(problem, solver=backend)
-    reference = api_solve(problem, solver="kodkod")
-    fast_models, pure_models = (
-        {_instance_key(problem.bounds, inst)
-         for inst in api_enumerate(problem, solver=solver,
-                                   limit=_ENUMERATION_CAP).instances}
-        for solver in (backend, "kodkod")
-    )
-    truncated = (len(fast_models) >= _ENUMERATION_CAP
-                 or len(pure_models) >= _ENUMERATION_CAP)
-    return fast, reference, fast_models, pure_models, truncated
-
-
-@register_oracle("kernels", FormulaProblem,
-                 "vector propagation kernel vs pure interpreted loop: "
-                 "same verdict and same model set")
-def _kernels_oracle(problem: FormulaProblem, seed: int,
-                    params: dict) -> OracleOutcome:
-    (fast, reference, vector_models, pure_models,
-     truncated) = _backend_vs_pure(problem, "kodkod-vector")
-    # The kernels are search-trajectory identical, so (unlike the
-    # enumeration oracle) even the truncated prefixes must match — any
-    # difference is a kernel bug, not an enumeration-order artifact.
-    agree = (fast.satisfiable == reference.satisfiable
-             and vector_models == pure_models)
-    return OracleOutcome(
-        oracle="kernels",
-        agree=agree,
-        detail={
-            "sat_vector": fast.satisfiable,
-            "sat_pure": reference.satisfiable,
-            "vector_models": len(vector_models),
-            "pure_models": len(pure_models),
-            "truncated": truncated,
-            # "vector" when numpy is installed, "pure" after the fallback
-            # (the oracle then degenerates to pure-vs-pure, which is fine).
-            "vector_kernel": fast.solver_stats.get("kernel", "pure"),
-        },
-    )
-
-
 def register_external_oracle(command: str) -> None:
     """Register the ``external`` oracle against a solver ``command``.
 
     The fast path round-trips through ``solver="dimacs:<command>"``; the
-    reference is the in-tree pure pipeline.  Verdicts and the enumerated
-    primary-variable projections must both match.  The command must print
-    ``v``-line models (picosat does; bare minisat does not).
+    reference is the in-tree ``kodkod`` pipeline.  Verdicts and the
+    enumerated primary-variable projections must both match.  The command
+    must print ``v``-line models (picosat does; bare minisat does not).
 
     A command already carrying the ``dimacs-inc:`` prefix selects the
     persistent incremental backend instead (one process per query,
@@ -359,8 +305,16 @@ def register_external_oracle(command: str) -> None:
                      "pipeline: same verdict and same model set")
     def _external_oracle(problem: FormulaProblem, seed: int,
                          params: dict) -> OracleOutcome:
-        (fast, reference, external_models, pure_models,
-         truncated) = _backend_vs_pure(problem, backend)
+        fast = api_solve(problem, solver=backend)
+        reference = api_solve(problem, solver="kodkod")
+        external_models, pure_models = (
+            {_instance_key(problem.bounds, inst)
+             for inst in api_enumerate(problem, solver=solver,
+                                       limit=_ENUMERATION_CAP).instances}
+            for solver in (backend, "kodkod")
+        )
+        truncated = (len(external_models) >= _ENUMERATION_CAP
+                     or len(pure_models) >= _ENUMERATION_CAP)
         # Distinct solvers walk the model space in different orders, so at
         # the cap only the counts are comparable (as in `enumeration`).
         agree = (fast.satisfiable == reference.satisfiable

@@ -279,7 +279,7 @@ def build_default_campaign(instances: int = 120,
         "relational", max(1, instances // 4), base_seed=base_seed,
         num_atoms=(3, 4), depth=(1, 2), max_edges=(0, 4),
     )
-    relational_oracles = ["symmetry", "evaluator", "kernels", "delta"]
+    relational_oracles = ["symmetry", "evaluator", "delta"]
     if "external" in ORACLES:
         # Registered only when REPRO_EXTERNAL_SOLVER names a real binary
         # (see repro.campaign.oracles); ride the same spec sweep.

@@ -57,7 +57,7 @@ from repro.fuzz.mutators import coverage_signature, mutate_problem
 from repro.fuzz.shrink import ShrinkResult, problem_size, shrink
 from repro.jobs import DEFAULT_CACHE_DIR, ResultCache, map_jobs
 
-FUZZ_SCHEMA = 5
+FUZZ_SCHEMA = 6
 """Bump to invalidate every cached fuzz result (semantic change).
 
 2: encodings oracle grew the vector-kernel arm (and the env-gated
@@ -69,7 +69,10 @@ FUZZ_SCHEMA = 5
    changing the task stream in the same way.
 5: the ``session`` oracle runs under its registry name ``enumeration``,
    renaming its rows and coverage points and moving it before
-   ``evaluator`` in each input's oracle order."""
+   ``evaluator`` in each input's oracle order.
+6: the encodings oracle lost its vector-kernel arm with the kernel,
+   dropping the ``sat_vector_kernel`` detail key and its coverage
+   points."""
 
 DEFAULT_ARTIFACTS_DIR = ".fuzz_artifacts"
 

@@ -14,6 +14,8 @@ being thrown away by a rebuild.  The engine is the in-tree
 :class:`~repro.sat.solver.Solver` unless another with its surface is
 injected, which is how the external backends of :mod:`repro.api.backends`
 run the one model loop, :meth:`Session.iter_solutions`, on a process.
+:meth:`Session.solver_stats` names the engine under ``kernel``: ``"pure"``
+for the in-tree solver, ``"external"`` for a process.
 """
 
 from __future__ import annotations
@@ -66,10 +68,9 @@ class Session:
 
     ``symmetry`` is the lex-leader predicate length passed to the
     translator (0 disables breaking; see :mod:`repro.kodkod.symmetry`).
-    ``kernel`` selects the propagation engine of the session's solver
-    (``"pure"`` or ``"vector"``; see :mod:`repro.sat.kernel`) and is
-    ignored when an explicit ``solver`` is injected.  An injected engine
-    whose ``stats`` carry no ``propagations`` count gets no
+    ``solver`` injects an engine with the :class:`~repro.sat.solver.Solver`
+    surface (default: a fresh in-tree solver).  An injected engine whose
+    ``stats`` carry no ``propagations`` count gets no
     ``propagations_per_second`` rate.
 
     .. warning::
@@ -83,10 +84,9 @@ class Session:
     """
 
     def __init__(self, formula: ast.Formula, bounds: Bounds,
-                 symmetry: int = 0, solver: Solver | None = None,
-                 kernel: str = "pure") -> None:
+                 symmetry: int = 0, solver: Solver | None = None) -> None:
         self._translation = Translator(bounds, symmetry=symmetry).translate(formula)
-        self._solver = solver if solver is not None else Solver(kernel=kernel)
+        self._solver = solver if solver is not None else Solver()
         self._ok = self._solver.add_cnf(self._translation.cnf)
         self._primary_vars = self._translation.primary_vars()
         self._last_model = None

@@ -1,4 +1,4 @@
-"""SAT substrate: CNF containers, a CDCL solver, enumeration and DIMACS I/O.
+"""SAT substrate: CNF containers, a CDCL solver and DIMACS I/O.
 
 This package plays the role MiniSat plays underneath the Alloy Analyzer in
 the paper: the backend deciding the boolean satisfiability problems produced
@@ -7,7 +7,6 @@ by the relational translation.
 
 from repro.sat.cnf import CNF
 from repro.sat.dimacs import dump_file, dumps, load_file, loads
-from repro.sat.enumerate import count_models, iter_models
 from repro.sat.solver import Solver, luby, solve_cnf
 from repro.sat.types import Clause, Lit, Model, Status, Var, clause, negate, var_of
 
@@ -20,10 +19,8 @@ __all__ = [
     "Status",
     "Var",
     "clause",
-    "count_models",
     "dump_file",
     "dumps",
-    "iter_models",
     "load_file",
     "loads",
     "luby",

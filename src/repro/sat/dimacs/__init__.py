@@ -209,7 +209,7 @@ def _cmd_solve_incremental(args) -> int:
     from repro.sat.solver import Solver
     from repro.sat.types import Status
 
-    solver = Solver(kernel=args.kernel)
+    solver = Solver()
     ok = True
     if args.file:
         ok = solver.add_cnf(load_file(args.file))
@@ -266,8 +266,7 @@ def _cmd_solve(args) -> int:
         raise SystemExit("solve: a DIMACS file is required "
                          "(only --incremental may omit it)")
     cnf = load_file(args.file)
-    status, model = solve_cnf(cnf, assumptions=args.assume or [],
-                              kernel=args.kernel)
+    status, model = solve_cnf(cnf, assumptions=args.assume or [])
     _print_answer(status, model, args.quiet)
     return 10 if status is Status.SAT else 20
 
@@ -316,10 +315,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="iCNF server mode: read clause and "
                             "'a <assumptions> 0' lines from stdin, answer "
                             "each solve with s/v lines, exit 0 on EOF")
-    solve.add_argument("--kernel", choices=["pure", "vector"],
-                       default="pure",
-                       help="propagation kernel (vector falls back to "
-                            "pure without numpy)")
     solve.set_defaults(run=_cmd_solve)
 
     info = sub.add_parser("info", help="print a DIMACS file's dimensions")

@@ -27,6 +27,12 @@ satisfied and the span is never read.
 Clause ids are stable between reductions; when the arena accumulates too
 much deleted-clause storage, :meth:`Solver.reduce_db` compacts it and
 remaps watcher lists and reason references in one sweep.
+
+This is the one in-process SAT engine: each phase of the search
+(propagation, conflict analysis, minimization, branching) has exactly one
+loop, and ``tests/sat/test_trajectory_pin.py`` pins the trajectory they
+take.  External binaries plug in beside it through
+:mod:`repro.sat.external`.
 """
 
 from __future__ import annotations
@@ -43,17 +49,6 @@ _UNASSIGNED = 0
 
 # Reason / conflict sentinel: "no clause".
 _NO_CLAUSE = -1
-
-# Clause length at which LBD computation is handed to the vector kernel
-# (np.unique over the kernel's level mirror); shorter clauses are faster
-# through a Python set.
-_VECTOR_LBD_THRESHOLD = 64
-
-# Reason-clause length at which the first-UIP scan and the minimization
-# redundancy test are handed to the vector kernel (bulk seen/level
-# gather); the numpy round-trip (array build, double gather, boolean mask)
-# breaks even against the interpreted scan at roughly this length.
-_VECTOR_ANALYZE_THRESHOLD = 64
 
 
 def luby(i: int) -> int:
@@ -84,10 +79,14 @@ def _enc(lit: Lit) -> int:
 class Solver:
     """CDCL SAT solver over DIMACS-style integer literals."""
 
+    kernel = "pure"
+    """Engine name reported as ``solver_stats["kernel"]`` by
+    :meth:`repro.kodkod.engine.Session.solver_stats` (an external engine
+    reports ``"external"``)."""
+
     def __init__(self, restart_base: int = 100, decay: float = 0.95,
                  clause_decay: float = 0.999, max_learned: int = 4000,
-                 reduce_growth: float = 1.3, glue_lbd: int = 2,
-                 kernel: str = "pure") -> None:
+                 reduce_growth: float = 1.3, glue_lbd: int = 2) -> None:
         self._num_vars = 0
         self._arena = ClauseArena()
         self._problem_db: list[int] = []
@@ -99,8 +98,7 @@ class Solver:
         self._level: list[int] = [0]
         self._reason: list[int] = [_NO_CLAUSE]
         self._phase: list[bool] = [False]
-        # float64 activity storage: array('d') so the vector kernel can
-        # rescale it through a zero-copy numpy view in one operation.
+        # float64 activity storage, shared with the order heap.
         self._activity = array("d", [0.0])
         self._trail: list[Lit] = []
         self._trail_lim: list[int] = []
@@ -129,25 +127,6 @@ class Solver:
             "learned_deleted": 0,
             "db_reductions": 0,
         }
-        # Kernel: "pure" runs the loops below as written; "vector" attaches
-        # repro.sat.kernel, whose numpy assists (blocker prefilter for
-        # _propagate, bulk reason-clause scans for _analyze/_minimize) the
-        # same loops call into.  It falls back to "pure" when numpy is
-        # absent.  The two are search-trajectory identical; `self.kernel`
-        # records which one actually runs.
-        if kernel not in ("pure", "vector"):
-            raise ValueError(
-                f"unknown kernel {kernel!r}: expected 'pure' (interpreted "
-                "loops) or 'vector' (numpy-assisted loops)"
-            )
-        self._kernel = None
-        self.kernel = "pure"
-        if kernel == "vector":
-            from repro.sat.kernel import make_kernel
-
-            self._kernel = make_kernel(self)
-            if self._kernel is not None:
-                self.kernel = "vector"
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -331,16 +310,10 @@ class Solver:
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause id or -1.
 
-        This is the only propagation loop; both kernels run it.  Each
-        watch list is scanned in place: entries that stay are not moved,
-        and the positions of entries whose clause found a new watch (or
-        was deleted by ``reduce_db``) are closed with slice moves after
-        the scan, so the list keeps its order.  An attached vector kernel
-        narrows the scan to the entries whose blocker is not already true
-        (:meth:`repro.sat.kernel.VectorKernel.unblocked`).  The full scan
-        skips the others untouched, and their blockers stay true for the
-        whole pass because a pass only adds assignments, so both kernels
-        take the same search trajectory.
+        Each watch list is scanned in place: entries that stay are not
+        moved, and the positions of entries whose clause found a new
+        watch (or was deleted by ``reduce_db``) are closed with slice
+        moves after the scan, so the list keeps its order.
         """
         trail = self._trail
         trail_lim = self._trail_lim
@@ -354,7 +327,6 @@ class Solver:
         start = arena.start
         size = arena.size
         deleted = arena.deleted
-        kernel = self._kernel
         removed: list[int] = []  # positions to close in the current list
         propagated = 0
         conflict = _NO_CLAUSE
@@ -368,11 +340,7 @@ class Solver:
             n = len(watch_list)
             if not n:
                 continue
-            if kernel is None or (
-                    positions := kernel.unblocked(e, watch_list)) is None:
-                positions = range(0, n, 2)
-            changed = False
-            for i in positions:
+            for i in range(0, n, 2):
                 blocker = watch_list[i + 1]
                 value = assign[blocker] if blocker > 0 else -assign[-blocker]
                 if value == _TRUE:
@@ -392,7 +360,6 @@ class Solver:
                     value = assign[first] if first > 0 else -assign[-first]
                     if value == _TRUE:
                         watch_list[i + 1] = first
-                        changed = True
                         continue
                 # Search for a replacement watch.
                 for k in range(s + 2, s + size[cid]):
@@ -412,7 +379,6 @@ class Solver:
                     # it stays on this list with `first` as the blocker.
                     if first != blocker:
                         watch_list[i + 1] = first
-                        changed = True
                     if value == _FALSE:
                         conflict = cid
                         break
@@ -435,9 +401,6 @@ class Solver:
                     gone = nxt
                 del watch_list[j:gone + 2]
                 del removed[:]
-                changed = True
-            if changed and kernel is not None:
-                kernel.forget(e)
             if conflict != _NO_CLAUSE:
                 break
         self.stats["propagations"] += propagated
@@ -453,8 +416,6 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
-        if self._kernel is not None:
-            self._kernel.on_unassign(self._trail[limit:], limit)
         assign = self._assign
         reason = self._reason
         heap = self._order_heap
@@ -475,10 +436,8 @@ class Solver:
         """Bump every variable in ``to_bump`` by the current increment.
 
         Conflict analysis batches its bumps: the adds are applied first,
-        then one rescale decision covers the whole batch (the vector
-        kernel rescales through a zero-copy numpy view of the float64
-        activity array in a single vector multiply; the interpreted path
-        loops), then the order-heap reorderings run in batch order.  A
+        then one rescale decision covers the whole batch, then the
+        order-heap reorderings run in batch order.  A
         variable can appear twice (its ``seen`` mark was consumed by
         resolution and re-marked from a later reason clause) and is then
         bumped twice, exactly as the per-literal path did.
@@ -492,11 +451,8 @@ class Solver:
             if bumped > 1e100:
                 rescale = True
         if rescale:
-            if self._kernel is not None:
-                self._kernel.rescale_activity(1e-100)
-            else:
-                for v in range(1, self._num_vars + 1):
-                    activity[v] *= 1e-100
+            for v in range(1, self._num_vars + 1):
+                activity[v] *= 1e-100
             self._activity_inc *= 1e-100
         heap = self._order_heap
         for var in to_bump:
@@ -515,25 +471,16 @@ class Solver:
         self._clause_inc /= self._clause_decay
 
     def _analyze(self, conflict: int) -> tuple[list[Lit], int]:
-        """First-UIP analysis; returns (learned clause, backjump level).
-
-        Both kernels share this loop; the vector kernel replaces the
-        per-literal reason-clause scan (seen marking + level classify) with
-        a bulk gather when the clause is long enough, and the two produce
-        the same ``learned``/``to_bump`` sequences in the same order, so
-        search trajectories stay bit-identical.
-        """
+        """First-UIP analysis; returns (learned clause, backjump level)."""
         arena = self._arena
         arena_lits = arena.lits
         arena_start = arena.start
         arena_size = arena.size
         level = self._level
         trail = self._trail
-        kernel = self._kernel
         learned: list[Lit] = []
         to_bump: list[Var] = []
-        seen = ([False] * (self._num_vars + 1) if kernel is None
-                else kernel.seen_buffer(self._num_vars))
+        seen = [False] * (self._num_vars + 1)
         counter = 0
         lit: Lit | None = None
         if arena.learned[conflict]:
@@ -541,29 +488,21 @@ class Solver:
         cid = conflict
         index = len(trail)
         current_level = self._decision_level()
-        if kernel is not None:
-            kernel.begin_analyze()
 
         while True:
             s = arena_start[cid]
-            n = arena_size[cid]
-            if kernel is not None and n >= _VECTOR_ANALYZE_THRESHOLD:
-                counter += kernel.scan_reason(
-                    s, n, 0 if lit is None else lit, current_level,
-                    seen, learned, to_bump)
-            else:
-                for k in range(s, s + n):
-                    q = arena_lits[k]
-                    if q == lit:
-                        continue
-                    var = q if q > 0 else -q
-                    if not seen[var] and level[var] > 0:
-                        seen[var] = True
-                        to_bump.append(var)
-                        if level[var] == current_level:
-                            counter += 1
-                        else:
-                            learned.append(q)
+            for k in range(s, s + arena_size[cid]):
+                q = arena_lits[k]
+                if q == lit:
+                    continue
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0:
+                    seen[var] = True
+                    to_bump.append(var)
+                    if level[var] == current_level:
+                        counter += 1
+                    else:
+                        learned.append(q)
             # Pick the next trail literal at the current level to resolve on.
             while True:
                 index -= 1
@@ -601,14 +540,11 @@ class Solver:
                 break
         return learned, backjump
 
-    def _minimize(self, learned: list[Lit], seen) -> list[Lit]:
+    def _minimize(self, learned: list[Lit], seen: list[bool]) -> list[Lit]:
         """Remove literals whose reasons are subsumed by the learned clause.
 
         ``seen`` is the analysis buffer, re-used as the membership table:
-        truthy exactly for the variables of ``learned``.  Redundancy is a
-        pure per-literal predicate over that fixed table, so the vector
-        kernel can evaluate it over a long reason clause in bulk without
-        changing results.
+        true exactly for the variables of ``learned``.
         """
         arena = self._arena
         arena_lits = arena.lits
@@ -616,7 +552,6 @@ class Solver:
         arena_size = arena.size
         level = self._level
         reason_of = self._reason
-        kernel = self._kernel
         result = [learned[0]]
         for q in learned[1:]:
             var_q = q if q > 0 else -q
@@ -625,27 +560,21 @@ class Solver:
                 result.append(q)
                 continue
             s = arena_start[reason]
-            n = arena_size[reason]
-            if kernel is not None and n >= _VECTOR_ANALYZE_THRESHOLD:
-                redundant = kernel.redundant(s, n, var_q, seen)
-            else:
-                redundant = True
-                for k in range(s, s + n):
-                    r = arena_lits[k]
-                    var_r = r if r > 0 else -r
-                    if var_r == var_q:
-                        continue  # the implied literal itself
-                    if not seen[var_r] and level[var_r] != 0:
-                        redundant = False
-                        break
+            redundant = True
+            for k in range(s, s + arena_size[reason]):
+                r = arena_lits[k]
+                var_r = r if r > 0 else -r
+                if var_r == var_q:
+                    continue  # the implied literal itself
+                if not seen[var_r] and level[var_r] != 0:
+                    redundant = False
+                    break
             if not redundant:
                 result.append(q)
         return result
 
     def _compute_lbd(self, lits: Sequence[Lit]) -> int:
         """Literal block distance: number of distinct decision levels."""
-        if self._kernel is not None and len(lits) >= _VECTOR_LBD_THRESHOLD:
-            return self._kernel.compute_lbd(lits)
         return len({self._level[abs(q)] for q in lits})
 
     def _record_learned(self, learned: list[Lit]) -> None:
@@ -748,10 +677,6 @@ class Solver:
                 j += 2
             del watch_list[j:]
         self._arena = new
-        if self._kernel is not None:
-            # Compaction rewrote watch lists in place; cached arrays no
-            # longer match their contents.
-            self._kernel.invalidate()
 
     def clause_db_stats(self) -> dict[str, float]:
         """Snapshot of the clause database (feeds benchmark reports)."""
@@ -882,10 +807,10 @@ class Solver:
         return Model(values)
 
 
-def solve_cnf(cnf: CNF, assumptions: Iterable[Lit] = (),
-              kernel: str = "pure") -> tuple[Status, Model | None]:
+def solve_cnf(cnf: CNF,
+              assumptions: Iterable[Lit] = ()) -> tuple[Status, Model | None]:
     """One-shot convenience: build a solver, load ``cnf``, solve."""
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     if not solver.add_cnf(cnf):
         return Status.UNSAT, None
     status = solver.solve(assumptions)

@@ -16,8 +16,10 @@
                                     stay local)
 ``POST /v1/jobs/<id>/result``       complete or fail a leased job with
                                     a ``result_to_json`` payload (400
-                                    if it does not decode, 409 on a
-                                    lapsed lease)
+                                    if it does not decode or an
+                                    instance it carries is not a model
+                                    of the job's goal, 409 on a lapsed
+                                    lease)
 ``POST /v1/claims/<lease>/heartbeat``  extend a live lease's deadline
 ``GET /v1/healthz``                 liveness + queue counts (never
                                     auth-gated)
@@ -50,8 +52,11 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.api.result import Verdict, result_from_json
+from repro.api.backends import _is_model, _relational_goal
+from repro.api.result import Result, Verdict, result_from_json
 from repro.jobs import ResultCache
+from repro.kodkod.bounds import Bounds
+from repro.kodkod.instance import Instance
 from repro.service.queue import (
     DONE,
     LOCAL_WORKER,
@@ -61,7 +66,12 @@ from repro.service.queue import (
     LeaseError,
     QueueError,
 )
-from repro.service.schema import SERVICE_SCHEMA, SchemaError, decode_submission
+from repro.service.schema import (
+    SERVICE_SCHEMA,
+    SchemaError,
+    decode_problem,
+    decode_submission,
+)
 from repro.service.workers import WorkerPool
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -97,6 +107,54 @@ class ServiceConfig:
     local_dispatch: bool = True
     """False runs the hub as a pure coordinator: leases still expire and
     results are still accepted, but only satellites solve jobs."""
+
+
+def _rebound(instance: Instance, bounds: Bounds) -> Instance | None:
+    """A decoded instance re-expressed over ``bounds``, or None.
+
+    Decoding builds fresh relation objects, so each bounded relation
+    takes the posted value of the relation with its name and arity.
+    None when the atoms differ from the bounds' universe or a bounded
+    relation has no posted value.
+    """
+    universe = bounds.universe
+    if instance.universe.atoms != universe.atoms:
+        return None
+    posted = {(relation.name, relation.arity): instance.value_of(relation)
+              for relation in instance.relations()}
+    valuations = {}
+    for relation in bounds.relations():
+        value = posted.get((relation.name, relation.arity))
+        if value is None:
+            return None
+        valuations[relation] = universe.tuple_set(relation.arity, value)
+    return Instance(universe, valuations)
+
+
+def _check_posted_instances(record: JobRecord, result: Result) -> None:
+    """Refuse (:class:`SchemaError`, HTTP 400) a SAT or COUNTEREXAMPLE
+    answer to a formula or module job unless it carries instances and
+    each is a model of the job's goal within its bounds — the check
+    every in-process answer passes (:func:`repro.api.backends._is_model`).
+    """
+    if (record.kind not in ("formula", "module")
+            or result.verdict not in (Verdict.SAT, Verdict.COUNTEREXAMPLE)):
+        return
+    if not result.instances:
+        raise SchemaError(f"a {result.verdict.value!r} result must carry "
+                          f"the instance that witnesses it")
+    goal, bounds, _ = _relational_goal(
+        decode_problem(record.payload["problem"]), "hub")
+    for instance in result.instances:
+        rebound = _rebound(instance, bounds)
+        try:
+            model = rebound is not None and _is_model(goal, bounds, rebound)
+        except KeyError:  # the goal names a relation the bounds lack
+            model = False
+        if not model:
+            raise SchemaError(
+                "'result' instance is not a model of the job's goal "
+                "within its bounds")
 
 
 class _TokenBucket:
@@ -259,12 +317,15 @@ class VerificationService:
         ``error`` set exactly when the verdict is ``error`` (400
         otherwise).  A non-error result is written to the
         shared cache only while the job is running under the posted
-        lease, and *before* the job is marked done (the same
-        done-implies-result-on-disk invariant the local pool keeps); an
-        error result parks or requeues the job through the usual
-        machinery.  A post whose lease lapsed raises :class:`LeaseError`
-        (409) and caches nothing — unless the job already finished, in
-        which case the duplicate is acknowledged idempotently.
+        lease, only after its instances pass the hub's check (400
+        otherwise, leaving the lease to lapse;
+        :func:`_check_posted_instances`), and *before* the job is marked
+        done (the same done-implies-result-on-disk invariant the local
+        pool keeps); an error result parks or requeues the job through
+        the usual machinery.  A post whose lease lapsed raises
+        :class:`LeaseError` (409) and caches nothing — unless the job
+        already finished, in which case the duplicate is acknowledged
+        idempotently.
         """
         if not isinstance(payload, dict):
             raise SchemaError("result body must be a JSON object")
@@ -293,8 +354,9 @@ class VerificationService:
         if (error is None and record.state == RUNNING
                 and record.lease == lease):
             # Errors are never cached, nor is a post whose lease lapsed;
-            # a good verdict is durably cached before the journal can
-            # say done.
+            # a good verdict is checked, then durably cached before the
+            # journal can say done.
+            _check_posted_instances(record, decoded)
             self.cache.put(record.cache_key, result)
         try:
             if error is None:

@@ -179,6 +179,24 @@ EXPECTED_SUBPACKAGE_ALL = {
         "ResultCache",
         "map_jobs",
     ],
+    "repro.sat": [
+        "CNF",
+        "Clause",
+        "Lit",
+        "Model",
+        "Solver",
+        "Status",
+        "Var",
+        "clause",
+        "dump_file",
+        "dumps",
+        "load_file",
+        "loads",
+        "luby",
+        "negate",
+        "solve_cnf",
+        "var_of",
+    ],
 }
 
 EXPECTED_SIGNATURES = {

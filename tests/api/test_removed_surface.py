@@ -5,7 +5,10 @@ alloylite and checking packages used to carry their own solve/check/
 enumerate/explore functions beside it; these tests keep any of them from
 coming back as a module attribute (``test_public_api.py`` pins only the
 ``__all__`` lists), and check that every façade operation runs without
-emitting a warning of any kind.
+emitting a warning of any kind.  The SAT layer has one kernel and one
+model loop: the numpy kernel (``repro.sat.kernel``, the
+``kodkod-vector`` backend, every ``kernel`` argument) and
+``repro.sat.enumerate`` stay gone too.
 """
 
 import importlib
@@ -17,10 +20,13 @@ from repro import api
 from repro.alloylite import Module
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
-from repro.kodkod.engine import Solution
+from repro.kodkod.engine import Session, Solution
 from repro.kodkod.universe import Universe
 from repro.mca.network import AgentNetwork
 from repro.mca.policies import submodular_policy
+from repro.sat.cnf import CNF
+from repro.sat.dimacs import main as dimacs_main
+from repro.sat.solver import Solver, solve_cnf
 
 REMOVED_NAMES = [
     ("repro.kodkod", "solve"),
@@ -42,6 +48,8 @@ REMOVED_NAMES = [
     ("repro.kodkod.engine", "DeltaSession"),
     ("repro.api.backends", "DimacsBackend"),
     ("repro.api.backends", "DimacsIncBackend"),
+    ("repro.sat", "iter_models"),
+    ("repro.sat", "count_models"),
 ]
 
 
@@ -54,9 +62,42 @@ def test_removed_name_is_gone(module_name, name):
     assert name not in getattr(module, "__all__", ())
 
 
-def test_alloylite_commands_module_is_gone():
+@pytest.mark.parametrize("module_name", [
+    "repro.alloylite.commands",
+    "repro.sat.kernel",
+    "repro.sat.enumerate",
+])
+def test_removed_module_is_gone(module_name):
     with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.alloylite.commands")
+        importlib.import_module(module_name)
+
+
+def test_vector_backend_is_gone():
+    assert "kodkod-vector" not in api.available_backends()
+    with pytest.raises(ValueError, match="unknown backend 'kodkod-vector'"):
+        api.solve(*_relational_problem(), solver="kodkod-vector")
+
+
+KERNEL_ARGUMENT_CALLS = {
+    "Solver": lambda: Solver(kernel="pure"),
+    "solve_cnf": lambda: solve_cnf(CNF(), kernel="pure"),
+    "Session": lambda: Session(*_relational_problem(), kernel="pure"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ARGUMENT_CALLS))
+def test_kernel_argument_is_rejected(name):
+    with pytest.raises(TypeError, match="kernel"):
+        KERNEL_ARGUMENT_CALLS[name]()
+
+
+def test_dimacs_solve_rejects_the_kernel_flag(tmp_path, capsys):
+    path = tmp_path / "tiny.cnf"
+    path.write_text("p cnf 1 1\n1 0\n", encoding="ascii")
+    with pytest.raises(SystemExit) as exited:
+        dimacs_main(["solve", str(path), "--kernel", "pure"])
+    assert exited.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
 
 
 def test_solution_has_no_unsatisfiable_property():

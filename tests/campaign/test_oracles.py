@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import Verdict, solve
 from repro.campaign import (
     ORACLES,
     OracleOutcome,
@@ -16,7 +17,7 @@ from repro.campaign.specs import random_sweep
 from repro.fuzz import run_oracle
 
 EXPECTED_ORACLES = {"encodings", "symmetry", "enumeration", "evaluator",
-                    "kernels", "explorer", "engines", "delta"}
+                    "explorer", "engines", "delta"}
 
 
 def _applicable(spec):
@@ -39,8 +40,7 @@ class TestRegistry:
         # "external" additionally appears when REPRO_EXTERNAL_SOLVER is
         # set in the environment (the nightly CI job does this).
         assert _applicable(spec) - {"external"} == {
-            "encodings", "symmetry", "enumeration", "evaluator", "kernels",
-            "delta"}
+            "encodings", "symmetry", "enumeration", "evaluator", "delta"}
 
     def test_auction_oracles(self):
         for family in ("mca", "dispatch", "uav", "vnet"):
@@ -90,12 +90,15 @@ class TestRelationalOracles:
                 == outcome.detail["fresh_solver_models"])
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_kernels_agree(self, seed):
+    def test_encodings_agree(self, seed):
+        """PG, Tseitin and the DIMACS round trip reach one verdict, and it
+        is the checked verdict the façade answers."""
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=2,
                                  max_edges=4)
-        outcome = _run("kernels", spec)
+        outcome = _run("encodings", spec)
         assert outcome.agree, outcome.detail
-        assert outcome.detail["vector_models"] == outcome.detail["pure_models"]
+        verdict = solve(materialize(spec)).verdict
+        assert outcome.detail["sat_pg"] == (verdict is Verdict.SAT)
 
     def test_external_oracle_registers_and_agrees(self):
         # Wire the oracle against the in-tree DIMACS CLI so the external

@@ -207,8 +207,7 @@ class TestDefaultCampaign:
         assert len(oracles) >= 4
         for spec, oracle in tasks:
             assert oracle in {"symmetry", "enumeration", "evaluator",
-                              "kernels", "external", "explorer", "engines",
-                              "delta"}
+                              "external", "explorer", "engines", "delta"}
         # The delta oracle must sweep every family it applies to.
         delta_families = {spec.family for spec, oracle in tasks
                           if oracle == "delta"}

@@ -27,12 +27,9 @@ from repro.mca import (
 )
 
 
-@st.composite
-def honest_scenarios(draw):
-    n_agents = draw(st.integers(min_value=2, max_value=5))
-    n_items = draw(st.integers(min_value=1, max_value=4))
-    topology = draw(st.sampled_from(["complete", "line", "star", "random"]))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
+def build_scenario(n_agents, n_items, topology, seed, target,
+                   release_outbid=False):
+    """Network, items and honest sub-modular policies of one scenario."""
     if topology == "random":
         network = AgentNetwork.random_connected(n_agents, seed=seed)
     elif topology == "star":
@@ -43,7 +40,6 @@ def honest_scenarios(draw):
         network = AgentNetwork.complete(n_agents)
     items = [f"i{k}" for k in range(n_items)]
     rng = random.Random(seed)
-    target = draw(st.integers(min_value=1, max_value=3))
     policies = {}
     used_values: set[int] = set()
     for a in network.agents():
@@ -56,9 +52,21 @@ def honest_scenarios(draw):
             used_values.add(value)
             base[item] = value
         policies[a] = AgentPolicy(
-            utility=GeometricUtility(base, growth=0.5), target=target
+            utility=GeometricUtility(base, growth=0.5), target=target,
+            release_outbid=release_outbid,
         )
     return network, items, policies
+
+
+@st.composite
+def honest_scenarios(draw, release_outbid=st.just(False)):
+    n_agents = draw(st.integers(min_value=2, max_value=5))
+    n_items = draw(st.integers(min_value=1, max_value=4))
+    topology = draw(st.sampled_from(["complete", "line", "star", "random"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    target = draw(st.integers(min_value=1, max_value=3))
+    return build_scenario(n_agents, n_items, topology, seed, target,
+                          draw(release_outbid))
 
 
 class TestHonestInvariants:
@@ -115,19 +123,55 @@ class TestHonestInvariants:
             assert final <= max_base
 
 
+def run_both_schedules(scenario, seed):
+    """(FIFO engine, its result, random engine, its result)."""
+    network, items, policies = scenario
+    fifo = AsynchronousEngine(network, items, policies, scheduler="fifo")
+    shuffled = AsynchronousEngine(network, items, policies,
+                                  scheduler="random", seed=seed)
+    return (fifo, fifo.run(max_messages=20_000),
+            shuffled, shuffled.run(max_messages=20_000))
+
+
 class TestAsynchronousInvariants:
-    @given(honest_scenarios(), st.integers(min_value=0, max_value=50))
+    @given(honest_scenarios(release_outbid=st.booleans()),
+           st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_random_schedules_converge_consistently(self, scenario, seed):
-        """Out-of-order delivery (random scheduler) must still converge to
-        the same allocation as FIFO: the timestamp mechanism at work."""
-        network, items, policies = scenario
-        fifo = AsynchronousEngine(network, items, policies, scheduler="fifo")
-        fifo_result = fifo.run(max_messages=20_000)
-        shuffled = AsynchronousEngine(network, items, policies,
-                                      scheduler="random", seed=seed)
-        shuffled_result = shuffled.run(max_messages=20_000)
+        """Out-of-order delivery (random scheduler) still converges to a
+        conflict-free consensus: the timestamp mechanism at work.  The
+        allocation is schedule-independent only when outbid agents
+        release the later items of their bundles (``release_outbid``);
+        without release MCA does not promise one (see the pinned
+        schedule below)."""
+        fifo, fifo_result, shuffled, shuffled_result = run_both_schedules(
+            scenario, seed)
         assert fifo_result.converged
         assert shuffled_result.converged
-        assert fifo_result.allocation == shuffled_result.allocation
+        assert consensus_report(fifo.agents).consensus
         assert consensus_report(shuffled.agents).consensus
+        _, _, policies = scenario
+        if next(iter(policies.values())).release_outbid:
+            assert fifo_result.allocation == shuffled_result.allocation
+
+    # Two agents on a star, four items, targets of three, utilities drawn
+    # from seed 1962; the random scheduler runs with seed 17.
+    PINNED = dict(n_agents=2, n_items=4, topology="star", seed=1962,
+                  target=3)
+
+    def test_without_release_the_schedule_can_change_the_allocation(self):
+        scenario = build_scenario(**self.PINNED)
+        fifo, fifo_result, shuffled, shuffled_result = run_both_schedules(
+            scenario, 17)
+        assert fifo_result.converged and shuffled_result.converged
+        assert consensus_report(fifo.agents).consensus
+        assert consensus_report(shuffled.agents).consensus
+        assert fifo_result.allocation == {"i0": 0, "i1": 0, "i2": 1, "i3": 1}
+        assert shuffled_result.allocation == {"i0": 0, "i1": 1, "i2": 1,
+                                              "i3": 1}
+
+    def test_with_release_the_pinned_schedules_agree(self):
+        scenario = build_scenario(**self.PINNED, release_outbid=True)
+        _, fifo_result, _, shuffled_result = run_both_schedules(scenario, 17)
+        assert fifo_result.converged and shuffled_result.converged
+        assert fifo_result.allocation == shuffled_result.allocation

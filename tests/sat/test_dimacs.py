@@ -184,19 +184,6 @@ class TestCli:
         assert main(["solve", str(path)]) == 20
         assert "s UNSATISFIABLE" in capsys.readouterr().out
 
-    def test_solve_vector_kernel_matches_pure(self, tmp_path, capsys):
-        from repro.sat.dimacs import main
-
-        path = tmp_path / "tiny.cnf"
-        path.write_text("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n",
-                        encoding="ascii")
-        pure = main(["solve", str(path), "--kernel", "pure"])
-        pure_out = capsys.readouterr().out
-        vector = main(["solve", str(path), "--kernel", "vector"])
-        vector_out = capsys.readouterr().out
-        assert pure == vector == 10
-        assert pure_out == vector_out
-
     def test_solve_flushes_model_through_a_pipe(self, tmp_path):
         # The CLI doubles as an external solver for the `dimacs:` backend:
         # the model must survive block-buffered stdout when the parent

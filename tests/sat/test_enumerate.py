@@ -1,4 +1,10 @@
-"""Tests for model enumeration."""
+"""Model enumeration on the solver: solve, add a blocking clause, re-solve.
+
+The model loop the relational layer uses is
+:meth:`repro.kodkod.engine.Session.iter_solutions`; these tests drive
+:class:`~repro.sat.solver.Solver` through the same blocking-clause
+re-solve directly and compare the models it yields with brute force.
+"""
 
 import itertools
 import random
@@ -8,8 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
-from repro.sat.enumerate import count_models, iter_models
+from repro.sat.solver import Solver
 from tests.sat.brute_force import brute_force_count
+from tests.sat.cnfs import blocked_models
+
+
+def all_models(cnf: CNF):
+    """Every model of ``cnf``, one blocking clause at a time."""
+    solver = Solver()
+    if not solver.add_cnf(cnf):
+        return []
+    return blocked_models(solver, cnf.num_vars)
 
 
 class TestEnumeration:
@@ -18,57 +33,32 @@ class TestEnumeration:
         v = cnf.new_var()
         cnf.add_clause([v])
         cnf.add_clause([-v])
-        assert list(iter_models(cnf)) == []
+        assert all_models(cnf) == []
 
     def test_free_variables_enumerate_fully(self):
         cnf = CNF(3)  # no clauses: 8 assignments
-        assert count_models(cnf) == 8
+        assert len(all_models(cnf)) == 8
 
     def test_exactly_one_has_n_models(self):
         cnf = CNF()
         lits = cnf.new_vars(5)
         cnf.add_exactly_one(lits)
-        assert count_models(cnf) == 5
+        assert len(all_models(cnf)) == 5
 
     def test_models_are_distinct(self):
         cnf = CNF(4)
         cnf.add_clause([1, 2])
         seen = set()
-        for model in iter_models(cnf):
+        for model in all_models(cnf):
             key = tuple(model.as_literals())
             assert key not in seen
             seen.add(key)
-
-    def test_limit_respected(self):
-        cnf = CNF(4)
-        assert count_models(cnf, limit=3) == 3
-
-    def test_limit_zero(self):
-        cnf = CNF(2)
-        assert count_models(cnf, limit=0) == 0
-
-    def test_negative_limit_rejected(self):
-        cnf = CNF(2)
-        with pytest.raises(ValueError):
-            list(iter_models(cnf, limit=-1))
-
-    def test_projection_collapses_aux_vars(self):
-        # y is free; projecting on {x} should give exactly 2 models.
-        cnf = CNF()
-        x = cnf.new_var()
-        cnf.new_var()
-        assert count_models(cnf, projection=[x]) == 2
-
-    def test_empty_projection_single_model(self):
-        cnf = CNF(3)
-        cnf.add_clause([1, 2])
-        assert count_models(cnf, projection=[]) == 1
 
     def test_every_model_satisfies(self):
         cnf = CNF(4)
         clauses = [[1, -2], [2, 3], [-3, 4]]
         cnf.extend(clauses)
-        models = list(iter_models(cnf))
+        models = all_models(cnf)
         assert models
         for model in models:
             assert model.satisfies(clauses)
@@ -90,7 +80,7 @@ class TestEnumeration:
             )
             signs = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
             cnf.add_clause([v if s else -v for v, s in zip(variables, signs)])
-        assert count_models(cnf) == brute_force_count(cnf)
+        assert len(all_models(cnf)) == brute_force_count(cnf)
 
 
 class TestEnumerationAgainstBruteForce:
@@ -127,7 +117,7 @@ class TestEnumerationAgainstBruteForce:
         cnf = self._random_cnf(rng, num_vars)
         enumerated = {
             tuple(model[v] for v in range(1, num_vars + 1))
-            for model in iter_models(cnf)
+            for model in all_models(cnf)
         }
         assert enumerated == self._brute_force_assignments(cnf)
 
@@ -141,5 +131,5 @@ class TestEnumerationAgainstBruteForce:
             chosen = rng.sample(range(1, 13), 3)
             cnf.add_clause(
                 [v if rng.random() < 0.5 else -v for v in chosen])
-        assert count_models(cnf) == len(
+        assert len(all_models(cnf)) == len(
             self._brute_force_assignments(cnf))

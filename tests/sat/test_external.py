@@ -341,6 +341,7 @@ class TestDimacsBackendRegistry:
         reference = api.solve(formula, bounds, solver="kodkod")
         result = api.solve(formula, bounds, solver=external)
         assert result.verdict == reference.verdict
+        assert reference.solver_stats["kernel"] == "pure"
         assert result.solver_stats["kernel"] == "external"
         assert result.solver_stats["external_wall_time"] > 0
         assert result.solver_stats["external_invocations"] == 1

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, luby, solve_cnf
 from repro.sat.types import Status
-from tests.sat.brute_force import brute_force_satisfiable
+from tests.sat.brute_force import brute_force_count, brute_force_satisfiable
+from tests.sat.cnfs import blocked_models, chain_cnf
 
 
 class TestLuby:
@@ -184,6 +185,21 @@ class TestIncremental:
         solver.add_clause([-b])
         assert solver.solve() is Status.UNSAT
 
+    def test_blocking_clause_between_assumption_solves(self):
+        """A clause added between two solves under the same assumption
+        joins long watch lists; the next model honours it."""
+        cnf, g = chain_cnf(n_chain=16, fanout=60, pool=8)
+        solver = Solver()
+        assert solver.add_cnf(cnf)
+        assert solver.solve([-g]) is Status.SAT
+        first = solver.model()
+        blocking = [-v if first[v] else v for v in range(1, cnf.num_vars + 1)]
+        assert solver.add_clause(blocking)
+        assert solver.solve([-g]) is Status.SAT
+        second = solver.model()
+        assert second.values != first.values and not second[g]
+        assert second.satisfies(list(cnf.clauses()) + [blocking])
+
     def test_stats_populated(self):
         cnf = CNF()
         cnf.new_vars(6)
@@ -266,6 +282,24 @@ class TestClauseDatabase:
         learned = [c for c in solver._learned_db if not arena.deleted[c]]
         assert learned
         assert all(arena.lbd[c] >= 1 for c in learned)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_enumeration_under_aggressive_reduction(self, seed):
+        """Blocking-clause enumeration under ``max_learned=5`` deletes
+        learned clauses between re-solves; it still yields every model
+        exactly once."""
+        rng = random.Random(2000 + seed)
+        num_vars = rng.randint(8, 14)
+        cnf = CNF(num_vars)
+        for _ in range(3 * num_vars):
+            chosen = rng.sample(range(1, num_vars + 1), 3)
+            cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        solver = Solver(max_learned=5)
+        assert solver.add_cnf(cnf)
+        models = blocked_models(solver, num_vars)
+        assert len({tuple(model.as_literals()) for model in models}) \
+            == len(models) == brute_force_count(cnf)
+        assert all(model.satisfies(cnf.clauses()) for model in models)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_aggressive_reduction_agrees_with_brute_force(self, seed):
@@ -420,6 +454,21 @@ def random_cnf(draw_vars, draw_clauses, rng):
     return cnf
 
 
+def noisy_cnf(rng: random.Random, num_vars: int, num_clauses: int,
+              max_width: int = 4) -> CNF:
+    """Random clauses of 1..``max_width`` literals drawn with
+    replacement, so a clause may repeat a literal or hold both signs of
+    a variable (the cases ``Solver.add_cnf`` simplifies away)."""
+    cnf = CNF()
+    for _ in range(num_vars):
+        cnf.new_var()
+    for _ in range(num_clauses):
+        width = rng.randint(1, max_width)
+        cnf.add_clause([rng.choice([1, -1]) * rng.randint(1, num_vars)
+                        for _ in range(width)])
+    return cnf
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_3cnf_agrees_with_brute_force(self, seed):
@@ -432,6 +481,148 @@ class TestAgainstBruteForce:
         assert (status is Status.SAT) == expected
         if model is not None:
             assert model.satisfies(cnf.clauses())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noisy_cnfs_agree_with_brute_force(self, seed):
+        rng = random.Random(1000 + seed)
+        cnf = noisy_cnf(rng, rng.randint(3, 10), rng.randint(3, 30))
+        status, model = solve_cnf(cnf)
+        assert (status is Status.SAT) == brute_force_satisfiable(cnf)
+        if model is not None:
+            assert model.satisfies(cnf.clauses())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_assumptions_agree_with_brute_force(self, seed):
+        """Repeated solves of one solver under random assumptions: each
+        answer is the brute-force answer for the CNF plus the
+        assumptions as unit clauses."""
+        rng = random.Random(3000 + seed)
+        num_vars = rng.randint(5, 15)
+        cnf = noisy_cnf(rng, num_vars, rng.randint(10, 50))
+        solver = Solver()
+        if not solver.add_cnf(cnf):
+            assert not brute_force_satisfiable(cnf)
+            return
+        for _ in range(6):
+            assumptions = [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                           for _ in range(rng.randint(0, 3))]
+            assumed = CNF(num_vars)
+            assumed.extend(list(cnf.clauses()) + [[a] for a in assumptions])
+            status = solver.solve(assumptions)
+            assert (status is Status.SAT) == brute_force_satisfiable(assumed)
+            if status is Status.SAT:
+                assert solver.model().satisfies(assumed.clauses())
+
+
+def decide(cnf: CNF) -> tuple[Solver, Status]:
+    """A fresh solver loaded with ``cnf`` and its verdict (UNSAT when the
+    clauses already conflict at load)."""
+    solver = Solver()
+    return solver, solver.solve() if solver.add_cnf(cnf) else Status.UNSAT
+
+
+def assert_same_trajectory(first: Solver, second: Solver,
+                           status: Status) -> None:
+    assert first.stats == second.stats
+    if status is Status.SAT:
+        assert first.model().values == second.model().values
+
+
+class TestDeterminism:
+    """The search is a function of the clauses alone: fresh solvers fed
+    the same CNF return the same status and model with every ``stats``
+    counter equal — what the trajectory pins and the recorded campaign
+    and fuzz digests rely on."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_cnfs_repeat_status_model_stats(self, seed):
+        """Random 3-CNF at clause/variable ratio 4.26, where about half
+        are SAT and nearly every search learns clauses."""
+        rng = random.Random(seed)
+        num_vars = rng.randint(12, 28)
+        cnf = CNF(num_vars)
+        for _ in range(round(4.26 * num_vars)):
+            chosen = rng.sample(range(1, num_vars + 1), 3)
+            cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+        first, status = decide(cnf)
+        second, repeated = decide(cnf)
+        assert repeated is status
+        assert_same_trajectory(first, second, status)
+        if status is Status.SAT:
+            assert first.model().satisfies(cnf.clauses())
+        # Another clause order takes another path to the same verdict.
+        reordered = CNF(cnf.num_vars)
+        reordered.extend(list(cnf.clauses())[::-1])
+        assert decide(reordered)[1] is status
+
+
+class TestCampaignFamilyCnfs:
+    """The solver on the CNFs the campaign induces: relational specs
+    translate directly; the four auction families lift their
+    communication graph into the dynamic consensus check (the paper's
+    SAT-shaped workload)."""
+
+    @staticmethod
+    def _family_cnf(family: str, seed: int) -> CNF:
+        from repro.api import FormulaProblem
+        from repro.campaign.specs import ScenarioSpec, materialize
+
+        scenario = materialize(ScenarioSpec.make(family, seed))
+        if isinstance(scenario, FormulaProblem):
+            from repro.kodkod.translate import Translator
+
+            return Translator(scenario.bounds).translate(
+                scenario.formula).cnf
+        from repro.model import build_dynamic
+
+        # Keep the instance tractable: the first three agents of the
+        # family's network, re-indexed, with a chain fallback so the
+        # induced subgraph stays connected.
+        agents = scenario.network.agents()[:3]
+        index = {agent: i for i, agent in enumerate(agents)}
+        edges = {tuple(sorted((index[a], index[b])))
+                 for a, b in scenario.network.graph.edges
+                 if a in index and b in index}
+        edges.update((i, i + 1) for i in range(len(agents) - 1))
+        model = build_dynamic(num_pnodes=len(agents), num_vnodes=2,
+                              max_value=2, edges=sorted(edges))
+        return model.translate_check().cnf
+
+    @pytest.mark.parametrize("family,seed", [
+        ("relational", 0), ("relational", 7), ("relational", 11),
+        ("mca", 0), ("dispatch", 1), ("uav", 2), ("vnet", 3),
+    ])
+    def test_family_verdicts_repeat(self, family, seed):
+        cnf = self._family_cnf(family, seed)
+        first, status = decide(cnf)
+        second, repeated = decide(cnf)
+        assert repeated is status
+        assert_same_trajectory(first, second, status)
+        if family == "relational":
+            # A handful of variables: brute force decides it too.
+            assert (status is Status.SAT) == brute_force_satisfiable(cnf)
+            if status is Status.SAT:
+                assert first.model().satisfies(cnf.clauses())
+        else:
+            # No counterexample: the network reaches consensus.
+            assert status is Status.UNSAT
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_relational_enumeration_is_complete_and_repeats(self, seed):
+        """Blocking-clause enumeration over a family CNF yields every
+        model once, in the same order with the same stats each run."""
+        cnf = self._family_cnf("relational", seed)
+
+        def enumerate_models():
+            solver = Solver()
+            assert solver.add_cnf(cnf)
+            models = blocked_models(solver, cnf.num_vars)
+            return [tuple(model.as_literals()) for model in models], \
+                solver.stats
+
+        models, stats = enumerate_models()
+        assert enumerate_models() == (models, stats)
+        assert len(set(models)) == len(models) == brute_force_count(cnf)
 
 
 @st.composite

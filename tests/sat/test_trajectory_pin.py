@@ -1,12 +1,10 @@
-"""Search-trajectory pins for both solver kernels.
+"""Search-trajectory pins for the solver.
 
-The differentials in ``test_kernel.py`` compare the ``pure`` and
-``vector`` kernels with each other; these pin both against fixed
-values: the exact ``Solver.stats`` dict and a digest of every model
-found.  Propagation order, learned clauses, clause-database reduction
-and arena compaction all feed these numbers, so a change that moves any
-of them changes the search trajectory.  Re-record the values only for a
-deliberate change to the search.
+Each case pins the exact ``Solver.stats`` dict and a digest of every
+model found.  Propagation order, learned clauses, clause-database
+reduction and arena compaction all feed these numbers, so a change that
+moves any of them changes the search trajectory.  Re-record the values
+only for a deliberate change to the search.
 """
 
 import functools
@@ -18,7 +16,7 @@ import pytest
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 from repro.sat.types import Status
-from tests.sat.test_kernel import chain_cnf
+from tests.sat.cnfs import chain_cnf
 
 
 class _CountingSolver(Solver):
@@ -39,8 +37,8 @@ def _digest(models) -> str:
 
 
 def pigeonhole_fanout_cnf(holes: int = 5, fanout: int = 70):
-    """The CNF of ``test_conflict_heavy_trajectory_identical``: a
-    pigeonhole core whose literals fan out into guarded noise clauses."""
+    """A pigeonhole core whose literals fan out into guarded noise
+    clauses: a conflict-heavy search over long watch lists."""
     cnf = CNF()
     v = {}
     for p in range(holes + 1):
@@ -81,10 +79,10 @@ def consensus_cnf() -> CNF:
                          edges=[(0, 1), (1, 2)]).translate_check().cnf
 
 
-def run_chain(kernel):
+def run_chain():
     """Five warm assumption solves over long blocker-true watch lists."""
     cnf, g = chain_cnf()
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     assert solver.add_cnf(cnf)
     models = []
     for _ in range(5):
@@ -93,19 +91,19 @@ def run_chain(kernel):
     return solver, models
 
 
-def run_pigeonhole(kernel):
+def run_pigeonhole():
     cnf, guard = pigeonhole_fanout_cnf()
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     assert solver.add_cnf(cnf)
     assert solver.solve([-guard]) is Status.UNSAT
     return solver, []
 
 
-def run_enumeration(kernel):
+def run_enumeration():
     """All 92 eight-queens solutions by blocking clauses under a tiny
     learned-clause budget: drives ``reduce_db`` and arena compaction."""
     cnf = queens_cnf(8)
-    solver = _CountingSolver(max_learned=5, kernel=kernel)
+    solver = _CountingSolver(max_learned=5)
     assert solver.add_cnf(cnf)
     models = []
     while solver.solve() is Status.SAT:
@@ -120,9 +118,9 @@ def run_enumeration(kernel):
     return solver, models
 
 
-def run_consensus(kernel):
+def run_consensus():
     """The dynamic consensus check of a three-agent line network."""
-    solver = Solver(kernel=kernel)
+    solver = Solver()
     assert solver.add_cnf(consensus_cnf())
     assert solver.solve() is Status.UNSAT
     return solver, []
@@ -161,10 +159,9 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("kernel", ["pure", "vector"])
 @pytest.mark.parametrize("case", sorted(RUNS))
-def test_trajectory_pinned(case, kernel):
-    solver, models = RUNS[case](kernel)
+def test_trajectory_pinned(case):
+    solver, models = RUNS[case]()
     stats, digest = EXPECTED[case]
     assert solver.stats == stats
     assert _digest(models) == digest

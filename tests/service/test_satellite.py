@@ -18,6 +18,7 @@ from repro.api import solve
 from repro.api.delta import open_session_count
 from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
+from repro.kodkod import relation
 from repro.service import ServiceConfig, VerificationService
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.satellite import SatelliteWorker
@@ -224,6 +225,84 @@ class TestHubPolicies:
             client.post_result("nope", lease="x", worker="sat-v",
                                result={"verdict": "sat"})
         assert info.value.status == 404
+
+
+def r_instance(tuples, atoms="abc"):
+    """A posted instance over ``atoms`` with ``r = tuples`` (no ``r`` at
+    all for None)."""
+    relations = ([] if tuples is None
+                 else [{"name": "r", "arity": 1, "tuples": tuples}])
+    return {"universe": list(atoms), "relations": relations}
+
+
+class TestPostedInstanceCheck:
+    """The hub checks a posted SAT instance against the job's goal and
+    bounds before it can enter the shared cache."""
+
+    @staticmethod
+    def _claimed_job(client, promote=()):
+        problem, r = free_problem()  # some r, r over {a, b, c}
+        # r <= {a, b}, and r >= the promoted tuples
+        problem = rebound(problem, r, drop=[("c",)], promote=promote)
+        job_id = client.submit({"problem": problem_to_json(problem)})["id"]
+        (claim,) = client.claim("sat-liar", limit=1)["claims"]
+        return job_id, claim
+
+    @staticmethod
+    def _post(client, job_id, claim, instances):
+        return client.request(
+            "POST", f"/v1/jobs/{job_id}/result",
+            {"lease": claim["lease"], "worker": "sat-liar",
+             "result": {"verdict": "sat", "instances": instances}})
+
+    @pytest.mark.parametrize("promote,instance", [
+        ((), r_instance([])),
+        ((), r_instance([["c"]])),
+        ((), r_instance([["a"]], atoms="ab")),
+        ((), r_instance(None)),
+        ([("a",)], r_instance([["b"]])),
+    ], ids=["empty-r-falsifies-some-r", "c-outside-the-upper-bound",
+            "atoms-differ-from-the-universe", "r-not-posted",
+            "r-below-its-lower-bound"])
+    def test_a_non_model_is_refused_and_not_cached(
+            self, hub, client, tmp_path, promote, instance):
+        """``r = {}`` falsifies ``some r``; each other post satisfies it
+        where it names ``r`` but is no instance of the job's bounds."""
+        job_id, claim = self._claimed_job(client, promote)
+        with pytest.raises(ServiceError) as info:
+            self._post(client, job_id, claim, [instance])
+        assert info.value.status == 400
+        assert "not a model" in str(info.value)
+        # Nothing cached; the lease lapses through the attempt cap.
+        assert client.job(job_id)["state"] == "running"
+        assert list((tmp_path / "cache").glob("*/*.json")) == []
+
+    def test_a_goal_over_an_unbounded_relation_is_refused(
+            self, hub, client, tmp_path):
+        """No satellite solve can answer SAT here (translation rejects
+        the unbounded ``s``), so such a post is refused, not a crash."""
+        problem, r = free_problem(lambda r: relation("s", 1).some())
+        job_id = client.submit({"problem": problem_to_json(problem)})["id"]
+        (claim,) = client.claim("sat-liar", limit=1)["claims"]
+        with pytest.raises(ServiceError) as info:
+            self._post(client, job_id, claim, [r_instance([["a"]])])
+        assert info.value.status == 400
+        assert list((tmp_path / "cache").glob("*/*.json")) == []
+
+    def test_a_sat_post_without_an_instance_is_refused(
+            self, hub, client, tmp_path):
+        job_id, claim = self._claimed_job(client)
+        with pytest.raises(ServiceError) as info:
+            self._post(client, job_id, claim, [])
+        assert info.value.status == 400
+        assert list((tmp_path / "cache").glob("*/*.json")) == []
+
+    def test_a_model_within_the_bounds_is_cached(self, hub, client):
+        job_id, claim = self._claimed_job(client)
+        body = self._post(client, job_id, claim, [r_instance([["a"]])])
+        assert body["state"] == "done"
+        cached = hub.cache.get(claim["cache_key"])
+        assert cached["instances"] == [r_instance([["a"]])]
 
 
 class TestSessionLifecycle:

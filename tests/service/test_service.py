@@ -1,5 +1,6 @@
 """Full job lifecycle over HTTP against an in-process service."""
 
+import dataclasses
 import io
 import json
 import re
@@ -10,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import solve
+from repro.api import Options, solve
 from repro.campaign.specs import FAMILIES, ScenarioSpec
 from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service import ServiceConfig, VerificationService
 from repro.service.app import _Handler
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.queue import JobQueue
+from repro.service.schema import decode_submission
 
 from tests.api.test_delta import free_problem, rebound
 
@@ -246,6 +249,42 @@ class TestEdgePolicies:
         journal = service.config.queue_dir / "journal.jsonl"
         assert not journal.exists() or journal.read_text() == ""
         assert not marker.exists()
+
+    def test_the_removed_vector_backend_is_400(self, service, client):
+        """``kodkod-vector`` is gone without an alias: the edge refuses it
+        like any unregistered name and queues nothing."""
+        body = {"problem": problem_to_json(
+                    generate(FuzzSpec.make("formula", 2))),
+                "options": {"solver": "kodkod-vector"}}
+        with pytest.raises(ServiceError) as info:
+            client.submit(body)
+        assert info.value.status == 400
+        assert "'kodkod-vector' is not a registered backend" in str(
+            info.value)
+        assert client.metrics()["jobs"] == {
+            "pending": 0, "running": 0, "done": 0, "error": 0}
+
+    def test_a_journaled_vector_backend_job_fails_as_undecodable(
+            self, tmp_path):
+        """A job a hub journaled while ``kodkod-vector`` was registered
+        fails on replay, without a retry, instead of crashing a worker."""
+        submission = decode_submission({"problem": problem_to_json(
+            generate(FuzzSpec.make("formula", 2)))})
+        queue = JobQueue(tmp_path / "queue")
+        record, _ = queue.submit(dataclasses.replace(
+            submission, options=Options(solver="kodkod-vector")))
+        queue.close()
+        service = VerificationService(ServiceConfig(
+            queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
+            workers=1)).start()
+        try:
+            final = ServiceClient(service.url).wait(record.id, timeout=60)
+        finally:
+            service.stop()
+        assert final["state"] == "error"
+        assert final["error"].startswith("undecodable job: ")
+        assert "'kodkod-vector' is not a registered backend" in final["error"]
+        assert final["attempts"] == 1
 
     def test_rate_limiting_is_off_by_default(self, client):
         for _ in range(30):
