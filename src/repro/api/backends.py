@@ -358,7 +358,9 @@ class _ExternalEngine:
 
 
 class ExplorerBackend:
-    """Protocol problems via exhaustive schedule exploration."""
+    """Protocol problems via exhaustive schedule exploration, with
+    canonical-state memoization always on (verdict-preserving; the
+    ``explorer`` oracle checks it against plain DFS)."""
 
     name = "explorer"
 
@@ -374,7 +376,6 @@ class ExplorerBackend:
         exploration = explore(
             problem.network, list(problem.items), dict(problem.policies),
             max_rounds=options.max_rounds, max_paths=options.max_paths,
-            memoize=options.memoize,
         )
         verdict = (Verdict.HOLDS if exploration.all_converged
                    else Verdict.COUNTEREXAMPLE)

@@ -34,13 +34,15 @@ task completing before the pool is declared wedged).  Independent of
 ``Options.timeout``, which budgets a single solve."""
 
 
-def batch_cache_key(problem: Problem, options: Options) -> str:
-    """Content hash identifying one (problem, options) solve."""
+def batch_cache_key(fingerprint: str, options: Options) -> str:
+    """Content hash identifying one solve: the problem's
+    :func:`~repro.api.problem_fingerprint` and the options that change
+    its answer (:meth:`Options.cache_signature`)."""
     payload = json.dumps(
         {
             "schema": BATCH_SCHEMA,
             "op": "solve",
-            "problem": problem_fingerprint(problem),
+            "problem": fingerprint,
             "options": options.cache_signature(),
         },
         sort_keys=True,
@@ -49,15 +51,13 @@ def batch_cache_key(problem: Problem, options: Options) -> str:
 
 
 def _cache_key_or_none(problem: Problem, options: Options) -> str | None:
-    """The problem's cache key, or None when it cannot be computed.
+    """The problem's cache key, or None when it has no fingerprint.
 
-    Keying compiles module problems, so a problem that cannot compile
-    (say, a sig scoped to zero atoms) fails here.  It then runs
-    uncached, and its worker records the same failure as an ``ERROR``
-    row, exactly as on the no-cache path.
+    A problem the codec cannot encode (an ``OrderedModule``, say) runs
+    uncached, exactly as on the no-cache path.
     """
     try:
-        return batch_cache_key(problem, options)
+        return batch_cache_key(problem_fingerprint(problem), options)
     except Exception:
         return None
 
@@ -84,7 +84,7 @@ def solve_many(
     problems: Sequence[Problem],
     options: Options | None = None,
     *,
-    workers: int | None = None,
+    workers: int = 1,
     cache_dir: str | Path | None = None,
     task_timeout: float | None = None,
     progress: Callable[[int, Result], None] | None = None,
@@ -92,11 +92,12 @@ def solve_many(
 ) -> list[Result]:
     """Solve every problem; return results in input order.
 
-    ``workers``/``cache_dir`` default to the corresponding
-    :class:`Options` fields (``workers=1`` runs inline).  With a cache
-    directory, results are content-addressed by (problem fingerprint,
-    result-affecting options), so a warm re-run is pure cache reads —
-    cache hits carry ``detail["cached"] = True``.
+    ``workers`` is the process count (1 runs inline, in-process).  With
+    a ``cache_dir``, results are content-addressed by
+    :func:`batch_cache_key` (problem fingerprint plus the options that
+    change an answer), so a warm re-run with any worker count is pure
+    cache reads — cache hits carry ``detail["cached"] = True``.  A
+    problem without a fingerprint runs uncached.
 
     Timeouts are two separate knobs:
 
@@ -120,14 +121,12 @@ def solve_many(
     returned list is always in input order regardless.
     """
     opts = resolve_options(options, overrides)
-    shards = opts.workers if workers is None else workers
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+    if (isinstance(workers, bool) or not isinstance(workers, int)
+            or workers < 1):
         raise ValueError(
             f"workers must be an integer >= 1 (1 runs inline, N > 1 fans "
-            f"out over a process pool), got {shards!r}"
+            f"out over a process pool), got {workers!r}"
         )
-    if cache_dir is None:
-        cache_dir = opts.cache_dir
     if task_timeout is None:
         # Never fall back to opts.timeout: that is a *per-solve* budget,
         # and using it as the pool's stall bound would kill a healthy
@@ -136,8 +135,6 @@ def solve_many(
 
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     results: list[Result] = [None] * len(problems)  # type: ignore[list-item]
-    # Fingerprinting compiles module problems, so only pay for it when a
-    # cache is actually in play.
     keys = [_cache_key_or_none(problem, opts) if cache is not None else None
             for problem in problems]
     misses: list[int] = []
@@ -168,7 +165,7 @@ def solve_many(
         _solve_worker,
         record,
         failure,
-        shards=shards,
+        shards=workers,
         task_timeout=task_timeout,
     )
     return results

@@ -6,10 +6,11 @@ dataclass, so option spelling is uniform across ``solve``, ``check``,
 keyword zoo (``symmetry=`` here, ``limit=`` there, ``max_rounds=``
 elsewhere) collapses into one place with one set of validation rules.
 
-Fields that do not affect the *result* of a computation (``workers``,
-``timeout``, ``cache_dir``) are excluded from :meth:`Options.cache_signature`,
-so re-running a batch with a different pool size still hits the
-content-addressed cache.
+Options hold only what a single solve reads.  Every field but
+``timeout`` can change an answer, so :meth:`Options.cache_signature` is
+every field but ``timeout``: it keys the batch cache and the service's
+job ids.  How a batch runs (process count, cache directory) is an
+argument of ``solve_many``, not an option.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from dataclasses import dataclass
 class Options:
     """Validated options accepted by every ``repro.api`` entry point.
 
-    ``None`` fields mean "use the backend's per-operation default":
-    ``symmetry=None`` enables lex-leader symmetry breaking for
-    solve/check (verdict-preserving) but disables it for enumeration
-    (every model is produced).  Construction raises :class:`ValueError`
-    with an actionable message on any out-of-range field.
+    Six fields: ``solver``, ``symmetry``, ``max_instances``,
+    ``max_rounds``, ``max_paths`` and ``timeout``.  ``None`` fields mean
+    "use the backend's per-operation default": ``symmetry=None`` enables
+    lex-leader symmetry breaking for solve/check (verdict-preserving)
+    but disables it for enumeration (every model is produced).
+    Construction raises :class:`ValueError` with an actionable message
+    on any out-of-range field.
     """
 
     solver: str | None = None
@@ -53,9 +56,6 @@ class Options:
     max_paths: int = 2000
     """Protocol-check breadth bound (complete schedules explored)."""
 
-    memoize: bool = True
-    """Protocol-check canonical-state memoization (verdict-preserving)."""
-
     timeout: float | None = None
     """Per-solve time budget in seconds, enforced where preemption is
     possible — the external ``dimacs:`` backends kill the solver process
@@ -64,13 +64,6 @@ class Options:
     has a separate ``task_timeout`` argument for that (defaulting to
     ``repro.api.batch.DEFAULT_TASK_TIMEOUT``), so a tight per-solve
     budget never kills an otherwise-healthy sharded batch."""
-
-    workers: int = 1
-    """Process count for ``solve_many`` (1 runs inline, in-process)."""
-
-    cache_dir: str | None = None
-    """Content-addressed result cache directory for ``solve_many``
-    (``None`` disables caching)."""
 
     def __post_init__(self) -> None:
         if self.solver is not None and (
@@ -111,11 +104,6 @@ class Options:
                 f"max_paths must be a positive integer bound on explored "
                 f"schedules, got {self.max_paths!r}"
             )
-        if not isinstance(self.memoize, bool):
-            raise ValueError(
-                f"memoize must be a bool (True prunes isomorphic "
-                f"interleavings, verdict unchanged), got {self.memoize!r}"
-            )
         if self.timeout is not None and (
                 isinstance(self.timeout, bool)
                 or not isinstance(self.timeout, (int, float))
@@ -123,12 +111,6 @@ class Options:
             raise ValueError(
                 f"timeout must be a positive number of seconds or None to "
                 f"wait indefinitely, got {self.timeout!r}"
-            )
-        if (isinstance(self.workers, bool)
-                or not isinstance(self.workers, int) or self.workers < 1):
-            raise ValueError(
-                f"workers must be an integer >= 1 (1 runs inline, N > 1 "
-                f"fans out over a process pool), got {self.workers!r}"
             )
 
     def replace(self, **overrides) -> "Options":
@@ -138,12 +120,11 @@ class Options:
     def to_json(self) -> dict:
         """Every field as a JSON-able dict (the wire form).
 
-        Unlike :meth:`cache_signature` this includes the execution knobs
-        (``timeout``, ``workers``, ``cache_dir``) — the wire form must
-        reconstruct the exact options, not just their result identity.
+        Unlike :meth:`cache_signature` this includes ``timeout``: the
+        wire form must reconstruct the exact options, not just their
+        result identity.
         """
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "Options":
@@ -162,20 +143,13 @@ class Options:
         return resolve_options(None, dict(payload))
 
     def cache_signature(self) -> dict:
-        """The result-affecting fields, as a canonical JSON-able dict.
+        """The fields that can change an answer: all but ``timeout``.
 
-        ``workers``, ``timeout`` and ``cache_dir`` change how a batch is
-        executed but never what it computes, so they are omitted — warm
-        re-runs hit the cache regardless of pool configuration.
+        ``timeout`` only bounds how long a solve may run, so a cached
+        answer serves any budget.
         """
-        return {
-            "solver": self.solver,
-            "symmetry": self.symmetry,
-            "max_instances": self.max_instances,
-            "max_rounds": self.max_rounds,
-            "max_paths": self.max_paths,
-            "memoize": self.memoize,
-        }
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.name != "timeout"}
 
 
 def resolve_options(options: Options | None, overrides: dict) -> Options:

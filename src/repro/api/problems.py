@@ -10,16 +10,17 @@ Three problem kinds cover the repo's verification surface:
   schedules are explored exhaustively (the dynamic-checking level).
 
 Problems are plain picklable data, so the batch path can ship them to
-worker processes, and every problem has a deterministic
-:func:`problem_fingerprint` so results are content-addressable.
+worker processes.  A problem's one identity is
+:func:`problem_fingerprint`, the digest of its canonical codec tree
+(:mod:`repro.fuzz.codec`): the batch cache, the service's job ids and
+its journal all key on it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from repro.alloylite.module import Module, Scope
 from repro.kodkod import ast
@@ -132,85 +133,30 @@ def problem_from_spec(spec) -> Problem:
 # ----------------------------------------------------------------------
 
 
-def _bounds_payload(bounds: Bounds) -> dict:
-    return {
-        "universe": list(bounds.universe.atoms),
-        "relations": {
-            relation.name: {
-                "arity": relation.arity,
-                "lower": sorted(list(t) for t in bounds.lower(relation)),
-                "upper": sorted(list(t) for t in bounds.upper(relation)),
-            }
-            for relation in sorted(bounds.relations(), key=lambda r: r.name)
-        },
-    }
-
-
-def _auction_payload(network: AgentNetwork, items: Sequence[str],
-                     policies: Mapping[int, AgentPolicy]) -> dict:
-    # Probe marginals against several bundle prefixes: capacity-style
-    # utilities are constant on the empty bundle, so one probe would miss
-    # their shape.
-    probes = [list(items[:size]) for size in range(3)]
-    return {
-        "agents": list(network.agents()),
-        "edges": [list(e) for e in network.edges()],
-        "items": list(items),
-        "policies": {
-            str(agent): {
-                "target": policy.target,
-                "release_outbid": policy.release_outbid,
-                "rebid": policy.rebid.value,
-                "marginals": {
-                    item: [
-                        round(policy.utility.marginal(item, probe), 6)
-                        for probe in probes
-                    ]
-                    for item in items
-                },
-            }
-            for agent, policy in sorted(policies.items())
-        },
-    }
-
-
-def problem_payload(problem: Problem) -> dict:
-    """Deterministic JSON-able identity of a problem.
-
-    Formulas are identified by their ``repr`` (deterministic for the AST
-    node types), bounds by their sorted tuple sets, modules by their
-    compiled universe/bounds/facts at the problem's scope, protocols by
-    topology plus probed utility marginals.
-    """
-    if isinstance(problem, FormulaProblem):
-        return {
-            "kind": "formula",
-            "formula": repr(problem.formula),
-            "bounds": _bounds_payload(problem.bounds),
-        }
-    if isinstance(problem, ModuleProblem):
-        scope = problem.scope or Scope()
-        _, bounds, facts = problem.module.compile(scope)
-        return {
-            "kind": "module",
-            "command": problem.command,
-            "goal": repr(problem.goal) if problem.goal is not None else None,
-            "facts": repr(facts),
-            "bounds": _bounds_payload(bounds),
-        }
-    if isinstance(problem, ProtocolProblem):
-        return {
-            "kind": "protocol",
-            **_auction_payload(problem.network, problem.items,
-                               problem.policies),
-        }
-    raise ValueError(
-        f"not a façade problem: {type(problem).__name__} (expected "
-        f"FormulaProblem, ModuleProblem or ProtocolProblem)"
-    )
-
-
 def problem_fingerprint(problem: Problem) -> str:
-    """Stable sha256 digest of :func:`problem_payload` (cache identity)."""
-    payload = json.dumps(problem_payload(problem), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """The problem's identity: the sha256 of its canonical codec tree.
+
+    The tree is :func:`repro.fuzz.codec.problem_to_json`, the form the
+    service journals, satellites decode and
+    :func:`~repro.api.diff_problems` compares.  Formulas and bounds are
+    identified by their tagged trees and tuple sets, modules by their
+    declarations, command, goal and scope.  Protocols are identified by
+    topology, items and policies, with each utility probed at every
+    bundle size: identity is exact for every utility whose marginal
+    depends only on bundle size, which covers every utility the wire can
+    carry and every one the in-tree generators build.  A problem with no
+    tree form (an ``OrderedModule``, say) raises
+    :class:`~repro.fuzz.codec.CodecError`.
+    """
+    # Imported at call time: the codec imports this module.
+    from repro.fuzz.codec import problem_to_json
+
+    return tree_fingerprint(problem_to_json(problem))
+
+
+def tree_fingerprint(tree: dict) -> str:
+    """:func:`problem_fingerprint` of the problem a codec tree encodes,
+    for callers that already hold the tree."""
+    from repro.fuzz.codec import problem_identity
+
+    return hashlib.sha256(problem_identity(tree).encode()).hexdigest()

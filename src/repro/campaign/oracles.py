@@ -13,7 +13,7 @@ oracle          fast path                              reference path
 ``enumeration`` ``api.enumerate`` (one live session)   fresh solver per model
 ``evaluator``   ``api.enumerate`` (CDCL pipeline)      brute force + ground eval
 ``external``    ``solver="dimacs:<cmd>"`` (env-gated)  ``solver="kodkod"``
-``explorer``    ``api.run_protocol`` (memoized)        plain DFS (``memoize=False``)
+``explorer``    ``api.run_protocol`` (memoized)        ``explore(memoize=False)``
 ``engines``     synchronous lock-step engine           asynchronous delivery
 ``delta``       ``solve_delta`` on a mutated problem   fresh ``api.solve``
 ==============  =====================================  ==========================
@@ -351,7 +351,7 @@ def _explore_budget(params: dict) -> dict:
 def _explorer_oracle(problem: ProtocolProblem, seed: int,
                      params: dict) -> OracleOutcome:
     budget = _explore_budget(params)
-    memoized = run_protocol(problem, memoize=True, **budget)
+    memoized = run_protocol(problem, **budget)
     plain = explore(problem.network, list(problem.items), problem.policies,
                     memoize=False, **budget)
     memoized_worst = memoized.detail["max_rounds_to_converge"]

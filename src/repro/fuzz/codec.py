@@ -327,6 +327,20 @@ def tree_size(tree: dict) -> int:
     return sum(1 for _ in iter_subtrees(tree))
 
 
+def unbounded_relations(payload: dict) -> list[tuple[str, int]]:
+    """The ``(name, arity)`` of every relation a formula problem tree's
+    goal names but its bounds do not bound, sorted (none for the other
+    kinds).  Decoding accepts such a tree; no solve can answer it."""
+    if payload["kind"] != "formula":
+        return []
+    bounded = {(entry["name"], entry["arity"])
+               for entry in payload["bounds"]["relations"]}
+    named = {(node["name"], node["arity"])
+             for _, node in iter_subtrees(payload["formula"])
+             if node.get("e") == "rel"}
+    return sorted(named - bounded)
+
+
 def has_unbound_vars(tree: dict, _bound: frozenset[str] = frozenset()) -> bool:
     """Whether the tree references a variable no enclosing quantifier binds.
 

@@ -195,10 +195,13 @@ def map_jobs(
                 # No completion for a full timeout window: every worker
                 # is wedged, so the queued jobs behind them can never
                 # start.  Record them all at once instead of burning one
-                # window per remaining job.
+                # window per remaining job.  Their futures are not
+                # cancelled: the kill below breaks the pool, and the
+                # executor then fails every future it still tracks,
+                # which raises on a cancelled one.
                 abandoned = True
                 for future, (slot, _args) in pending.items():
-                    queued = future.cancel()
+                    queued = not future.running()
                     error = ("never started (pool stalled)" if queued
                              else f"timeout after {task_timeout:g}s")
                     record(slot, failure_payload(

@@ -69,7 +69,6 @@ class BooleanFactory:
         self._children: list[int] = []
         # (opcode, children tuple) -> node id (hash-consing).
         self._cache: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._num_inputs = 0
         self._num_gates = 0
         # Gate construction requests before simplification/sharing kicked
         # in: the size the circuit would have had with one gate per
@@ -89,13 +88,7 @@ class BooleanFactory:
         self._op.append(_INPUT)
         self._start.append(len(self._children))
         self._count.append(0)
-        self._num_inputs += 1
         return node
-
-    def is_input(self, node: int) -> bool:
-        """True when ``abs(node)`` is a free input."""
-        base = abs(node)
-        return base < len(self._op) and self._op[base] == _INPUT
 
     def not_(self, node: int) -> int:
         """Negation (an involution thanks to signed node ids)."""
@@ -446,8 +439,3 @@ class BooleanFactory:
     def num_gates(self) -> int:
         """Number of gates allocated (excluding inputs and constants)."""
         return self._num_gates
-
-    @property
-    def num_inputs(self) -> int:
-        """Number of free inputs allocated."""
-        return self._num_inputs

@@ -216,15 +216,6 @@ class BoolMatrix:
             steps *= 2
         return current
 
-    def identity_union(self) -> "BoolMatrix":
-        """Union with the identity matrix (for reflexive closure)."""
-        if self.arity != 2:
-            raise ValueError("identity union requires a binary matrix")
-        cells = dict(self._cells)
-        for i in range(self.universe_size):
-            cells[(i, i)] = TRUE
-        return BoolMatrix._raw(self.factory, self.universe_size, 2, cells)
-
     # ------------------------------------------------------------------
     # Comparison / multiplicity circuits
     # ------------------------------------------------------------------

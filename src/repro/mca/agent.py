@@ -15,7 +15,7 @@ instantiation.  The two mechanism entry points are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mca.conflict import ConflictResolver
 from repro.mca.items import AgentId, ItemBelief, ItemId, Timestamp
@@ -221,12 +221,6 @@ class Agent:
     def outgoing_message(self, receiver: AgentId) -> BidMessage:
         """The agreement-phase broadcast of the full current view."""
         return BidMessage.from_view(self.id, receiver, self.beliefs, self.clock)
-
-    def winning_items(self) -> list[ItemId]:
-        """Items this agent currently believes it is winning."""
-        return [
-            item for item in self.items if self.beliefs[item].winner == self.id
-        ]
 
     # ------------------------------------------------------------------
     # Snapshot protocol (cheap state save/restore for the explorer)

@@ -106,9 +106,6 @@ class SynchronousEngine:
             self.agents[a].view_signature() for a in self.network.agents()
         )
 
-    # Backwards-compatible private alias.
-    _global_signature = global_signature
-
     def snapshot(self) -> EngineSnapshot:
         """Capture all agent states for later :meth:`restore`."""
         return EngineSnapshot(
@@ -169,7 +166,7 @@ class SynchronousEngine:
                     allocation=self._allocation(),
                     trace=trace,
                 )
-            signature = self._global_signature()
+            signature = self.global_signature()
             if signature in seen:
                 return RunResult(
                     outcome=Outcome.OSCILLATION,

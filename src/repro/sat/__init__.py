@@ -8,17 +8,15 @@ by the relational translation.
 from repro.sat.cnf import CNF
 from repro.sat.dimacs import dump_file, dumps, load_file, loads
 from repro.sat.solver import Solver, luby, solve_cnf
-from repro.sat.types import Clause, Lit, Model, Status, Var, clause, negate, var_of
+from repro.sat.types import Lit, Model, Status, Var, negate, var_of
 
 __all__ = [
     "CNF",
-    "Clause",
     "Lit",
     "Model",
     "Solver",
     "Status",
     "Var",
-    "clause",
     "dump_file",
     "dumps",
     "load_file",

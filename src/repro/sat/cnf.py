@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.sat.types import Clause, Lit, Var, var_of
+from repro.sat.types import Lit, Var
 
 
 class CNF:
@@ -40,9 +40,9 @@ class CNF:
         """Allocate ``count`` fresh variables."""
         return [self.new_var() for _ in range(count)]
 
-    def add_clause(self, lits: Sequence[Lit] | Clause) -> None:
+    def add_clause(self, lits: Sequence[Lit]) -> None:
         """Add one clause, growing ``num_vars`` to cover its literals."""
-        tup = tuple(lits.literals) if isinstance(lits, Clause) else tuple(lits)
+        tup = tuple(lits)
         num_vars = self._num_vars
         for lit in tup:
             if lit == 0:
@@ -61,7 +61,7 @@ class CNF:
         """
         self._clauses.append(tup)
 
-    def extend(self, clauses: Iterable[Sequence[Lit] | Clause]) -> None:
+    def extend(self, clauses: Iterable[Sequence[Lit]]) -> None:
         """Add many clauses."""
         for cl in clauses:
             self.add_clause(cl)
@@ -81,68 +81,3 @@ class CNF:
         dup = CNF(self._num_vars)
         dup._clauses = list(self._clauses)
         return dup
-
-    # ------------------------------------------------------------------
-    # Tseitin gate encodings.  Each method constrains an output literal to
-    # equal a boolean function of input literals, producing the standard
-    # equisatisfiable clause sets.
-    # ------------------------------------------------------------------
-
-    def add_and_gate(self, out: Lit, inputs: Sequence[Lit]) -> None:
-        """Constrain ``out <-> AND(inputs)``."""
-        if not inputs:
-            self.add_clause([out])
-            return
-        for lit in inputs:
-            self.add_clause([-out, lit])
-        self.add_clause([out] + [-lit for lit in inputs])
-
-    def add_or_gate(self, out: Lit, inputs: Sequence[Lit]) -> None:
-        """Constrain ``out <-> OR(inputs)``."""
-        if not inputs:
-            self.add_clause([-out])
-            return
-        for lit in inputs:
-            self.add_clause([out, -lit])
-        self.add_clause([-out] + list(inputs))
-
-    def add_xor_gate(self, out: Lit, a: Lit, b: Lit) -> None:
-        """Constrain ``out <-> a XOR b``."""
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
-
-    def add_ite_gate(self, out: Lit, cond: Lit, then_lit: Lit, else_lit: Lit) -> None:
-        """Constrain ``out <-> (cond ? then_lit : else_lit)``."""
-        self.add_clause([-cond, -then_lit, out])
-        self.add_clause([-cond, then_lit, -out])
-        self.add_clause([cond, -else_lit, out])
-        self.add_clause([cond, else_lit, -out])
-
-    def add_equiv(self, a: Lit, b: Lit) -> None:
-        """Constrain ``a <-> b``."""
-        self.add_clause([-a, b])
-        self.add_clause([a, -b])
-
-    def add_implies(self, a: Lit, b: Lit) -> None:
-        """Constrain ``a -> b``."""
-        self.add_clause([-a, b])
-
-    # ------------------------------------------------------------------
-    # Cardinality helpers (pairwise encodings: fine at the small scopes
-    # used for bounded verification).
-    # ------------------------------------------------------------------
-
-    def add_at_most_one(self, lits: Sequence[Lit]) -> None:
-        """Pairwise at-most-one constraint over ``lits``."""
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                self.add_clause([-lits[i], -lits[j]])
-
-    def add_exactly_one(self, lits: Sequence[Lit]) -> None:
-        """Exactly-one constraint over ``lits``."""
-        if not lits:
-            raise ValueError("exactly-one over an empty literal list is unsatisfiable")
-        self.add_clause(list(lits))
-        self.add_at_most_one(lits)

@@ -1,4 +1,4 @@
-"""Core SAT types: variables, literals, clauses and assignments.
+"""Core SAT types: variables, literals, clause storage and assignments.
 
 Literals follow the DIMACS convention used by most solvers: a variable is a
 positive integer ``v >= 1``; the literal ``v`` asserts the variable is true
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Lit = int
 Var = int
@@ -38,49 +38,6 @@ class Status(Enum):
     SAT = "sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Clause:
-    """An immutable disjunction of literals.
-
-    Used at the API boundary; the solver keeps its own mutable clause
-    representation for the watched-literal scheme.
-    """
-
-    literals: tuple[Lit, ...]
-
-    def __post_init__(self) -> None:
-        for lit in self.literals:
-            if lit == 0:
-                raise ValueError("0 is not a valid DIMACS literal")
-
-    def __iter__(self) -> Iterator[Lit]:
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def variables(self) -> set[Var]:
-        """The set of variables mentioned by this clause."""
-        return {var_of(lit) for lit in self.literals}
-
-    def is_tautology(self) -> bool:
-        """True when the clause contains both a literal and its negation."""
-        lits = set(self.literals)
-        return any(-lit in lits for lit in lits)
-
-    def simplified(self) -> "Clause":
-        """Return an equivalent clause without duplicate literals."""
-        seen: dict[Lit, None] = {}
-        for lit in self.literals:
-            seen.setdefault(lit, None)
-        return Clause(tuple(seen))
-
-
-def clause(*lits: Lit) -> Clause:
-    """Convenience constructor: ``clause(1, -2, 3)``."""
-    return Clause(tuple(lits))
 
 
 class ClauseArena:
@@ -275,11 +232,11 @@ class Model:
         value = self.values[var_of(lit)]
         return value if is_positive(lit) else not value
 
-    def satisfies_clause(self, cl: Clause | Sequence[Lit]) -> bool:
+    def satisfies_clause(self, cl: Sequence[Lit]) -> bool:
         """True when at least one literal of ``cl`` is true."""
         return any(self.value_of(lit) for lit in cl)
 
-    def satisfies(self, clauses: Iterable[Clause | Sequence[Lit]]) -> bool:
+    def satisfies(self, clauses: Iterable[Sequence[Lit]]) -> bool:
         """True when every clause is satisfied."""
         return all(self.satisfies_clause(cl) for cl in clauses)
 

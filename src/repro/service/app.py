@@ -19,7 +19,8 @@
                                     if it does not decode or an
                                     instance it carries is not a model
                                     of the job's goal, 409 on a lapsed
-                                    lease)
+                                    lease, 503 if the hub cannot
+                                    cache it)
 ``POST /v1/claims/<lease>/heartbeat``  extend a live lease's deadline
 ``GET /v1/healthz``                 liveness + queue counts (never
                                     auth-gated)
@@ -72,7 +73,7 @@ from repro.service.schema import (
     decode_problem,
     decode_submission,
 )
-from repro.service.workers import WorkerPool
+from repro.service.workers import CACHE_WRITE_FAILED, WorkerPool
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 """Submission size ceiling (a codec tree this large is a client bug)."""
@@ -83,6 +84,11 @@ MAX_CLAIM_LIMIT = 32
 DEFAULT_LEASE_SECONDS = 30.0
 MIN_LEASE_SECONDS = 0.05
 MAX_LEASE_SECONDS = 3600.0
+
+
+class CacheWriteError(RuntimeError):
+    """A posted result the hub could not cache (HTTP 503); its job was
+    failed retryably: requeued, or parked at the attempt cap."""
 
 
 @dataclass(frozen=True)
@@ -321,8 +327,10 @@ class VerificationService:
         otherwise, leaving the lease to lapse;
         :func:`_check_posted_instances`), and *before* the job is marked
         done (the same done-implies-result-on-disk invariant the local
-        pool keeps); an error result parks or requeues the job through
-        the usual machinery.  A post whose lease lapsed raises
+        pool keeps): a failed cache write fails the job retryably and
+        raises :class:`CacheWriteError` (503).  An error result parks or
+        requeues the job through the usual machinery.  A post whose
+        lease lapsed raises
         :class:`LeaseError` (409) and caches nothing — unless the job
         already finished, in which case the duplicate is acknowledged
         idempotently.
@@ -351,13 +359,16 @@ class VerificationService:
         record = self.queue.get(job_id)
         if record is None:
             raise QueueError(f"unknown job {job_id!r}")
+        unstored = False
         if (error is None and record.state == RUNNING
                 and record.lease == lease):
             # Errors are never cached, nor is a post whose lease lapsed;
             # a good verdict is checked, then durably cached before the
-            # journal can say done.
+            # journal can say done.  A failed write fails it retryably.
             _check_posted_instances(record, decoded)
-            self.cache.put(record.cache_key, result)
+            if not self.cache.put(record.cache_key, result):
+                unstored = True
+                error, retryable = CACHE_WRITE_FAILED, True
         try:
             if error is None:
                 record = self.queue.complete(job_id, lease=lease)
@@ -368,10 +379,7 @@ class VerificationService:
                 record = self.queue.fail(job_id, str(error),
                                          retryable=retryable, lease=lease)
                 self.pool.metrics.count("satellite_results")
-                if record.state == "pending":
-                    self.pool.metrics.count("retries")
-                else:
-                    self.pool.metrics.count("jobs_error")
+                self.pool.metrics.count_failure(record)
         except QueueError:
             record = self.queue.get(job_id)
             if record is not None and record.state == DONE:
@@ -379,6 +387,10 @@ class VerificationService:
                 # re-solved it); same content address, same result.
                 return {**self.job_body(record), "duplicate": True}
             raise
+        if unstored:
+            raise CacheWriteError(
+                f"{CACHE_WRITE_FAILED} for job {job_id!r}; the job is "
+                f"now {record.state}")
         return self.job_body(record)
 
     def heartbeat_lease(self, lease: str, payload) -> dict:
@@ -571,6 +583,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, str(exc))
         except LeaseError as exc:
             self._error(409, str(exc))
+        except CacheWriteError as exc:
+            self._error(503, str(exc))
         except QueueError as exc:
             self._error(404 if "unknown job" in str(exc) else 409,
                         str(exc))

@@ -22,9 +22,11 @@ heartbeating, the hub's expiry sweep requeues its jobs through the
 usual ``fail(retryable=True)`` attempt-cap machinery, and another
 worker picks them up.  A slow satellite that posts after its lease
 lapsed gets a ``409`` and moves on — the job was already someone
-else's.  Errors stay non-retryable on this path: ``_solve_worker``
-converts solver exceptions into error payloads deterministically, and a
-deterministic crash will not pass on another machine either.
+else's; a post the hub refuses otherwise (``400``, ``503``) is counted
+as an error and the rest of the claim batch is still solved.  Errors
+stay non-retryable on this path: ``_solve_worker`` converts solver
+exceptions into error payloads deterministically, and a deterministic
+crash will not pass on another machine either.
 
 Run one with ``python -m repro.service --satellite http://hub:8765``.
 """
@@ -189,7 +191,8 @@ class SatelliteWorker:
         payload = claim.get("payload") or {}
         try:
             problem = decode_problem(payload["problem"])
-            options = decode_options(payload.get("options"))
+            options = decode_options(payload.get("options"),
+                                     journaled=True)
         except (SchemaError, KeyError, TypeError, ValueError) as exc:
             return {"verdict": "error", "seconds": 0.0,
                     "error": f"satellite could not decode job: {exc}"}
@@ -201,12 +204,14 @@ class SatelliteWorker:
                 claim["id"], lease=claim["lease"],
                 worker=self.worker_id, result=result, retryable=False)
         except ServiceError as exc:
-            if exc.status == 409:
-                # The lease lapsed while we solved; the job is someone
-                # else's now (or already done with the same result).
-                self.stats.count("lost_leases")
-                return
-            raise
+            # 409: the lease lapsed while we solved; the job is someone
+            # else's now (or already done with the same result).  Any
+            # other refusal costs this job only and the batch goes on:
+            # after a 503 the hub has failed the job retryably, after a
+            # 400 its lease lapses.
+            self.stats.count("lost_leases" if exc.status == 409
+                             else "errors")
+            return
         self.stats.count("errors" if result.get("error") is not None
                          else "solved")
 

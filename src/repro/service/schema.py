@@ -13,9 +13,11 @@ One submission format, one job envelope, one result format:
   ``dimacs:<command>`` name would make the hub or a satellite run the
   command, so only in-process callers of :mod:`repro.api` may use one;
 * **job ids** are content addresses: a sha256 over the problem
-  fingerprint, the result-affecting options signature and the delta
-  anchor — resubmitting the same work yields the same id, which is what
-  makes submission idempotent and the cache the shared result store;
+  fingerprint (the digest of the canonical codec tree the journal
+  stores, :func:`~repro.api.problem_fingerprint`), the options that
+  change an answer and the delta anchor — resubmitting the same work
+  yields the same id, which is what makes submission idempotent and
+  the cache the shared result store;
 * **results** are exactly :func:`repro.api.result_to_json` — the same
   payload the batch cache stores, so the service and ``solve_many``
   interoperate on one format.
@@ -40,9 +42,8 @@ from repro.api.batch import batch_cache_key
 from repro.api.options import Options
 from repro.api.problems import (
     Problem,
-    problem_fingerprint,
     problem_from_spec,
-    problem_kind,
+    tree_fingerprint,
 )
 
 SERVICE_SCHEMA = 1
@@ -89,9 +90,10 @@ class JobSubmission:
 
 def job_id_for(fingerprint: str, options: Options,
                delta_of: str | None = None) -> str:
-    """Content address of one job: problem + result-affecting options +
-    delta anchor.  Execution knobs (workers, timeout) are excluded, so
-    resubmitting with a different pool size is the *same* job."""
+    """Content address of one job: the problem fingerprint, the options
+    that change an answer (:meth:`Options.cache_signature`, every field
+    but ``timeout``) and the delta anchor.  Resubmitting with another
+    ``timeout`` is the *same* job."""
     payload = json.dumps(
         {
             "schema": SERVICE_SCHEMA,
@@ -104,13 +106,24 @@ def job_id_for(fingerprint: str, options: Options,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def decode_options(payload) -> Options:
+RETIRED_OPTIONS = ("memoize", "workers", "cache_dir")
+"""Former :class:`~repro.api.Options` fields.  None of them changed an
+answer, and every job journaled while they existed carries all three."""
+
+
+def decode_options(payload, *, journaled: bool = False) -> Options:
     """Decode a job's ``options`` object (missing or empty: defaults).
 
     Raises :class:`SchemaError` for invalid fields, and for a ``solver``
     that is not a registered backend: the service never resolves
     ``dimacs:``/``dimacs-inc:`` names, whose command it would spawn.
+    A ``journaled`` object (a queued job's, read back by the pool or a
+    satellite) may still carry :data:`RETIRED_OPTIONS`, which are
+    dropped; a new submission naming one is refused.
     """
+    if journaled and isinstance(payload, dict):
+        payload = {name: value for name, value in payload.items()
+                   if name not in RETIRED_OPTIONS}
     try:
         options = Options.from_json(payload or {})
     except ValueError as exc:
@@ -153,10 +166,16 @@ def decode_submission(payload) -> JobSubmission:
     Accepts ``{"problem": <codec tree>}`` or ``{"spec": <campaign spec
     dict>}`` (exactly one), optional ``options``/``delta_of``/``label``,
     and an optional ``schema`` declaration that must match
-    :data:`SERVICE_SCHEMA`.  Every failure raises :class:`SchemaError`
-    with an actionable message.
+    :data:`SERVICE_SCHEMA`.  A formula goal must name only relations its
+    bounds bound.  Every failure raises :class:`SchemaError` with an
+    actionable message.  The canonical tree is fingerprinted once; the
+    job id and the cache key both derive from that digest.
     """
-    from repro.fuzz.codec import CodecError, problem_to_json
+    from repro.fuzz.codec import (
+        CodecError,
+        problem_to_json,
+        unbounded_relations,
+    )
 
     if not isinstance(payload, dict):
         raise SchemaError(
@@ -209,12 +228,19 @@ def decode_submission(payload) -> JobSubmission:
         problem_payload = problem_to_json(problem)
     except CodecError as exc:
         raise SchemaError(f"problem has no wire form: {exc}") from exc
-    fingerprint = problem_fingerprint(problem)
+    unbounded = unbounded_relations(problem_payload)
+    if unbounded:
+        listed = ", ".join(f"{name}/{arity}" for name, arity in unbounded)
+        raise SchemaError(
+            f"invalid problem payload: the goal names relation(s) "
+            f"{listed} that the bounds do not bound"
+        )
+    fingerprint = tree_fingerprint(problem_payload)
     return JobSubmission(
         job_id=job_id_for(fingerprint, options, delta_of),
         fingerprint=fingerprint,
-        cache_key=batch_cache_key(problem, options),
-        kind=problem_kind(problem),
+        cache_key=batch_cache_key(fingerprint, options),
+        kind=problem_payload["kind"],
         problem_payload=problem_payload,
         options=options,
         delta_of=delta_of,

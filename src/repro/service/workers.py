@@ -21,7 +21,9 @@ by the cheapest route available:
 
 Solved results are written into the cache *before* the job is marked
 done — with ``durable=True`` the cache write is fsynced, so a job the
-journal says is done always has its result on disk.
+journal says is done always has its result on disk.  A failed write
+fails the job retryably instead (:data:`CACHE_WRITE_FAILED`): it costs
+an attempt, and the job is requeued or, at the attempt cap, parked.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ _LATENCY_BUCKETS = tuple(0.001 * 2 ** i for i in range(18))
 
 _SESSION_CAP = 8
 """Live DeltaSessions kept warm (LRU) — each holds a solver."""
+
+CACHE_WRITE_FAILED = "result cache write failed"
+"""The retryable failure of a job whose solved result could not be
+cached: the job is requeued, or parked at the attempt cap."""
 
 
 class ServiceMetrics:
@@ -70,6 +76,11 @@ class ServiceMetrics:
     def count(self, name: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + amount)
+
+    def count_failure(self, record: JobRecord) -> None:
+        """A failed attempt: a retry if its job is pending again, an
+        error if the job was parked."""
+        self.count("retries" if record.state == "pending" else "jobs_error")
 
     def observe_done(self, latency_seconds: float) -> None:
         """A job reached ``done``; bucket its submit-to-result latency."""
@@ -210,10 +221,7 @@ class WorkerPool:
         """Requeue jobs whose satellite lease lapsed (every loop tick)."""
         for record in self.queue.expire_leases():
             self.metrics.count("leases_expired")
-            if record.state == "pending":
-                self.metrics.count("retries")
-            else:
-                self.metrics.count("jobs_error")
+            self.metrics.count_failure(record)
 
     def _process(self, claimed: list[JobRecord]) -> None:
         misses: list[JobRecord] = []
@@ -236,8 +244,23 @@ class WorkerPool:
         self.queue.complete(record.id)
         self.metrics.observe_done(time.time() - latency_start)
 
+    def _fail(self, record: JobRecord, error: str, *,
+              retryable: bool) -> None:
+        """Fail one attempt of a job and count it as a retry or an error."""
+        self.metrics.count_failure(
+            self.queue.fail(record.id, error, retryable=retryable))
+
+    def _store(self, record: JobRecord, payload: dict) -> None:
+        """Cache a solved payload, then mark its job done; a failed
+        cache write fails the job retryably instead, so ``done`` always
+        has its result on disk."""
+        if self.cache.put(record.cache_key, payload):
+            self._finish(record, latency_start=record.submitted_at)
+        else:
+            self._fail(record, CACHE_WRITE_FAILED, retryable=True)
+
     def _job_options(self, record: JobRecord) -> Options:
-        return decode_options(record.payload.get("options"))
+        return decode_options(record.payload.get("options"), journaled=True)
 
     def _solve_delta_job(self, record: JobRecord) -> None:
         """Answer a ``delta_of`` job on a warm (LRU-cached) session."""
@@ -247,9 +270,7 @@ class WorkerPool:
             session = self._session_for(record, options)
             result = session.solve(problem)
         except Exception as exc:  # decode/anchor errors are deterministic
-            self.queue.fail(record.id, f"delta job failed: {exc}",
-                            retryable=False)
-            self.metrics.count("jobs_error")
+            self._fail(record, f"delta job failed: {exc}", retryable=False)
             return
         from repro.api.result import result_to_json
 
@@ -260,11 +281,9 @@ class WorkerPool:
         self.metrics.count("solves")
         self.metrics.observe_busy(result.seconds)
         if payload.get("error") is None:
-            self.cache.put(record.cache_key, payload)
-            self._finish(record, latency_start=record.submitted_at)
+            self._store(record, payload)
         else:
-            self.queue.fail(record.id, payload["error"], retryable=False)
-            self.metrics.count("jobs_error")
+            self._fail(record, payload["error"], retryable=False)
 
     def _session_for(self, record: JobRecord,
                      options: Options) -> DeltaSession:
@@ -298,9 +317,7 @@ class WorkerPool:
                 options = self._job_options(record)
                 problem = decode_problem(record.payload["problem"])
             except Exception as exc:
-                self.queue.fail(record.id, f"undecodable job: {exc}",
-                                retryable=False)
-                self.metrics.count("jobs_error")
+                self._fail(record, f"undecodable job: {exc}", retryable=False)
                 continue
             jobs.append((slot, (problem, options)))
         if not jobs:
@@ -311,18 +328,11 @@ class WorkerPool:
             self.metrics.count("solves")
             self.metrics.observe_busy(payload.get("seconds") or 0.0)
             if payload.get("error") is None:
-                self.cache.put(record.cache_key, payload)
-                self._finish(record, latency_start=record.submitted_at)
+                self._store(record, payload)
                 return
             # A stall is environmental (requeue, costing an attempt); a
             # worker exception is deterministic (park immediately).
-            retryable = slot in stalled
-            updated = self.queue.fail(record.id, payload["error"],
-                                      retryable=retryable)
-            if updated.state == "pending":
-                self.metrics.count("retries")
-            else:
-                self.metrics.count("jobs_error")
+            self._fail(record, payload["error"], retryable=slot in stalled)
 
         def failure(slot: int, error: str, seconds: float) -> dict:
             stalled.add(slot)

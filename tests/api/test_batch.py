@@ -2,9 +2,12 @@
 
 The acceptance bar: a batch over 50+ campaign-spec problems matches
 sequential façade results exactly, and a warm re-run over the same cache
-directory is pure cache hits — from any worker count, since execution
-knobs are excluded from the cache key.
+directory is pure cache hits — from any worker count, since the worker
+count is no part of the cache key.  Two problems share a cache entry
+only when their codec trees are equal.
 """
+
+import random
 
 import pytest
 
@@ -12,6 +15,8 @@ from repro import api
 from repro.api.batch import batch_cache_key
 from repro.campaign.specs import random_sweep
 from repro.jobs import ResultCache
+from repro.mca.network import AgentNetwork
+from repro.mca.policies import AgentPolicy, TableUtility
 
 # 50+ seeded relational problems (3-atom universes keep each solve fast).
 BATCH_SPECS = random_sweep(
@@ -36,6 +41,72 @@ def problems():
 @pytest.fixture(scope="module")
 def sequential(problems):
     return [api.solve(problem) for problem in problems]
+
+
+def table_pair():
+    """Two 2-agent ``TableUtility`` protocols that differ in one size-3
+    table entry: the first HOLDS, the second has a COUNTEREXAMPLE.
+
+    A fingerprint that probed utilities only at bundle sizes 0-2 gave
+    both the same identity, and the cache answered the second with the
+    first's verdict."""
+    rng = random.Random(22)
+    items = ("i0", "i1", "i2", "i3")
+    tables = {agent: {(item, size): float(rng.randint(1, 9))
+                      for item in items for size in range(4)}
+              for agent in (0, 1)}
+    edited = {agent: dict(table) for agent, table in tables.items()}
+    assert edited[0][("i2", 3)] == 6.0
+    edited[0][("i2", 3)] = 5.0
+    return tuple(
+        api.ProtocolProblem(
+            AgentNetwork.line(2), items,
+            {agent: AgentPolicy(TableUtility(table[agent]), target=4,
+                                release_outbid=True)
+             for agent in (0, 1)})
+        for table in (tables, edited))
+
+
+class TestProblemIdentity:
+    def test_a_size_three_table_entry_changes_the_identity(self):
+        holds, refuted = table_pair()
+        assert api.run_protocol(holds).verdict is api.Verdict.HOLDS
+        assert (api.run_protocol(refuted).verdict
+                is api.Verdict.COUNTEREXAMPLE)
+        assert (api.problem_fingerprint(holds)
+                != api.problem_fingerprint(refuted))
+        options = api.Options()
+        assert (batch_cache_key(api.problem_fingerprint(holds), options)
+                != batch_cache_key(api.problem_fingerprint(refuted),
+                                   options))
+
+    def test_one_cache_answers_each_problem_with_its_own_verdict(
+            self, tmp_path):
+        holds, refuted = table_pair()
+        cache_dir = tmp_path / "pair_cache"
+        first = api.solve_many([holds], cache_dir=cache_dir)
+        second = api.solve_many([refuted], cache_dir=cache_dir)
+        assert first[0].verdict is api.Verdict.HOLDS
+        assert second[0].verdict is api.Verdict.COUNTEREXAMPLE
+        assert not second[0].detail.get("cached")
+
+    def test_a_problem_without_a_tree_runs_uncached(self, tmp_path):
+        """The codec refuses an ``OrderedModule``: it has no fingerprint,
+        so ``solve_many`` solves it every time and caches nothing."""
+        from repro.alloylite.ordering import OrderedModule
+        from repro.fuzz.codec import CodecError
+
+        module = OrderedModule("ordered")
+        module.ordering(module.sig("State"))
+        problem = api.ModuleProblem(module)
+        with pytest.raises(CodecError):
+            api.problem_fingerprint(problem)
+        cache_dir = tmp_path / "ordered_cache"
+        for _ in range(2):
+            (result,) = api.solve_many([problem], cache_dir=cache_dir)
+            assert result.verdict is api.Verdict.SAT
+            assert not result.detail.get("cached")
+        assert len(ResultCache(cache_dir)) == 0
 
 
 class TestBatchParity:
@@ -121,12 +192,13 @@ class TestTimeoutKnobs:
 class TestBatchCacheSemantics:
     def test_cache_key_depends_on_semantic_options(self, problems):
         base = api.Options()
-        assert (batch_cache_key(problems[0], base)
-                == batch_cache_key(problems[0], base.replace(workers=4)))
-        assert (batch_cache_key(problems[0], base)
-                != batch_cache_key(problems[0], base.replace(symmetry=0)))
-        assert (batch_cache_key(problems[0], base)
-                != batch_cache_key(problems[1], base))
+        first, second = (api.problem_fingerprint(p) for p in problems[:2])
+        assert (batch_cache_key(first, base)
+                == batch_cache_key(first, base.replace(timeout=5.0)))
+        assert (batch_cache_key(first, base)
+                != batch_cache_key(first, base.replace(symmetry=0)))
+        assert (batch_cache_key(first, base)
+                != batch_cache_key(second, base))
 
     def test_error_results_are_not_cached(self, tmp_path, problems):
         class ExplodingBackend:
@@ -157,16 +229,14 @@ class TestBatchCacheSemantics:
 
     def test_uncompilable_problem_is_an_error_row_with_a_cache(
             self, problems, sequential, tmp_path):
-        """Regression: keying compiles module problems, and a module that
-        cannot compile used to abort the whole cached batch instead of
-        becoming one ERROR row as it does without a cache."""
-        from repro.alloylite import Module, ModuleError, Scope
+        """Regression: keying used to compile module problems, and a
+        module that cannot compile aborted the whole cached batch instead
+        of becoming one ERROR row as it does without a cache."""
+        from repro.alloylite import Module, Scope
 
         module = Module()
         module.sig("A")
         bad = api.ModuleProblem(module, scope=Scope(per_sig={"A": 0}))
-        with pytest.raises(ModuleError):
-            batch_cache_key(bad, api.Options())
         cache_dir = tmp_path / "uncompilable_cache"
         for directory in (None, cache_dir):
             first, failed = api.solve_many([problems[0], bad],
@@ -208,7 +278,8 @@ class TestBatchCacheSemantics:
         cache_dir = tmp_path / "corrupt_cache"
         api.solve_many(problems[:2], cache_dir=cache_dir)
         opts = api.Options()
-        keys = [batch_cache_key(problem, opts) for problem in problems[:2]]
+        keys = [batch_cache_key(api.problem_fingerprint(problem), opts)
+                for problem in problems[:2]]
         paths = [cache_dir / key[:2] / f"{key}.json" for key in keys]
         assert all(path.is_file() for path in paths)
         truncated = paths[0].read_text(encoding="utf-8")[:10]

@@ -12,12 +12,13 @@ class TestDefaults:
         assert opts.solver is None
         assert opts.symmetry is None
         assert opts.max_instances is None
-        assert opts.workers == 1
-        assert opts.memoize is True
+        assert opts.max_rounds == 12
+        assert opts.max_paths == 2000
+        assert opts.timeout is None
 
     def test_replace_revalidates(self):
-        with pytest.raises(ValueError, match="workers"):
-            Options().replace(workers=0)
+        with pytest.raises(ValueError, match="max_paths"):
+            Options().replace(max_paths=0)
 
     def test_replace_returns_new_instance(self):
         base = Options()
@@ -64,34 +65,17 @@ class TestValidationMessages:
                                              r"integer bound on explored"):
             Options(max_paths=-5)
 
-    def test_non_bool_memoize(self):
-        with pytest.raises(ValueError, match="memoize must be a bool"):
-            Options(memoize=1)
-
     def test_zero_timeout(self):
         with pytest.raises(ValueError, match=r"timeout must be a positive "
                                              r"number of seconds or None"):
             Options(timeout=0)
 
-    def test_workers_below_one(self):
-        with pytest.raises(ValueError, match=r"workers must be an integer "
-                                             r">= 1"):
-            Options(workers=0)
-
-    def test_workers_message_names_inline_mode(self):
-        with pytest.raises(ValueError, match="1 runs inline"):
-            Options(workers=-2)
-
-    def test_bool_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            Options(workers=True)
-
 
 class TestResolveOptions:
     def test_overrides_merge(self):
-        opts = resolve_options(Options(symmetry=3), {"workers": 2})
+        opts = resolve_options(Options(symmetry=3), {"max_rounds": 2})
         assert opts.symmetry == 3
-        assert opts.workers == 2
+        assert opts.max_rounds == 2
 
     def test_unknown_override_lists_valid_names(self):
         with pytest.raises(ValueError, match=r"unknown option.*symmetri.*"
@@ -104,10 +88,12 @@ class TestResolveOptions:
 
 
 class TestCacheSignature:
-    def test_execution_knobs_excluded(self):
-        a = Options(workers=1, timeout=None, cache_dir=None)
-        b = Options(workers=8, timeout=30.0, cache_dir="/tmp/x")
-        assert a.cache_signature() == b.cache_signature()
+    def test_timeout_is_the_only_field_excluded(self):
+        assert (Options(timeout=None).cache_signature()
+                == Options(timeout=30.0).cache_signature())
+        assert sorted(Options().cache_signature()) == [
+            "max_instances", "max_paths", "max_rounds", "solver",
+            "symmetry"]
 
     def test_semantic_fields_included(self):
         assert (Options(symmetry=0).cache_signature()

@@ -181,13 +181,11 @@ EXPECTED_SUBPACKAGE_ALL = {
     ],
     "repro.sat": [
         "CNF",
-        "Clause",
         "Lit",
         "Model",
         "Solver",
         "Status",
         "Var",
-        "clause",
         "dump_file",
         "dumps",
         "load_file",
@@ -211,7 +209,7 @@ EXPECTED_SIGNATURES = {
                     "'Mapping | None' = None, *, options: "
                     "'Options | None' = None, **overrides) -> 'Result'",
     "solve_many": "(problems: 'Sequence[Problem]', options: "
-                  "'Options | None' = None, *, workers: 'int | None' = None, "
+                  "'Options | None' = None, *, workers: 'int' = 1, "
                   "cache_dir: 'str | Path | None' = None, task_timeout: "
                   "'float | None' = None, progress: "
                   "'Callable[[int, Result], None] | None' = None, "
@@ -226,10 +224,7 @@ EXPECTED_OPTIONS_FIELDS = [
     "max_instances",
     "max_rounds",
     "max_paths",
-    "memoize",
     "timeout",
-    "workers",
-    "cache_dir",
 ]
 
 EXPECTED_RESULT_FIELDS = [

@@ -8,9 +8,13 @@ coming back as a module attribute (``test_public_api.py`` pins only the
 emitting a warning of any kind.  The SAT layer has one kernel and one
 model loop: the numpy kernel (``repro.sat.kernel``, the
 ``kodkod-vector`` backend, every ``kernel`` argument) and
-``repro.sat.enumerate`` stay gone too.
+``repro.sat.enumerate`` stay gone too.  A problem has one identity, its
+codec tree: the second serialization (``problem_payload``) is gone, and
+``Options`` keeps only fields that a single solve reads.  Members that
+nothing called stay gone, among them ``CNF``'s second Tseitin encoder.
 """
 
+import dataclasses
 import importlib
 import warnings
 
@@ -50,7 +54,32 @@ REMOVED_NAMES = [
     ("repro.api.backends", "DimacsIncBackend"),
     ("repro.sat", "iter_models"),
     ("repro.sat", "count_models"),
+    ("repro.sat", "Clause"),
+    ("repro.sat", "clause"),
+    ("repro.sat.types", "Clause"),
+    ("repro.sat.types", "clause"),
+    ("repro.api.problems", "problem_payload"),
+    ("repro.api.problems", "_bounds_payload"),
+    ("repro.api.problems", "_auction_payload"),
 ]
+
+REMOVED_MEMBERS = [
+    ("repro.sat.cnf", "CNF", "add_and_gate"),
+    ("repro.sat.cnf", "CNF", "add_or_gate"),
+    ("repro.sat.cnf", "CNF", "add_xor_gate"),
+    ("repro.sat.cnf", "CNF", "add_ite_gate"),
+    ("repro.sat.cnf", "CNF", "add_equiv"),
+    ("repro.sat.cnf", "CNF", "add_implies"),
+    ("repro.sat.cnf", "CNF", "add_at_most_one"),
+    ("repro.sat.cnf", "CNF", "add_exactly_one"),
+    ("repro.kodkod.matrix", "BoolMatrix", "identity_union"),
+    ("repro.kodkod.boolcircuit", "BooleanFactory", "is_input"),
+    ("repro.kodkod.boolcircuit", "BooleanFactory", "num_inputs"),
+    ("repro.mca.agent", "Agent", "winning_items"),
+    ("repro.mca.engine", "SynchronousEngine", "_global_signature"),
+]
+
+REMOVED_OPTIONS = ["memoize", "workers", "cache_dir"]
 
 
 @pytest.mark.parametrize(
@@ -60,6 +89,25 @@ def test_removed_name_is_gone(module_name, name):
     module = importlib.import_module(module_name)
     assert not hasattr(module, name)
     assert name not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "module_name, owner, name", REMOVED_MEMBERS,
+    ids=[f"{owner}.{name}" for _, owner, name in REMOVED_MEMBERS])
+def test_removed_member_is_gone(module_name, owner, name):
+    assert not hasattr(getattr(importlib.import_module(module_name), owner),
+                       name)
+
+
+@pytest.mark.parametrize("name", REMOVED_OPTIONS)
+def test_removed_option_is_refused(name):
+    """How a batch runs is a ``solve_many`` argument, and the explorer
+    always memoizes: none of these is an option any more."""
+    assert name not in {f.name for f in dataclasses.fields(api.Options)}
+    with pytest.raises(ValueError, match=f"unknown option.*{name}"):
+        api.Options.from_json({name: 1})
+    with pytest.raises(TypeError, match=name):
+        api.Options(**{name: 1})
 
 
 @pytest.mark.parametrize("module_name", [

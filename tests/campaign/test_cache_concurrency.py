@@ -10,6 +10,7 @@ integrity via embedded checksums, and pin the ``put`` return-value and
 
 import hashlib
 import json
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -160,3 +161,27 @@ class TestMapJobsExecutorReuse:
         assert "timeout" in results[0]["error"]
         with pytest.raises(RuntimeError):
             pool.submit(_double, 1)  # the abandoned pool was shut down
+
+    def test_a_stall_leaves_no_thread_exception(self):
+        """The stall path records unfinished jobs without cancelling
+        their futures: killing the workers breaks the pool, the
+        executor's manager thread then fails every future it still
+        tracks, and on a cancelled one it raised ``InvalidStateError``
+        (CPython 3.11)."""
+        raised = []
+        previous = threading.excepthook
+        threading.excepthook = raised.append
+        try:
+            for _ in range(6):
+                results = {}
+                healthy = map_jobs(
+                    [(slot, (30.0,)) for slot in range(6)], _sleeper,
+                    results.__setitem__, lambda s, e, t: {"error": e},
+                    shards=2, task_timeout=0.2)
+                assert healthy is False
+                assert sorted(results) == list(range(6))
+                errors = [results[slot]["error"] for slot in range(6)]
+                assert sum("timeout" in e for e in errors) >= 2
+        finally:
+            threading.excepthook = previous
+        assert [repr(args.exc_value) for args in raised] == []

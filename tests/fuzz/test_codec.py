@@ -7,14 +7,50 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.problems import problem_fingerprint
+from repro.alloylite.module import Module, Scope
+from repro.api.problems import (
+    FormulaProblem,
+    ModuleProblem,
+    ProtocolProblem,
+    problem_fingerprint,
+)
 from repro.fuzz import codec
 from repro.fuzz.codec import CodecError
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.fuzz.runner import lift_module
 from repro.kodkod import ast
+from repro.mca.network import AgentNetwork
+from repro.mca.policies import AgentPolicy, RebidStrategy, TableUtility
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _bounds_meaning(bounds) -> tuple:
+    return (tuple(bounds.universe.atoms),
+            sorted((rel.name, rel.arity, sorted(bounds.lower(rel)),
+                    sorted(bounds.upper(rel)))
+                   for rel in bounds.relations()))
+
+
+def meaning(problem) -> tuple:
+    """What a problem asks, read from its objects without the codec: a
+    reference that a round trip must preserve.  Formulas by ``repr`` and
+    bounds; modules by command, goal and their compiled universe, bounds
+    and facts; protocols by topology, items, policy flags and every
+    utility's marginals at each bundle-prefix size."""
+    if isinstance(problem, FormulaProblem):
+        return repr(problem.formula), _bounds_meaning(problem.bounds)
+    if isinstance(problem, ModuleProblem):
+        _, bounds, facts = problem.module.compile(problem.scope or Scope())
+        return (problem.command, repr(problem.goal),
+                _bounds_meaning(bounds), repr(facts))
+    items = problem.items
+    return (list(problem.network.agents()), list(problem.network.edges()),
+            items,
+            [(agent, policy.target, policy.release_outbid, policy.rebid,
+              [[round(float(policy.utility.marginal(item, items[:size])), 6)
+                for size in range(len(items) + 1)] for item in items])
+             for agent, policy in sorted(problem.policies.items())])
 
 
 class TestRoundTrip:
@@ -24,6 +60,7 @@ class TestRoundTrip:
         payload = codec.problem_to_json(problem)
         json.dumps(payload)  # must be JSON-able
         rebuilt = codec.problem_from_json(payload)
+        assert meaning(rebuilt) == meaning(problem)
         assert problem_fingerprint(rebuilt) == problem_fingerprint(problem)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -32,25 +69,57 @@ class TestRoundTrip:
         payload = codec.problem_to_json(problem)
         json.dumps(payload)
         rebuilt = codec.problem_from_json(payload)
+        assert meaning(rebuilt) == meaning(problem)
         assert problem_fingerprint(rebuilt) == problem_fingerprint(problem)
 
     def test_lifted_module_problems_round_trip(self):
         problem = lift_module(generate(FuzzSpec.make("module", 3, size=3)))
         rebuilt = codec.problem_from_json(codec.problem_to_json(problem))
+        assert meaning(rebuilt) == meaning(problem)
         assert problem_fingerprint(rebuilt) == problem_fingerprint(problem)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_module_problems_round_trip(self, seed):
-        """Direct module encoding preserves the fingerprint — which hashes
-        the *compiled* universe/bounds/facts, so sigs, fields, implicit
-        facts and the scope must all survive the wire."""
+        """Direct module encoding preserves the *compiled* universe,
+        bounds and facts (so sigs, fields, implicit facts and the scope
+        all survive the wire), the command and the goal; the
+        fingerprint, a digest of the tree, follows."""
         problem = generate(FuzzSpec.make("module", seed, size=3))
         payload = codec.problem_to_json(problem)
         json.dumps(payload)  # must be JSON-able
         assert payload["kind"] == "module"
         rebuilt = codec.problem_from_json(payload)
         assert rebuilt.command == problem.command
+        assert meaning(rebuilt) == meaning(problem)
         assert problem_fingerprint(rebuilt) == problem_fingerprint(problem)
+
+    def test_declarations_the_generators_never_draw_round_trip(self):
+        """An abstract sig with subsigs, a ``one`` sig, a field
+        multiplicity and a rebid strategy other than honest: the
+        generators draw none of them, so the reference is checked on a
+        hand-built module and protocol."""
+        module = Module("declared")
+        base = module.sig("A", abstract=True)
+        module.sig("B", parent=base)
+        module.sig("C", parent=base)
+        target = module.sig("D", is_one=True)
+        base.field("f", target, mult="one")
+        module.fact(base.relation.some())
+        items = ("i0", "i1")
+        table = {(item, size): 1.0 + size for item in items
+                 for size in range(3)}
+        problems = [
+            ModuleProblem(module, scope=Scope(per_sig={"A": 4, "B": 2,
+                                                       "C": 2})),
+            ProtocolProblem(AgentNetwork.line(2), items, {
+                0: AgentPolicy(TableUtility(table), target=2),
+                1: AgentPolicy(TableUtility(table), target=1,
+                               release_outbid=True,
+                               rebid=RebidStrategy.ESCALATE)}),
+        ]
+        for problem in problems:
+            rebuilt = codec.problem_from_json(codec.problem_to_json(problem))
+            assert meaning(rebuilt) == meaning(problem)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_module_round_trip_solves_identically(self, seed):

@@ -1,11 +1,27 @@
-"""Test helpers shared by the solver tests: a CNF builder and a model
-loop."""
+"""Test helpers shared by the solver tests: CNF constructors (pairwise
+cardinality constraints, a long-watch-list chain) and a model loop."""
 
 from __future__ import annotations
 
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 from repro.sat.types import Model, Status
+
+
+def add_at_most_one(cnf: CNF, lits) -> None:
+    """Pairwise at-most-one constraint over ``lits``."""
+    for i in range(len(lits)):
+        for j in range(i + 1, len(lits)):
+            cnf.add_clause([-lits[i], -lits[j]])
+
+
+def add_exactly_one(cnf: CNF, lits) -> None:
+    """Exactly-one constraint over ``lits``."""
+    if not lits:
+        raise ValueError("exactly-one over an empty literal list is "
+                         "unsatisfiable")
+    cnf.add_clause(list(lits))
+    add_at_most_one(cnf, lits)
 
 
 def chain_cnf(n_chain: int = 32, fanout: int = 80, pool: int = 12):

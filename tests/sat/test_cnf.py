@@ -1,4 +1,4 @@
-"""Unit tests for the CNF container and Tseitin gate encodings."""
+"""Unit tests for the CNF container and the cardinality test helpers."""
 
 import itertools
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.sat.cnf import CNF
 from repro.sat.types import Model
+
+from tests.sat.cnfs import add_at_most_one, add_exactly_one
 
 
 def all_models(cnf: CNF):
@@ -62,80 +64,18 @@ class TestCNFBasics:
         assert dup.num_clauses == 2
 
 
-class TestGates:
-    def _check_gate(self, build, semantics, arity):
-        """Verify a gate encoding agrees with ``semantics`` on all inputs."""
-        cnf = CNF()
-        out = cnf.new_var()
-        inputs = cnf.new_vars(arity)
-        build(cnf, out, inputs)
-        models = {tuple(m.values[v] for v in [out] + inputs) for m in all_models(cnf)}
-        expected = set()
-        for bits in itertools.product([False, True], repeat=arity):
-            expected.add((semantics(bits),) + bits)
-        assert models == expected
-
-    def test_and_gate(self):
-        self._check_gate(
-            lambda c, o, ins: c.add_and_gate(o, ins), lambda bits: all(bits), 3
-        )
-
-    def test_or_gate(self):
-        self._check_gate(
-            lambda c, o, ins: c.add_or_gate(o, ins), lambda bits: any(bits), 3
-        )
-
-    def test_xor_gate(self):
-        self._check_gate(
-            lambda c, o, ins: c.add_xor_gate(o, ins[0], ins[1]),
-            lambda bits: bits[0] != bits[1],
-            2,
-        )
-
-    def test_ite_gate(self):
-        self._check_gate(
-            lambda c, o, ins: c.add_ite_gate(o, ins[0], ins[1], ins[2]),
-            lambda bits: bits[1] if bits[0] else bits[2],
-            3,
-        )
-
-    def test_empty_and_is_true(self):
-        cnf = CNF()
-        out = cnf.new_var()
-        cnf.add_and_gate(out, [])
-        assert all(m.values[out] for m in all_models(cnf))
-
-    def test_empty_or_is_false(self):
-        cnf = CNF()
-        out = cnf.new_var()
-        cnf.add_or_gate(out, [])
-        assert all(not m.values[out] for m in all_models(cnf))
-
-    def test_equiv(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        cnf.add_equiv(a, b)
-        assert all(m.values[a] == m.values[b] for m in all_models(cnf))
-
-    def test_implies(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        cnf.add_implies(a, b)
-        assert all((not m.values[a]) or m.values[b] for m in all_models(cnf))
-
-
 class TestCardinality:
     def test_at_most_one(self):
         cnf = CNF()
         lits = cnf.new_vars(4)
-        cnf.add_at_most_one(lits)
+        add_at_most_one(cnf, lits)
         for model in all_models(cnf):
             assert sum(model.values[v] for v in lits) <= 1
 
     def test_exactly_one_count(self):
         cnf = CNF()
         lits = cnf.new_vars(4)
-        cnf.add_exactly_one(lits)
+        add_exactly_one(cnf, lits)
         models = list(all_models(cnf))
         assert len(models) == 4
         for model in models:
@@ -144,4 +84,4 @@ class TestCardinality:
     def test_exactly_one_empty_rejected(self):
         cnf = CNF()
         with pytest.raises(ValueError):
-            cnf.add_exactly_one([])
+            add_exactly_one(cnf, [])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 from tests.sat.brute_force import brute_force_count
-from tests.sat.cnfs import blocked_models
+from tests.sat.cnfs import add_exactly_one, blocked_models
 
 
 def all_models(cnf: CNF):
@@ -42,7 +42,7 @@ class TestEnumeration:
     def test_exactly_one_has_n_models(self):
         cnf = CNF()
         lits = cnf.new_vars(5)
-        cnf.add_exactly_one(lits)
+        add_exactly_one(cnf, lits)
         assert len(all_models(cnf)) == 5
 
     def test_models_are_distinct(self):

@@ -10,7 +10,7 @@ from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, luby, solve_cnf
 from repro.sat.types import Status
 from tests.sat.brute_force import brute_force_count, brute_force_satisfiable
-from tests.sat.cnfs import blocked_models, chain_cnf
+from tests.sat.cnfs import add_exactly_one, blocked_models, chain_cnf
 
 
 class TestLuby:
@@ -107,7 +107,7 @@ class TestBasicSolving:
             for c in range(2):
                 var[n, c] = cnf.new_var()
         for n in range(3):
-            cnf.add_exactly_one([var[n, c] for c in range(2)])
+            add_exactly_one(cnf, [var[n, c] for c in range(2)])
         for a, b in [(0, 1), (1, 2), (0, 2)]:
             for c in range(2):
                 cnf.add_clause([-var[a, c], -var[b, c]])
@@ -120,7 +120,7 @@ class TestBasicSolving:
             for c in range(3):
                 var[n, c] = cnf.new_var()
         for n in range(3):
-            cnf.add_exactly_one([var[n, c] for c in range(3)])
+            add_exactly_one(cnf, [var[n, c] for c in range(3)])
         for a, b in [(0, 1), (1, 2), (0, 2)]:
             for c in range(3):
                 cnf.add_clause([-var[a, c], -var[b, c]])

@@ -3,13 +3,9 @@
 import random
 from array import array
 
-import pytest
-
 from repro.sat.types import (
-    Clause,
     Model,
     VarOrderHeap,
-    clause,
     is_positive,
     negate,
     var_of,
@@ -33,33 +29,6 @@ class TestLiterals:
     def test_is_positive(self):
         assert is_positive(2)
         assert not is_positive(-2)
-
-
-class TestClause:
-    def test_zero_literal_rejected(self):
-        with pytest.raises(ValueError):
-            Clause((1, 0, 2))
-
-    def test_iteration_preserves_order(self):
-        assert list(clause(3, -1, 2)) == [3, -1, 2]
-
-    def test_len(self):
-        assert len(clause(1, 2, 3)) == 3
-
-    def test_variables(self):
-        assert clause(1, -2, 2).variables() == {1, 2}
-
-    def test_tautology_detected(self):
-        assert clause(1, -1).is_tautology()
-
-    def test_non_tautology(self):
-        assert not clause(1, 2, -3).is_tautology()
-
-    def test_simplified_removes_duplicates(self):
-        assert clause(1, 1, -2, 1).simplified() == clause(1, -2)
-
-    def test_empty_clause_allowed(self):
-        assert len(clause()) == 0
 
 
 class TestModel:

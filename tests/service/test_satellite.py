@@ -10,6 +10,7 @@ that must not leak evicted sessions.
 """
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -22,8 +23,11 @@ from repro.kodkod import relation
 from repro.service import ServiceConfig, VerificationService
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.satellite import SatelliteWorker
+from repro.service.schema import decode_submission
+from repro.service.workers import CACHE_WRITE_FAILED
 
 from tests.api.test_delta import free_problem, rebound
+from tests.service.test_service import NINE_FIELD_DEFAULTS
 
 
 def formula_body(seed):
@@ -68,6 +72,56 @@ class TestSatelliteFabric:
         assert metrics["jobs"] == {"pending": 0, "running": 0,
                                    "done": 3, "error": 0}
         assert worker.stats.snapshot()["solved"] == 3
+
+    def test_a_refused_post_does_not_sink_the_claim_batch(self, hub,
+                                                          client):
+        """The hub refuses the first post (a SAT verdict without its
+        instance, 400); the satellite counts it and still solves and
+        posts the second claim of the batch."""
+        for seed in (21, 22):
+            client.submit(formula_body(seed))
+        worker = SatelliteWorker(hub.url, worker_id="sat-refused",
+                                 claim_limit=2)
+        solve_claim = worker._solve_claim
+        claimed = []
+
+        def lying_first(claim):
+            claimed.append(claim["id"])
+            if len(claimed) == 1:
+                return {"verdict": "sat", "instances": []}
+            return solve_claim(claim)
+
+        worker._solve_claim = lying_first
+        assert worker.run_once() == 2
+        assert worker.stats.snapshot()["errors"] == 1
+        assert worker.stats.snapshot()["solved"] == 1
+        refused, solved = claimed
+        assert client.job(refused)["state"] == "running"  # lease lapses
+        assert client.job(solved)["state"] == "done"
+
+    def test_a_result_the_hub_cannot_cache_is_503_and_requeued(
+            self, hub, client):
+        """A job is never done without its result on disk: a post whose
+        cache write fails requeues the job (costing the attempt)."""
+        hub.cache.put = lambda key, payload: False
+        job_id = client.submit(formula_body(23))["id"]
+        (claim,) = client.claim("sat-disk", limit=1)["claims"]
+        worker = SatelliteWorker(hub.url, worker_id="sat-disk")
+        with pytest.raises(ServiceError) as info:
+            client.post_result(job_id, lease=claim["lease"],
+                               worker="sat-disk",
+                               result=worker._solve_claim(claim))
+        assert info.value.status == 503
+        assert "now pending" in str(info.value)
+        body = client.job(job_id)
+        assert body["state"] == "pending"
+        assert body["attempts"] == 1
+        journal = hub.config.queue_dir / "journal.jsonl"
+        events = [json.loads(line)
+                  for line in journal.read_text().splitlines()]
+        assert events[-1] == {**events[-1], "event": "requeue",
+                              "reason": CACHE_WRITE_FAILED}
+        assert client.metrics()["retries"] == 1
 
     def test_delta_jobs_stay_local(self, hub, client):
         """A satellite cold-solve would lose the warm-session provenance
@@ -145,6 +199,18 @@ class TestSatelliteFabric:
         assert final["state"] == "error"
         assert "could not decode" in final["error"]
 
+    def test_a_claim_journaled_with_the_retired_options_is_solved(
+            self, hub, client):
+        """A claim whose options still carry ``memoize``, ``workers`` and
+        ``cache_dir`` (a job journaled while they were options) solves."""
+        job_id = client.submit(formula_body(15))["id"]
+        (claim,) = client.claim("sat-old", limit=1)["claims"]
+        payload = {**claim["payload"], "options": NINE_FIELD_DEFAULTS}
+        worker = SatelliteWorker(hub.url, worker_id="sat-old")
+        result = worker._solve_claim({**claim, "payload": payload})
+        assert result["error"] is None
+        worker._post(claim, result)
+        assert client.job(job_id)["state"] == "done"
 
     def test_a_claim_naming_an_external_solver_is_refused(
             self, hub, client, tmp_path):
@@ -280,9 +346,15 @@ class TestPostedInstanceCheck:
     def test_a_goal_over_an_unbounded_relation_is_refused(
             self, hub, client, tmp_path):
         """No satellite solve can answer SAT here (translation rejects
-        the unbounded ``s``), so such a post is refused, not a crash."""
-        problem, r = free_problem(lambda r: relation("s", 1).some())
-        job_id = client.submit({"problem": problem_to_json(problem)})["id"]
+        the unbounded ``s``), so such a post is refused, not a crash.
+        The edge refuses such a submission, so the job is journaled
+        directly, as a hub without that edge check would have."""
+        bounded, _ = free_problem()
+        problem, _ = free_problem(lambda r: relation("s", 1).some())
+        submission = dataclasses.replace(
+            decode_submission({"problem": problem_to_json(bounded)}),
+            problem_payload=problem_to_json(problem))
+        job_id = hub.queue.submit(submission)[0].id
         (claim,) = client.claim("sat-liar", limit=1)["claims"]
         with pytest.raises(ServiceError) as info:
             self._post(client, job_id, claim, [r_instance([["a"]])])
@@ -312,7 +384,6 @@ class TestSessionLifecycle:
         from repro.api.options import Options
         from repro.jobs import ResultCache
         from repro.service.queue import JobQueue
-        from repro.service.schema import decode_submission
         from repro.service.workers import _SESSION_CAP, WorkerPool
 
         queue = JobQueue(tmp_path / "q")

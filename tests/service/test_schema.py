@@ -8,15 +8,23 @@ from repro.api import (
     problem_from_spec,
     problem_kind,
 )
+from repro.api.batch import batch_cache_key
+from repro.api.problems import tree_fingerprint
 from repro.campaign.specs import FAMILIES, ScenarioSpec
 from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
+from repro.kodkod import relation
 from repro.service.schema import (
     SERVICE_SCHEMA,
     SchemaError,
+    decode_options,
     decode_submission,
     job_id_for,
 )
+
+from tests.api.test_batch import table_pair
+from tests.api.test_delta import free_problem
+from tests.service.test_service import NINE_FIELD_DEFAULTS
 
 
 def tree(kind="formula", seed=0):
@@ -68,17 +76,59 @@ class TestValidation:
         with pytest.raises(SchemaError, match="label"):
             decode_submission({"problem": tree(), "label": 3})
 
+    @pytest.mark.parametrize("name", ["workers", "cache_dir", "memoize"])
+    def test_removed_option_names_are_rejected(self, name):
+        with pytest.raises(SchemaError, match=f"unknown option.*{name}"):
+            decode_submission({"problem": tree(), "options": {name: 2}})
+
+    def test_journaled_options_may_carry_the_retired_names(self):
+        """A queued job's options are read back without the three names
+        (none changes an answer); any other unknown name still fails."""
+        assert decode_options(NINE_FIELD_DEFAULTS, journaled=True) == Options()
+        with pytest.raises(SchemaError, match="unknown option.*workers"):
+            decode_options(NINE_FIELD_DEFAULTS)
+        with pytest.raises(SchemaError, match="unknown option.*bogus"):
+            decode_options({"bogus": 1}, journaled=True)
+
+    def test_a_goal_over_an_unbounded_relation_is_rejected(self):
+        """No solve can answer ``some s`` when only ``r`` is bounded."""
+        problem, _ = free_problem(lambda r: relation("s", 1).some())
+        with pytest.raises(SchemaError, match="s/1"):
+            decode_submission({"problem": problem_to_json(problem)})
+
+    def test_relations_are_matched_by_name_and_arity(self):
+        problem, _ = free_problem(lambda r: relation("r", 2).some())
+        with pytest.raises(SchemaError, match="r/2"):
+            decode_submission({"problem": problem_to_json(problem)})
+        problem, _ = free_problem(lambda r: r.some())
+        assert decode_submission(
+            {"problem": problem_to_json(problem)}).kind == "formula"
+
 
 class TestContentAddressing:
-    def test_execution_knobs_do_not_change_the_job_id(self):
-        """workers/timeout/cache_dir change how, not what — same job."""
+    def test_timeout_does_not_change_the_job_id(self):
+        """A time budget changes how long, not what — same job."""
         base = decode_submission({"problem": tree()})
-        tuned = decode_submission({
-            "problem": tree(),
-            "options": {"workers": 4, "timeout": 30.0, "cache_dir": "/x"},
-        })
+        tuned = decode_submission({"problem": tree(),
+                                   "options": {"timeout": 30.0}})
         assert tuned.job_id == base.job_id
         assert tuned.cache_key == base.cache_key
+
+    def test_keys_derive_from_the_codec_tree_digest(self):
+        submission = decode_submission({"problem": tree("protocol", 3)})
+        assert submission.fingerprint == tree_fingerprint(
+            submission.problem_payload)
+        assert submission.cache_key == batch_cache_key(
+            submission.fingerprint, submission.options)
+        assert submission.job_id == job_id_for(
+            submission.fingerprint, submission.options)
+
+    def test_protocols_differing_at_bundle_size_three_are_two_jobs(self):
+        holds, refuted = table_pair()
+        first, second = (decode_submission({"problem": problem_to_json(p)})
+                         for p in (holds, refuted))
+        assert first.job_id != second.job_id
+        assert first.cache_key != second.cache_key
 
     def test_result_affecting_options_change_the_job_id(self):
         base = decode_submission({"problem": tree()})
@@ -129,13 +179,12 @@ class TestSpecLifting:
 class TestOptionsWire:
     def test_to_json_round_trips_every_field(self):
         opts = Options(solver="kodkod", symmetry=3, max_instances=7,
-                       max_rounds=5, max_paths=99, memoize=False,
-                       timeout=2.5, workers=3, cache_dir="/tmp/c")
+                       max_rounds=5, max_paths=99, timeout=2.5)
         assert Options.from_json(opts.to_json()) == opts
 
     def test_from_json_defaults_missing_fields(self):
         assert Options.from_json({}) == Options()
-        assert Options.from_json({"workers": 2}) == Options(workers=2)
+        assert Options.from_json({"max_paths": 2}) == Options(max_paths=2)
 
     def test_from_json_rejects_non_dicts(self):
         with pytest.raises(ValueError, match="JSON object"):

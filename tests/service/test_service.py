@@ -19,9 +19,19 @@ from repro.service import ServiceConfig, VerificationService
 from repro.service.app import _Handler
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
-from repro.service.schema import decode_submission
+from repro.service.schema import decode_problem, decode_submission
+from repro.service.workers import CACHE_WRITE_FAILED
 
+from tests.api.test_batch import table_pair
 from tests.api.test_delta import free_problem, rebound
+
+NINE_FIELD_DEFAULTS = {
+    "solver": None, "symmetry": None, "max_instances": None,
+    "max_rounds": 12, "max_paths": 2000, "memoize": True, "timeout": None,
+    "workers": 1, "cache_dir": None}
+"""``Options().to_json()`` while ``memoize``, ``workers`` and
+``cache_dir`` were fields: the options object of every job journaled
+then."""
 
 
 @pytest.fixture
@@ -97,6 +107,19 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as info:
             client.request("GET", "/v2/jobs/x")
         assert info.value.status == 404
+
+    def test_protocols_differing_at_bundle_size_three_get_own_verdicts(
+            self, client):
+        """Two protocols whose utilities differ in one size-3 table entry
+        are two jobs, each answered with its own verdict."""
+        holds, refuted = table_pair()
+        first, second = (client.submit({"problem": problem_to_json(p)})
+                         for p in (holds, refuted))
+        assert first["id"] != second["id"]
+        assert second["created"] is True
+        assert client.wait(first["id"])["result"]["verdict"] == "holds"
+        assert (client.wait(second["id"])["result"]["verdict"]
+                == "counterexample")
 
     def test_metrics_report_the_work(self, client):
         body = {"problem": problem_to_json(
@@ -286,6 +309,35 @@ class TestEdgePolicies:
         assert "'kodkod-vector' is not a registered backend" in final["error"]
         assert final["attempts"] == 1
 
+    def test_a_job_journaled_with_the_retired_options_is_solved(
+            self, tmp_path):
+        """Every job journaled while ``memoize``, ``workers`` and
+        ``cache_dir`` were options carries all nine fields; a hub
+        restarted on that journal solves it instead of parking it."""
+        submission = decode_submission({"problem": problem_to_json(
+            generate(FuzzSpec.make("formula", 2)))})
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        (queue_dir / "journal.jsonl").write_text(json.dumps({
+            "event": "submit", "id": submission.job_id,
+            "payload": {**submission.payload(),
+                        "options": NINE_FIELD_DEFAULTS},
+            "fingerprint": submission.fingerprint,
+            "cache_key": submission.cache_key, "kind": submission.kind,
+            "label": "", "delta_of": None, "t": time.time()}) + "\n")
+        service = VerificationService(ServiceConfig(
+            queue_dir=queue_dir, cache_dir=tmp_path / "cache",
+            workers=1)).start()
+        try:
+            final = ServiceClient(service.url).wait(submission.job_id,
+                                                    timeout=60)
+        finally:
+            service.stop()
+        assert final["state"] == "done", final.get("error")
+        direct = solve(decode_problem(submission.problem_payload))
+        assert final["result"]["verdict"] == direct.verdict.value
+        assert final["attempts"] == 1
+
     def test_rate_limiting_is_off_by_default(self, client):
         for _ in range(30):
             client.healthz()
@@ -320,6 +372,36 @@ class TestEdgePolicies:
         handler.wfile = Departed()
         handler._error(400, "body is not valid JSON")
         assert handler.close_connection is True
+
+
+class TestResultStorage:
+    def test_a_job_whose_result_cannot_be_cached_is_never_done(
+            self, tmp_path):
+        """A solved job whose cache write fails is requeued, not marked
+        done with no result; at the attempt cap it is parked as an
+        error.  Delta jobs go through the same store."""
+        service = VerificationService(ServiceConfig(
+            queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
+            workers=1, max_attempts=2)).start()
+        service.cache.put = lambda key, payload: False
+        try:
+            client = ServiceClient(service.url)
+            problem, r = free_problem()
+            anchor = client.submit({"problem": problem_to_json(problem)})
+            delta = client.submit({
+                "problem": problem_to_json(rebound(problem, r,
+                                                   drop=[("c",)])),
+                "delta_of": anchor["id"]})
+            finals = [client.wait(job["id"], timeout=120)
+                      for job in (anchor, delta)]
+            retries = client.metrics()["retries"]
+        finally:
+            service.stop()
+        for final in finals:
+            assert final["state"] == "error"
+            assert final["error"] == CACHE_WRITE_FAILED
+            assert final["attempts"] == 2
+        assert retries == 2
 
 
 class TestReadmeExample:
