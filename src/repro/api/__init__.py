@@ -28,10 +28,10 @@ from repro.api.problems import (
     ModuleProblem,
     Problem,
     ProtocolProblem,
-    problem_fingerprint,
     problem_from_spec,
     problem_kind,
 )
+from repro.api.codec import problem_fingerprint
 from repro.api.result import (
     Result,
     Verdict,
@@ -55,8 +55,7 @@ from repro.api.batch import (
     batch_cache_key,
     solve_many,
 )
-# Imported last: the delta module imports the facade/backends modules
-# above at load time (and pulls repro.fuzz in lazily at call time).
+# Imported last: the delta module imports the facade/backends modules above.
 from repro.api.delta import DeltaSession, ProblemDelta, diff_problems
 
 __all__ = [

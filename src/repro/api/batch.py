@@ -19,9 +19,10 @@ import traceback
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.api.codec import problem_fingerprint
 from repro.api.facade import solve
 from repro.api.options import Options, resolve_options
-from repro.api.problems import Problem, problem_fingerprint
+from repro.api.problems import Problem
 from repro.api.result import Result, result_from_json, result_to_json
 from repro.jobs import ResultCache, map_jobs
 

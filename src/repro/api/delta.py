@@ -7,9 +7,9 @@ query learned, so this module builds the warm path on one live
 :class:`~repro.kodkod.engine.Session` per anchor:
 
 * :func:`diff_problems` compares two problems structurally — formula
-  trees via the fuzz codec's tagged encoding, bounds tuple-by-tuple,
-  protocol components via the codec's probed payload — and classifies
-  the edit into a :class:`ProblemDelta`;
+  trees via their codec trees (:mod:`repro.api.codec`), bounds
+  tuple-by-tuple, protocol components via the codec's probed payload —
+  and classifies the edit into a :class:`ProblemDelta`;
 * :class:`DeltaSession` anchors a live solver on one problem and answers
   *delta-safe* variants (identical problem, bounds narrowed) through
   unit assumptions on that solver
@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.api.backends import _checked_result, _relational_goal
+from repro.api.codec import CodecError, formula_to_tree, problem_to_json
 from repro.api.facade import solve as _facade_solve
 from repro.api.options import Options, resolve_options
 from repro.api.problems import (
@@ -129,11 +130,6 @@ def _diff_relational(prev_goal: ast.Formula, prev_bounds: Bounds,
                      new_goal: ast.Formula,
                      new_bounds: Bounds) -> ProblemDelta:
     """Diff two lowered relational problems (goal formula + bounds)."""
-    # Imported lazily: repro.fuzz pulls in the campaign oracles at package
-    # load, which import repro.api — a module-level import here would
-    # cycle through three packages.
-    from repro.fuzz.codec import CodecError, formula_to_tree
-
     try:
         prev_tree = formula_to_tree(prev_goal)
         new_tree = formula_to_tree(new_goal)
@@ -194,9 +190,6 @@ def diff_problems(prev: Problem, new: Problem) -> ProblemDelta:
     codec's probed payload (topology, items, policy tables); they have no
     warm solver path, so only ``identical`` is delta-safe for them.
     """
-    # Lazy for the same package-cycle reason as in _diff_relational.
-    from repro.fuzz.codec import CodecError, problem_to_json
-
     prev_group = problem_kind(prev)
     new_group = problem_kind(new)
     prev_relational = prev_group in ("formula", "module")

@@ -10,15 +10,13 @@ Three problem kinds cover the repo's verification surface:
   schedules are explored exhaustively (the dynamic-checking level).
 
 Problems are plain picklable data, so the batch path can ship them to
-worker processes.  A problem's one identity is
-:func:`problem_fingerprint`, the digest of its canonical codec tree
-(:mod:`repro.fuzz.codec`): the batch cache, the service's job ids and
-its journal all key on it.
+worker processes.  Their tree form, their one identity (the digest of
+that tree, which the batch cache, the service's job ids and its journal
+key on) and their validity gate live in :mod:`repro.api.codec`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -127,36 +125,3 @@ def problem_from_spec(spec) -> Problem:
 
     return materialize(spec)
 
-
-# ----------------------------------------------------------------------
-# Content addressing
-# ----------------------------------------------------------------------
-
-
-def problem_fingerprint(problem: Problem) -> str:
-    """The problem's identity: the sha256 of its canonical codec tree.
-
-    The tree is :func:`repro.fuzz.codec.problem_to_json`, the form the
-    service journals, satellites decode and
-    :func:`~repro.api.diff_problems` compares.  Formulas and bounds are
-    identified by their tagged trees and tuple sets, modules by their
-    declarations, command, goal and scope.  Protocols are identified by
-    topology, items and policies, with each utility probed at every
-    bundle size: identity is exact for every utility whose marginal
-    depends only on bundle size, which covers every utility the wire can
-    carry and every one the in-tree generators build.  A problem with no
-    tree form (an ``OrderedModule``, say) raises
-    :class:`~repro.fuzz.codec.CodecError`.
-    """
-    # Imported at call time: the codec imports this module.
-    from repro.fuzz.codec import problem_to_json
-
-    return tree_fingerprint(problem_to_json(problem))
-
-
-def tree_fingerprint(tree: dict) -> str:
-    """:func:`problem_fingerprint` of the problem a codec tree encodes,
-    for callers that already hold the tree."""
-    from repro.fuzz.codec import problem_identity
-
-    return hashlib.sha256(problem_identity(tree).encode()).hexdigest()

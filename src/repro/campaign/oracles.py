@@ -52,6 +52,7 @@ from typing import Callable
 from repro.api import DeltaSession, FormulaProblem, Problem, ProtocolProblem
 from repro.api import enumerate as api_enumerate
 from repro.api import run_protocol, solve as api_solve
+from repro.api.codec import problem_identity, problem_to_json
 from repro.checking.explorer import explore
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.engine import Session
@@ -392,14 +393,13 @@ def _delta_oracle(problem: FormulaProblem | ProtocolProblem, seed: int,
     """
     # Imported lazily: the fuzz runner imports this module while
     # repro.fuzz loads, so a module-level import here would cycle.
-    from repro.fuzz import codec
     from repro.fuzz.mutators import mutate_problem
 
     if isinstance(problem, ProtocolProblem):
         opts = _explore_budget(params)
     else:
         opts = {"symmetry": 0}
-    identity = codec.problem_identity(codec.problem_to_json(problem))
+    identity = problem_identity(problem_to_json(problem))
     rng = random.Random(f"delta:{seed}:{identity}")
     mutated = mutate_problem(problem, rng)
     if mutated is None:

@@ -24,12 +24,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.api.problems import (
-    FormulaProblem,
-    Problem,
-    ProtocolProblem,
-    problem_fingerprint,
-)
+from repro.api.codec import problem_fingerprint
+from repro.api.problems import FormulaProblem, Problem, ProtocolProblem
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.universe import Universe

@@ -8,7 +8,7 @@ are structural and small — swap one operator, drop one conjunct, remove
 one agent — so a mutant explores the immediate neighbourhood of an input
 that already proved interesting.
 
-Mutations operate on the portable trees of :mod:`repro.fuzz.codec` (for
+Mutations operate on the portable trees of :mod:`repro.api.codec` (for
 formula problems) or directly on the protocol components, and every mutant
 is validated by decoding back into a real :mod:`repro.api` problem — a
 mutation that produces an ill-formed tree is discarded, never shipped to

@@ -153,11 +153,7 @@ def _check_posted_instances(record: JobRecord, result: Result) -> None:
         decode_problem(record.payload["problem"]), "hub")
     for instance in result.instances:
         rebound = _rebound(instance, bounds)
-        try:
-            model = rebound is not None and _is_model(goal, bounds, rebound)
-        except KeyError:  # the goal names a relation the bounds lack
-            model = False
-        if not model:
+        if rebound is None or not _is_model(goal, bounds, rebound):
             raise SchemaError(
                 "'result' instance is not a model of the job's goal "
                 "within its bounds")
@@ -548,7 +544,7 @@ class _Handler(BaseHTTPRequestHandler):
             return _UNREADABLE
         try:
             return json.loads(body or b"null")
-        except ValueError:
+        except (RecursionError, ValueError):  # too deep, or not JSON
             self._error(400, "body is not valid JSON")
             return _UNREADABLE
 

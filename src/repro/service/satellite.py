@@ -40,7 +40,9 @@ import urllib.error
 import uuid
 from dataclasses import dataclass, field
 
+from repro.api.batch import _solve_worker
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.schema import SchemaError, decode_options, decode_problem
 
 DEFAULT_CLAIM_LIMIT = 2
 DEFAULT_LEASE_SECONDS = 30.0
@@ -179,21 +181,12 @@ class SatelliteWorker:
 
     def _solve_claim(self, claim: dict) -> dict:
         """Solve one claimed payload; never raises (error payloads)."""
-        # Imported lazily: satellites should start (and report a bad hub
-        # URL) fast, before paying the full solver import.
-        from repro.api.batch import _solve_worker
-        from repro.service.schema import (
-            SchemaError,
-            decode_options,
-            decode_problem,
-        )
-
         payload = claim.get("payload") or {}
         try:
-            problem = decode_problem(payload["problem"])
+            problem = decode_problem(payload.get("problem"))
             options = decode_options(payload.get("options"),
                                      journaled=True)
-        except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        except SchemaError as exc:
             return {"verdict": "error", "seconds": 0.0,
                     "error": f"satellite could not decode job: {exc}"}
         return _solve_worker(problem, options)

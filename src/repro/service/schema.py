@@ -2,10 +2,12 @@
 
 One submission format, one job envelope, one result format:
 
-* **submissions** carry either a ``problem`` (the fuzz codec's tagged
-  tree — all three kinds: ``formula``, ``module``, ``protocol``) or a
-  ``spec`` (a campaign :class:`~repro.campaign.specs.ScenarioSpec` dict,
-  lifted through :func:`~repro.api.problem_from_spec`), plus optional
+* **submissions** carry either a ``problem`` (a :mod:`repro.api.codec`
+  tree of any kind: ``formula``, ``module``, ``protocol``; decoding is
+  the one validity gate, so a tree no backend could translate is
+  refused here) or a ``spec`` (a campaign
+  :class:`~repro.campaign.specs.ScenarioSpec` dict, lifted through
+  :func:`~repro.api.problem_from_spec`), plus optional
   ``options`` (any subset of :class:`~repro.api.Options` fields) and an
   optional ``delta_of`` anchor job id for warm re-verification.  The
   ``solver`` option must be ``None`` or a registered backend name
@@ -39,12 +41,14 @@ from dataclasses import dataclass
 
 from repro.api.backends import available_backends
 from repro.api.batch import batch_cache_key
-from repro.api.options import Options
-from repro.api.problems import (
-    Problem,
-    problem_from_spec,
+from repro.api.codec import (
+    CodecError,
+    problem_from_json,
+    problem_to_json,
     tree_fingerprint,
 )
+from repro.api.options import Options
+from repro.api.problems import Problem, problem_from_spec
 
 SERVICE_SCHEMA = 1
 """Bump on any incompatible change to the submission/envelope format."""
@@ -112,7 +116,7 @@ answer, and every job journaled while they existed carries all three."""
 
 
 def decode_options(payload, *, journaled: bool = False) -> Options:
-    """Decode a job's ``options`` object (missing or empty: defaults).
+    """Decode a job's ``options`` object (missing or null: defaults).
 
     Raises :class:`SchemaError` for invalid fields, and for a ``solver``
     that is not a registered backend: the service never resolves
@@ -125,7 +129,7 @@ def decode_options(payload, *, journaled: bool = False) -> Options:
         payload = {name: value for name, value in payload.items()
                    if name not in RETIRED_OPTIONS}
     try:
-        options = Options.from_json(payload or {})
+        options = Options.from_json({} if payload is None else payload)
     except ValueError as exc:
         raise SchemaError(f"invalid options: {exc}") from exc
     registered = available_backends()
@@ -138,26 +142,14 @@ def decode_options(payload, *, journaled: bool = False) -> Options:
     return options
 
 
-def decode_problem(payload: dict) -> Problem:
-    """Decode a submission's problem tree (all three kinds).
-
-    Raises :class:`SchemaError` with the codec's message on a malformed
-    tree.
-    """
-    # Imported lazily: the codec imports repro.api, keep service import
-    # cost (and cycles) minimal.
-    from repro.fuzz.codec import CodecError, problem_from_json
-
+def decode_problem(payload) -> Problem:
+    """Decode a problem tree (all three kinds) into a problem a backend
+    can translate, or raise :class:`SchemaError` with the codec's
+    message."""
     try:
         return problem_from_json(payload)
     except CodecError as exc:
         raise SchemaError(f"invalid problem payload: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        # The codec reports structured problems as CodecError; a payload
-        # missing whole keys dies lower with a bare KeyError/TypeError.
-        raise SchemaError(
-            f"invalid problem payload: {type(exc).__name__}: {exc}"
-        ) from exc
 
 
 def decode_submission(payload) -> JobSubmission:
@@ -166,17 +158,10 @@ def decode_submission(payload) -> JobSubmission:
     Accepts ``{"problem": <codec tree>}`` or ``{"spec": <campaign spec
     dict>}`` (exactly one), optional ``options``/``delta_of``/``label``,
     and an optional ``schema`` declaration that must match
-    :data:`SERVICE_SCHEMA`.  A formula goal must name only relations its
-    bounds bound.  Every failure raises :class:`SchemaError` with an
-    actionable message.  The canonical tree is fingerprinted once; the
-    job id and the cache key both derive from that digest.
+    :data:`SERVICE_SCHEMA`.  Every failure raises :class:`SchemaError`
+    with an actionable message.  The canonical tree is fingerprinted
+    once; the job id and the cache key both derive from that digest.
     """
-    from repro.fuzz.codec import (
-        CodecError,
-        problem_to_json,
-        unbounded_relations,
-    )
-
     if not isinstance(payload, dict):
         raise SchemaError(
             f"submission must be a JSON object, got "
@@ -205,7 +190,8 @@ def decode_submission(payload) -> JobSubmission:
     if has_problem:
         problem = decode_problem(payload["problem"])
     else:
-        # Imported lazily for the same cycle reason as the codec.
+        # Imported lazily: repro.campaign imports repro.api, and only
+        # spec submissions need it.
         from repro.campaign.specs import ScenarioSpec
 
         try:
@@ -228,13 +214,6 @@ def decode_submission(payload) -> JobSubmission:
         problem_payload = problem_to_json(problem)
     except CodecError as exc:
         raise SchemaError(f"problem has no wire form: {exc}") from exc
-    unbounded = unbounded_relations(problem_payload)
-    if unbounded:
-        listed = ", ".join(f"{name}/{arity}" for name, arity in unbounded)
-        raise SchemaError(
-            f"invalid problem payload: the goal names relation(s) "
-            f"{listed} that the bounds do not bound"
-        )
     fingerprint = tree_fingerprint(problem_payload)
     return JobSubmission(
         job_id=job_id_for(fingerprint, options, delta_of),

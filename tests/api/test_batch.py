@@ -94,7 +94,7 @@ class TestProblemIdentity:
         """The codec refuses an ``OrderedModule``: it has no fingerprint,
         so ``solve_many`` solves it every time and caches nothing."""
         from repro.alloylite.ordering import OrderedModule
-        from repro.fuzz.codec import CodecError
+        from repro.api.codec import CodecError
 
         module = OrderedModule("ordered")
         module.ordering(module.sig("State"))

@@ -10,8 +10,10 @@ model loop: the numpy kernel (``repro.sat.kernel``, the
 ``kodkod-vector`` backend, every ``kernel`` argument) and
 ``repro.sat.enumerate`` stay gone too.  A problem has one identity, its
 codec tree: the second serialization (``problem_payload``) is gone, and
-``Options`` keeps only fields that a single solve reads.  Members that
-nothing called stay gone, among them ``CNF``'s second Tseitin encoder.
+``Options`` keeps only fields that a single solve reads.  The tree and
+its fingerprints live in ``repro.api.codec`` alone, whose decoder is the
+one validity gate (no second relation walk).  Members that nothing
+called stay gone, among them ``CNF``'s second Tseitin encoder.
 """
 
 import dataclasses
@@ -61,6 +63,10 @@ REMOVED_NAMES = [
     ("repro.api.problems", "problem_payload"),
     ("repro.api.problems", "_bounds_payload"),
     ("repro.api.problems", "_auction_payload"),
+    ("repro.api.problems", "problem_fingerprint"),
+    ("repro.api.problems", "tree_fingerprint"),
+    ("repro.fuzz.codec", "subtree_at"),
+    ("repro.fuzz.codec", "unbounded_relations"),
 ]
 
 REMOVED_MEMBERS = [

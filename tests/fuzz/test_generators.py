@@ -5,12 +5,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.api.problems import (
-    FormulaProblem,
-    ModuleProblem,
-    ProtocolProblem,
-    problem_fingerprint,
-)
+from repro.api.codec import problem_fingerprint
+from repro.api.problems import FormulaProblem, ModuleProblem, ProtocolProblem
 from repro.fuzz import codec
 from repro.fuzz.generators import (
     FEATURE_POOLS,

@@ -4,11 +4,8 @@ import random
 
 import pytest
 
-from repro.api.problems import (
-    FormulaProblem,
-    ProtocolProblem,
-    problem_fingerprint,
-)
+from repro.api.codec import problem_fingerprint
+from repro.api.problems import FormulaProblem, ProtocolProblem
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.fuzz.mutators import (
     FORMULA_MUTATIONS,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.problems import problem_fingerprint
+from repro.api.codec import problem_fingerprint
 from repro.api import solve as api_solve
 from repro.fuzz import codec
 from repro.fuzz.generators import FuzzSpec, generate

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api.problems import FormulaProblem, problem_fingerprint
+from repro.api.codec import problem_fingerprint
+from repro.api.problems import FormulaProblem
 from repro.fuzz import codec
 from repro.fuzz.faults import fault_matches
 from repro.fuzz.generators import FuzzSpec, generate

@@ -27,8 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.api import problem_from_spec, solve
+from repro.api.codec import problem_to_json
 from repro.campaign.specs import FAMILIES, ScenarioSpec
-from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service import ServiceConfig, VerificationService
 from repro.service.client import ServiceClient

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.fuzz.codec import problem_to_json
+from repro.api.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service.queue import (
     DONE,

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.fuzz.codec import problem_to_json
+from repro.api.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service.queue import RUNNING, JobQueue, LeaseError
 from repro.service.schema import decode_submission

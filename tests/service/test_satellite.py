@@ -16,8 +16,8 @@ import time
 import pytest
 
 from repro.api import solve
+from repro.api.codec import problem_to_json
 from repro.api.delta import open_session_count
-from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.kodkod import relation
 from repro.service import ServiceConfig, VerificationService
@@ -345,10 +345,10 @@ class TestPostedInstanceCheck:
 
     def test_a_goal_over_an_unbounded_relation_is_refused(
             self, hub, client, tmp_path):
-        """No satellite solve can answer SAT here (translation rejects
-        the unbounded ``s``), so such a post is refused, not a crash.
-        The edge refuses such a submission, so the job is journaled
-        directly, as a hub without that edge check would have."""
+        """No satellite solve can answer SAT here (nothing bounds ``s``),
+        so such a post is refused, not a crash: the hub's decode of the
+        job, the gate the edge uses too, refuses the tree.  The edge
+        would refuse the submission, so the job is journaled directly."""
         bounded, _ = free_problem()
         problem, _ = free_problem(lambda r: relation("s", 1).some())
         submission = dataclasses.replace(

@@ -1,19 +1,23 @@
 """Wire-schema validation and content addressing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.alloylite.module import Module
 from repro.api import (
+    ModuleProblem,
     Options,
     problem_fingerprint,
     problem_from_spec,
     problem_kind,
 )
 from repro.api.batch import batch_cache_key
-from repro.api.problems import tree_fingerprint
+from repro.api.codec import problem_to_json, tree_fingerprint
 from repro.campaign.specs import FAMILIES, ScenarioSpec
-from repro.fuzz.codec import problem_to_json
+from repro.fuzz.codec import replace_at
 from repro.fuzz.generators import FuzzSpec, generate
-from repro.kodkod import relation
+from repro.kodkod import ast, relation
 from repro.service.schema import (
     SERVICE_SCHEMA,
     SchemaError,
@@ -103,6 +107,92 @@ class TestValidation:
         problem, _ = free_problem(lambda r: r.some())
         assert decode_submission(
             {"problem": problem_to_json(problem)}).kind == "formula"
+
+    def test_a_module_fact_over_an_undeclared_relation_is_rejected(self):
+        """Compilation bounds only the module's sigs and fields, so no
+        solve can answer a fact over ``ghost``."""
+        module = Module("haunted")
+        module.sig("A")
+        module.fact(relation("ghost", 1).some())
+        with pytest.raises(SchemaError, match="ghost/1"):
+            decode_submission(
+                {"problem": problem_to_json(ModuleProblem(module))})
+
+    def test_a_goal_over_an_unbound_variable_is_rejected(self):
+        """``forall x: univ | some y``: translation has no value for y."""
+        x, y = ast.Variable("x"), ast.Variable("y")
+        problem, _ = free_problem(
+            lambda r: ast.ForAll([(x, ast.Univ())], ast.Some(y)))
+        with pytest.raises(SchemaError, match="'y'"):
+            decode_submission({"problem": problem_to_json(problem)})
+
+    @pytest.mark.parametrize("options", [[], 0, "", False, [1], "x", 3])
+    def test_options_must_be_an_object(self, options):
+        """Only an object, null or a missing key decodes; a falsy
+        non-object is not read as the defaults."""
+        with pytest.raises(SchemaError, match="JSON object"):
+            decode_submission({"problem": tree(), "options": options})
+
+    def test_null_or_missing_options_are_the_defaults(self):
+        for body in ({"problem": tree()},
+                     {"problem": tree(), "options": None},
+                     {"problem": tree(), "options": {}}):
+            assert decode_submission(body).options == Options()
+
+
+_WORDS = ("kind", "formula", "module", "protocol", "bounds", "universe",
+          "relations", "name", "arity", "lower", "upper", "f", "e", "rel",
+          "var", "some", "and", "forall", "decls", "body", "parts", "expr",
+          "sigs", "fields", "facts", "goal", "scope", "per_sig", "agents",
+          "edges", "items", "policies", "table", "target")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(_WORDS) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_WORDS)
+                                     | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=10)
+"""Any JSON value (``json.loads`` also reads NaN and the infinities),
+with the codec's own keys and tags over-represented."""
+_VALID_TREES = [tree(kind, seed) for kind in ("formula", "module", "protocol")
+                for seed in range(3)]
+
+
+def _positions(node, path=()):
+    """The path of every value inside a JSON tree (not the root)."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _decodes_or_refuses(problem) -> None:
+    try:
+        decode_submission({"problem": problem})
+    except SchemaError:
+        pass
+
+
+class TestAnyTree:
+    """The edge answers every problem value with a submission or a
+    :class:`SchemaError` (HTTP 400), never another exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON)
+    def test_any_json_value(self, value):
+        _decodes_or_refuses(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_VALID_TREES), st.data())
+    def test_a_valid_tree_with_one_node_swapped(self, valid, data):
+        path = data.draw(st.sampled_from(list(_positions(valid))))
+        _decodes_or_refuses(replace_at(valid, path, data.draw(_JSON)))
 
 
 class TestContentAddressing:

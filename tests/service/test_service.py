@@ -7,13 +7,15 @@ import re
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.api import Options, solve
+from repro.api.codec import problem_to_json
 from repro.campaign.specs import FAMILIES, ScenarioSpec
-from repro.fuzz.codec import problem_to_json
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.service import ServiceConfig, VerificationService
 from repro.service.app import _Handler
@@ -337,6 +339,39 @@ class TestEdgePolicies:
         direct = solve(decode_problem(submission.problem_payload))
         assert final["result"]["verdict"] == direct.verdict.value
         assert final["attempts"] == 1
+
+    @pytest.mark.parametrize("problem", [
+        [],
+        "x",
+        {**problem_to_json(generate(FuzzSpec.make("formula", 2))),
+         "formula": []},
+        {**problem_to_json(generate(FuzzSpec.make("protocol", 2))),
+         "policies": []},
+    ], ids=["list", "string", "formula-list", "policies-list"])
+    def test_a_node_of_the_wrong_json_type_is_400(self, service, client,
+                                                  problem):
+        """The decoder refuses each as malformed: the client gets a
+        status, nothing is queued, and the handler thread survives."""
+        with pytest.raises(ServiceError) as info:
+            client.submit({"problem": problem})
+        assert info.value.status == 400
+        assert client.metrics()["jobs"] == {
+            "pending": 0, "running": 0, "done": 0, "error": 0}
+        journal = service.config.queue_dir / "journal.jsonl"
+        assert not journal.exists() or journal.read_text() == ""
+        assert client.healthz()["ok"] is True
+
+    def test_a_body_nested_too_deeply_is_400(self, service, client):
+        """Past the interpreter's recursion limit ``json.loads`` raises
+        RecursionError, not ValueError; the hub answers and keeps
+        serving."""
+        request = urllib.request.Request(
+            f"{service.url}/v1/jobs", data=b"[" * 5000 + b"]" * 5000,
+            headers={"Content-Type": "application/json"}, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=10)
+        assert info.value.code == 400
+        assert client.healthz()["ok"] is True
 
     def test_rate_limiting_is_off_by_default(self, client):
         for _ in range(30):
