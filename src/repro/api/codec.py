@@ -23,15 +23,18 @@ The tree is a problem's one identity (:func:`problem_fingerprint`, the
 key of the batch cache, the service's job ids and its journal), the
 verification service's submission format, and the fuzzer's corpus and
 repro-script format.  Decoding is the one validity gate:
-:func:`problem_from_json` returns a problem a relational backend can
-translate or raises :class:`CodecError`.
+:func:`problem_from_json` returns a problem whose formulas a backend can
+translate or raises :class:`CodecError`.  It does no work that grows
+with the numbers a tree holds, so a module's scope is compiled only when
+the problem is solved, and a scope that does not compile is an error
+result there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.alloylite.module import Module, Scope
 from repro.alloylite.sig import Sig
@@ -300,62 +303,6 @@ class _Decoder:
 
 
 # ----------------------------------------------------------------------
-# Tree walks
-# ----------------------------------------------------------------------
-
-_CHILD_FIELDS = ("left", "right", "inner", "expr", "cond", "then", "else",
-                 "body", "parts", "decls")
-
-Path = tuple  # sequence of dict keys / list indices into a tree
-
-
-def iter_subtrees(tree: dict, _path: Path = ()) -> Iterator[tuple[Path, dict]]:
-    """Yield every tagged subtree with its path (pre-order, root first)."""
-    yield _path, tree
-    for key in _CHILD_FIELDS:
-        child = tree.get(key)
-        if isinstance(child, dict):
-            yield from iter_subtrees(child, _path + (key,))
-        elif isinstance(child, list):
-            for index, item in enumerate(child):
-                if isinstance(item, dict):
-                    yield from iter_subtrees(item, _path + (key, index))
-                elif (isinstance(item, list) and len(item) == 2
-                        and isinstance(item[1], dict)):
-                    # A [var name, domain tree] declaration pair.
-                    yield from iter_subtrees(
-                        item[1], _path + (key, index, 1))
-
-
-def has_unbound_vars(tree: dict, _bound: frozenset[str] = frozenset()) -> bool:
-    """Whether the tree references a variable no enclosing quantifier binds.
-
-    The fuzzer uses this to pre-filter hoisting candidates: a quantifier
-    body hoisted above its binder would not decode.
-    """
-    tag = tree.get("e") or tree.get("f")
-    if tag == "var":
-        return tree["name"] not in _bound
-    if tag in ("forall", "exists", "compr"):
-        bound = _bound
-        for name, domain in tree["decls"]:
-            if has_unbound_vars(domain, bound):
-                return True
-            bound = bound | {name}
-        return has_unbound_vars(tree["body"], bound)
-    for key in _CHILD_FIELDS:
-        child = tree.get(key)
-        if isinstance(child, dict):
-            if has_unbound_vars(child, _bound):
-                return True
-        elif isinstance(child, list):
-            for item in child:
-                if isinstance(item, dict) and has_unbound_vars(item, _bound):
-                    return True
-    return False
-
-
-# ----------------------------------------------------------------------
 # Problem <-> JSON
 # ----------------------------------------------------------------------
 
@@ -510,7 +457,6 @@ def _module_from_json(payload: dict) -> ModuleProblem:
                        {str(name): int(count) for name, count
                         in scope_payload.get("per_sig", {}).items()})
                  if scope_payload is not None else None)
-        module.compile(scope or Scope())  # refuse what no backend compiles
         return ModuleProblem(module, payload.get("command", "run"), goal,
                              scope)
     except CodecError:
@@ -550,7 +496,8 @@ def problem_to_json(problem: Problem) -> dict:
 
 def problem_from_json(payload: dict) -> Problem:
     """Rebuild a problem from :func:`problem_to_json` output, or raise
-    :class:`CodecError` for a tree no backend could translate."""
+    :class:`CodecError` for a tree whose formulas no backend could
+    translate (a module's scope is left to the solve, see above)."""
     kind = _tag(payload, "kind")
     if kind == "module":
         return _module_from_json(payload)

@@ -1,26 +1,47 @@
-"""The fuzzer's tree edits: rewrite, arity, size and repro scripts.
+"""The fuzzer's tree toolkit: walks, edits, arity, size and repro scripts.
 
-The problem tree itself (encoding, decoding, identity, walks) belongs to
-:mod:`repro.api.codec`.  Its names used through this module are
-re-exported as the same objects: by the fuzz modules, by every emitted
-repro script (``from repro.fuzz.codec import problem_from_json``) and by
-``perfbench/tracing.py``, whose wrappers here time the fuzzer's calls,
-not the service's.
+The problem tree itself (encoding, decoding, identity) belongs to
+:mod:`repro.api.codec`.  The four names of it that callers address
+through this module are re-exported as the same objects: by the fuzz
+modules, by every emitted repro script (``from repro.fuzz.codec import
+problem_from_json``) and by ``perfbench/tracing.py``, whose wrappers
+here time the fuzzer's calls, not the service's.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from repro.api.codec import (  # noqa: F401 - re-exported, see above
     CodecError,
-    Path,
     formula_to_tree,
-    has_unbound_vars,
-    iter_subtrees,
     problem_from_json,
     problem_to_json,
 )
+
+_CHILD_FIELDS = ("left", "right", "inner", "expr", "cond", "then", "else",
+                 "body", "parts", "decls")
+
+Path = tuple  # sequence of dict keys / list indices into a tree
+
+
+def iter_subtrees(tree: dict, _path: Path = ()) -> Iterator[tuple[Path, dict]]:
+    """Yield every tagged subtree with its path (pre-order, root first)."""
+    yield _path, tree
+    for key in _CHILD_FIELDS:
+        child = tree.get(key)
+        if isinstance(child, dict):
+            yield from iter_subtrees(child, _path + (key,))
+        elif isinstance(child, list):
+            for index, item in enumerate(child):
+                if isinstance(item, dict):
+                    yield from iter_subtrees(item, _path + (key, index))
+                elif (isinstance(item, list) and len(item) == 2
+                        and isinstance(item[1], dict)):
+                    # A [var name, domain tree] declaration pair.
+                    yield from iter_subtrees(
+                        item[1], _path + (key, index, 1))
 
 
 def replace_at(tree: dict, path: Path, replacement) -> dict:
@@ -60,6 +81,34 @@ def tree_arity(tree: dict) -> int:
 def tree_size(tree: dict) -> int:
     """Number of tagged nodes in a tree (the shrinker's formula metric)."""
     return sum(1 for _ in iter_subtrees(tree))
+
+
+def has_unbound_vars(tree: dict, _bound: frozenset[str] = frozenset()) -> bool:
+    """Whether the tree references a variable no enclosing quantifier binds.
+
+    The fuzzer uses this to pre-filter hoisting candidates: a quantifier
+    body hoisted above its binder would not decode.
+    """
+    tag = tree.get("e") or tree.get("f")
+    if tag == "var":
+        return tree["name"] not in _bound
+    if tag in ("forall", "exists", "compr"):
+        bound = _bound
+        for name, domain in tree["decls"]:
+            if has_unbound_vars(domain, bound):
+                return True
+            bound = bound | {name}
+        return has_unbound_vars(tree["body"], bound)
+    for key in _CHILD_FIELDS:
+        child = tree.get(key)
+        if isinstance(child, dict):
+            if has_unbound_vars(child, _bound):
+                return True
+        elif isinstance(child, list):
+            for item in child:
+                if isinstance(item, dict) and has_unbound_vars(item, _bound):
+                    return True
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ One submission format, one job envelope, one result format:
 
 * **submissions** carry either a ``problem`` (a :mod:`repro.api.codec`
   tree of any kind: ``formula``, ``module``, ``protocol``; decoding is
-  the one validity gate, so a tree no backend could translate is
-  refused here) or a ``spec`` (a campaign
+  the one validity gate, so a tree whose formulas no backend could
+  translate is refused here) or a ``spec`` (a campaign
   :class:`~repro.campaign.specs.ScenarioSpec` dict, lifted through
   :func:`~repro.api.problem_from_spec`), plus optional
   ``options`` (any subset of :class:`~repro.api.Options` fields) and an
@@ -143,9 +143,9 @@ def decode_options(payload, *, journaled: bool = False) -> Options:
 
 
 def decode_problem(payload) -> Problem:
-    """Decode a problem tree (all three kinds) into a problem a backend
-    can translate, or raise :class:`SchemaError` with the codec's
-    message."""
+    """Decode a problem tree (all three kinds) into a problem whose
+    formulas a backend can translate, or raise :class:`SchemaError` with
+    the codec's message."""
     try:
         return problem_from_json(payload)
     except CodecError as exc:

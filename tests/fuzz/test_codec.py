@@ -1,4 +1,4 @@
-"""The fuzzer's tree toolkit: edits, arity, size, scripts, re-exports."""
+"""The fuzzer's tree toolkit: walks, edits, arity, size, scripts, re-exports."""
 
 import subprocess
 import sys
@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 class TestReExports:
     @pytest.mark.parametrize("name", [
-        "CodecError", "formula_to_tree", "has_unbound_vars", "iter_subtrees",
-        "problem_from_json", "problem_to_json"])
+        "CodecError", "formula_to_tree", "problem_from_json",
+        "problem_to_json"])
     def test_moved_names_are_the_api_codec_objects(self, name):
         """Repro scripts and the benchmark's wrappers address these names
         here; they must be the façade codec's own objects."""

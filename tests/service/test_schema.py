@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.alloylite.module import Module
+from repro.alloylite.module import Module, Scope
 from repro.api import (
     ModuleProblem,
     Options,
@@ -125,6 +125,21 @@ class TestValidation:
             lambda r: ast.ForAll([(x, ast.Univ())], ast.Some(y)))
         with pytest.raises(SchemaError, match="'y'"):
             decode_submission({"problem": problem_to_json(problem)})
+
+    def test_the_edge_never_compiles_a_module(self, monkeypatch):
+        """Compiling builds scope**arity tuples for a scope the client
+        picks (10**10 here), so a module's scope is compiled only when
+        the problem is solved, never while its submission is decoded."""
+        def compile_(self, scope):
+            raise AssertionError("decoding compiled the module")
+
+        monkeypatch.setattr(Module, "compile", compile_)
+        module = Module("huge")
+        sig = module.sig("A")
+        sig.field("f", sig)
+        submission = decode_submission({"problem": problem_to_json(
+            ModuleProblem(module, scope=Scope(100_000)))})
+        assert submission.problem_payload["scope"]["default"] == 100_000
 
     @pytest.mark.parametrize("options", [[], 0, "", False, [1], "x", 3])
     def test_options_must_be_an_object(self, options):
