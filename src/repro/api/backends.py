@@ -9,12 +9,11 @@ Two backend classes ship in-tree:
   validity), translate, open a SAT engine, take models through
   :meth:`~repro.kodkod.engine.Session.iter_solutions`, check each
   instance against the goal, map the outcome to a verdict.  Its names
-  differ only in the engine: ``kodkod`` (the in-tree CDCL solver),
+  differ only in the engine: ``kodkod`` (the in-tree CDCL solver) and
   ``dimacs:<command>`` (any SAT-competition binary, one process per
-  solve) and ``dimacs-inc:<command>`` (one persistent iCNF process per
-  query, such as ``python -m repro.sat.dimacs solve --incremental``;
-  see :mod:`repro.sat.external`).  External names are materialized on
-  first use, since the command is part of the name.
+  solve, through :class:`~repro.sat.external.ExternalSolver`).
+  External names are materialized on first use, since the command is
+  part of the name.
 * :class:`ExplorerBackend` (``explorer``) — exhaustive schedule
   exploration of the executable protocol for protocol problems.
 
@@ -33,7 +32,6 @@ façade entry point and the batch path then reach them through
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Iterable, Protocol, runtime_checkable
 
@@ -53,13 +51,7 @@ from repro.kodkod.engine import Session
 from repro.kodkod.evaluator import Evaluator
 from repro.kodkod.instance import Instance
 from repro.kodkod.symmetry import DEFAULT_SBP_LENGTH
-from repro.sat.external import (
-    ExternalSolverError,
-    open_external,
-    split_solver_name,
-)
-from repro.sat.solver import Solver
-from repro.sat.types import Model, Status
+from repro.sat.external import ExternalSolver, split_solver_name
 
 
 @runtime_checkable
@@ -106,20 +98,19 @@ def available_backends() -> list[str]:
     return list(_REGISTRY)
 
 
-# Backends materialized from "dimacs:<command>" / "dimacs-inc:<command>"
-# solver names, cached per normalized name so repeated option resolution
-# reuses them.  They hold no process state — an external process lives
-# only for the duration of one solve/enumerate call — so caching is safe.
+# Backends materialized from "dimacs:<command>" solver names, cached per
+# normalized name so repeated option resolution reuses them.  They hold
+# no process state — an external process lives only for the duration of
+# one SAT solve — so caching is safe.
 _EXTERNAL_BACKENDS: dict[str, Backend] = {}
 
 
 def get_backend(name: str) -> Backend:
     """Look up a backend by name, with an actionable error on a miss.
 
-    Names starting with ``dimacs:`` or ``dimacs-inc:`` resolve
-    dynamically: the rest of the name is the external solver command
-    (``"dimacs:picosat"``, ``"dimacs-inc:python -m repro.sat.dimacs
-    solve --incremental"``).
+    Names starting with ``dimacs:`` resolve dynamically: the rest of
+    the name is the external solver command (``"dimacs:picosat"``,
+    ``"dimacs:python -m repro.sat.dimacs solve"``).
     """
     try:
         return _REGISTRY[name]
@@ -128,8 +119,8 @@ def get_backend(name: str) -> Backend:
     if split_solver_name(name) is None:
         raise ValueError(
             f"unknown backend {name!r}; registered backends: "
-            f"{available_backends()} (or 'dimacs:<command>' / "
-            f"'dimacs-inc:<command>' for an external SAT solver)"
+            f"{available_backends()} (or 'dimacs:<command>' for an "
+            f"external SAT solver)"
         )
     backend = KodkodBackend(name)
     return _EXTERNAL_BACKENDS.setdefault(backend.name, backend)
@@ -235,25 +226,23 @@ class KodkodBackend:
 
     ``name`` selects the SAT engine (see the module docstring).
     ``solve`` and ``enumerate`` run one query: ``solve`` takes at most
-    one model and adds no blocking clause.  External engines raise
+    one model and adds no blocking clause.  The external engine raises
     :class:`~repro.sat.external.ExternalSolverError` when the binary is
     missing, times out (``options.timeout`` is the per-solve budget),
-    breaks its protocol or reports SAT without a model.  Their
+    breaks its protocol or reports SAT without a model.  Its
     ``solver_stats`` are ``kernel`` (``"external"``),
-    ``external_wall_time``, ``external_invocations`` (solve rounds),
-    ``external_spawns`` and ``external_exit_code`` (of the last round).
+    ``external_wall_time``, ``external_invocations`` (solve rounds, one
+    process each) and ``external_exit_code`` (of the last round).
     """
 
     def __init__(self, name: str = "kodkod") -> None:
-        external = split_solver_name(name)
-        if external is None and name != "kodkod":
+        self.command = split_solver_name(name)
+        if self.command is None and name != "kodkod":
             raise ValueError(
-                f"relational backend names are 'kodkod', "
-                f"'dimacs:<command>' and 'dimacs-inc:<command>'; "
-                f"got {name!r}"
+                f"relational backend names are 'kodkod' and "
+                f"'dimacs:<command>'; got {name!r}"
             )
-        self.command = external[1] if external else None
-        self.name = ":".join(external) if external else name
+        self.name = name if self.command is None else f"dimacs:{self.command}"
 
     def supports(self, problem: Problem) -> bool:
         return isinstance(problem, (FormulaProblem, ModuleProblem))
@@ -264,16 +253,6 @@ class KodkodBackend:
     def enumerate(self, problem: Problem, options: Options) -> Result:
         return self._query(problem, options, enumerating=True)
 
-    def _engine(self, options: Options, enumerating: bool):
-        """Open the SAT engine of one query (a context manager)."""
-        if self.command is None:
-            return contextlib.nullcontext(Solver())
-        need = ("enumeration needs models to build blocking clauses"
-                if enumerating else
-                "enable model printing so instances can be extracted")
-        return contextlib.closing(_ExternalEngine(
-            open_external(self.name, options.timeout), self.command, need))
-
     def _query(self, problem: Problem, options: Options,
                enumerating: bool) -> Result:
         started = time.perf_counter()
@@ -283,11 +262,12 @@ class KodkodBackend:
         default, limit = ((0, options.max_instances) if enumerating
                           else (DEFAULT_SBP_LENGTH, 1))
         symmetry = default if options.symmetry is None else options.symmetry
-        with self._engine(options, enumerating) as engine:
-            session = Session(goal, bounds, symmetry=symmetry, solver=engine)
-            result = _checked_result(
-                session, goal, validity, session.iter_solutions(limit),
-                started=started, backend=self.name)
+        engine = (None if self.command is None
+                  else ExternalSolver(self.command, timeout=options.timeout))
+        session = Session(goal, bounds, symmetry=symmetry, solver=engine)
+        result = _checked_result(
+            session, goal, validity, session.iter_solutions(limit),
+            started=started, backend=self.name)
         if enumerating:
             count = len(result.instances)
             result.detail = {
@@ -301,55 +281,6 @@ class KodkodBackend:
         if self.command is not None:
             result.detail["external_command"] = self.command
         return result
-
-
-class _ExternalEngine:
-    """The :class:`~repro.sat.solver.Solver` surface a
-    :class:`~repro.kodkod.engine.Session` drives, over an external solver
-    from :func:`~repro.sat.external.open_external`."""
-
-    kernel = "external"
-
-    def __init__(self, solver, command: str, need: str) -> None:
-        self._solver = solver
-        self._command = command
-        self._need = need
-        self._run = None
-        self._wall = 0.0
-
-    def add_cnf(self, cnf) -> bool:
-        self._solver.load_cnf(cnf)
-        return True
-
-    def add_clause(self, lits) -> bool:
-        self._solver.add_clause(lits)
-        return True
-
-    def solve(self, assumptions=()) -> Status:
-        self._run = self._solver.solve(assumptions)
-        self._wall += self._run.wall_seconds
-        return self._run.status
-
-    def model(self) -> Model:
-        if self._run.model is None:
-            raise ExternalSolverError(
-                f"external solver {self._command!r} reported SAT without "
-                f"a v-line model; {self._need}"
-            )
-        return self._run.model
-
-    @property
-    def stats(self) -> dict:
-        return {
-            "external_wall_time": self._wall,
-            "external_invocations": self._solver.solve_count,
-            "external_spawns": self._solver.spawn_count,
-            "external_exit_code": (None if self._run is None
-                                   else self._run.exit_code),
-        }
-
-    def close(self) -> None:
-        self._solver.close()
 
 
 # ----------------------------------------------------------------------

@@ -38,10 +38,9 @@ class Options:
     (``"kodkod"`` for formula and module problems, ``"explorer"`` for
     protocol problems).  ``"dimacs:<command>"`` delegates the SAT search
     to an external solver binary, one process per solve (e.g.
-    ``"dimacs:picosat"``), and ``"dimacs-inc:<command>"`` to one
-    persistent process per query that speaks the iCNF stdin protocol
-    (e.g. ``"dimacs-inc:python -m repro.sat.dimacs solve
-    --incremental"``).  The HTTP service accepts only registered names."""
+    ``"dimacs:picosat"``, or the in-tree ``"dimacs:python -m
+    repro.sat.dimacs solve"``).  The HTTP service accepts only registered
+    names."""
 
     symmetry: int | None = None
     """Lex-leader symmetry-breaking predicate length; 0 disables breaking,

@@ -62,7 +62,7 @@ from repro.kodkod.translate import Translator
 from repro.mca.convergence import consensus_report
 from repro.mca.engine import AsynchronousEngine, SynchronousEngine
 from repro.sat import dimacs
-from repro.sat.external import open_external, split_solver_name
+from repro.sat.external import ExternalSolver, split_solver_name
 from repro.sat.solver import Solver
 from repro.sat.types import Status
 
@@ -107,10 +107,10 @@ _ENUMERATION_CAP = 1500
 _EXTERNAL_SOLVER_ENV = "REPRO_EXTERNAL_SOLVER"
 
 
-def _external_solver_name(value: str) -> str:
-    """The solver name an external command selects: a ``dimacs:`` or
-    ``dimacs-inc:`` name as given, a bare command as ``dimacs:``."""
-    return value if split_solver_name(value) else f"dimacs:{value}"
+def _external_command(value: str) -> str:
+    """The solver command a ``REPRO_EXTERNAL_SOLVER`` value names: the
+    command of a ``dimacs:`` name, or the value itself."""
+    return split_solver_name(value) or value.strip()
 
 
 def register_oracle(name: str, problem_type: type | tuple[type, ...],
@@ -140,11 +140,8 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
 
     When ``REPRO_EXTERNAL_SOLVER`` names a SAT-competition-conformant
     binary, the PG CNF is additionally round-tripped through it as a
-    fourth arm (the nightly CI job runs with picosat).  A value carrying
-    the ``dimacs-inc:`` prefix routes that arm through the persistent
-    incremental protocol instead (spawn once, stream the CNF over
-    stdin); either way the solver is opened exactly as the relational
-    backend opens it (:func:`repro.sat.external.open_external`).
+    fourth arm (the nightly CI job runs with picosat), one
+    :class:`~repro.sat.external.ExternalSolver` process.
     """
     def decide(encoding: str):
         translation = Translator(
@@ -166,10 +163,9 @@ def _encodings_oracle(problem: FormulaProblem, seed: int,
     external_command = os.environ.get(_EXTERNAL_SOLVER_ENV)
     external_sat = None
     if external_command:
-        with open_external(_external_solver_name(external_command),
-                           timeout=60) as external:
-            external.load_cnf(pg.cnf)
-            external_sat = external.solve().status is Status.SAT
+        external = ExternalSolver(_external_command(external_command),
+                                  timeout=60)
+        external_sat = external.solve_cnf(pg.cnf).status is Status.SAT
     agree = (pg_sat == tseitin_sat == roundtrip_sat
              and (external_sat is None or external_sat == pg_sat))
     detail_external = (
@@ -291,15 +287,10 @@ def register_external_oracle(command: str) -> None:
     reference is the in-tree ``kodkod`` pipeline.  Verdicts and the
     enumerated primary-variable projections must both match.  The command
     must print ``v``-line models (picosat does; bare minisat does not).
-
-    A command already carrying the ``dimacs-inc:`` prefix selects the
-    persistent incremental backend instead (one process per query,
-    blocking clauses streamed over stdin) — CI arms
-    ``REPRO_EXTERNAL_SOLVER`` this way so the incremental protocol is
-    differentially checked too.
+    A ``dimacs:<command>`` name selects the same command.
     """
-    backend = _external_solver_name(command)
-    _, command = split_solver_name(backend)
+    command = _external_command(command)
+    backend = f"dimacs:{command}"
 
     @register_oracle("external", FormulaProblem,
                      f"external solver '{backend}' vs built-in "

@@ -12,8 +12,9 @@ SAT engine, reused across queries.  Follow-up queries go through
 same engine, so learned clauses are retained between queries instead of
 being thrown away by a rebuild.  The engine is the in-tree
 :class:`~repro.sat.solver.Solver` unless another with its surface is
-injected, which is how the external backends of :mod:`repro.api.backends`
-run the one model loop, :meth:`Session.iter_solutions`, on a process.
+injected, which is how the external backend of :mod:`repro.api.backends`
+runs the one model loop, :meth:`Session.iter_solutions`, on a process
+(:class:`~repro.sat.external.ExternalSolver`).
 :meth:`Session.solver_stats` names the engine under ``kernel``: ``"pure"``
 for the in-tree solver, ``"external"`` for a process.
 """

@@ -15,11 +15,8 @@ such as ``relational``) to DIMACS, with the primary-variable mapping in the
 header comments; ``solve`` decides a DIMACS file with the built-in CDCL
 solver and prints SAT-competition style ``s``/``v`` lines (exit code 10 for
 SAT, 20 for UNSAT), so our verdicts can be diffed against an external
-solver on the exact same file.  ``solve --incremental`` turns the same
-command into a persistent iCNF server (clauses and ``a <assumptions> 0``
-solve requests over stdin, ``s``/``v`` answers per round) — the
-dependency-free counterpart for the ``dimacs-inc:`` backend (see
-:mod:`repro.sat.external`).
+solver on the exact same file, and the ``dimacs:`` backend can run on it
+with no third-party binary (see :mod:`repro.sat.external`).
 """
 
 from __future__ import annotations
@@ -173,102 +170,24 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _print_answer(status, model, quiet: bool) -> None:
-    """Emit SAT-competition ``s``/``v`` lines for one solve round."""
-    import sys
-
-    from repro.sat.types import Status
-
-    if status is Status.SAT:
-        print("s SATISFIABLE")
-        if model is not None and not quiet:
-            lits = model.as_literals()
-            for offset in range(0, len(lits), 20):
-                chunk = lits[offset:offset + 20]
-                print("v " + " ".join(str(lit) for lit in chunk))
-            print("v 0")
-    else:
-        print("s UNSATISFIABLE")
-    # The parent reads our stdout over a pipe (block-buffered): flush so
-    # the answer is visible before the next request — or the exit code.
-    sys.stdout.flush()
-
-
-def _cmd_solve_incremental(args) -> int:
-    """iCNF server loop: stream clauses in, answer ``a``-line solves.
-
-    The incremental counterpart of :func:`_cmd_solve`, serving
-    ``IncrementalExternalSolver`` clients (see :mod:`repro.sat.external`):
-    clause lines accumulate into one persistent :class:`Solver`, each
-    ``a <assumptions> 0`` line triggers a solve under those assumptions,
-    and the answer is printed in the same ``s``/``v`` shape as the
-    one-shot path.  EOF on stdin ends the session with exit code 0.
-    """
-    import sys
-
-    from repro.sat.solver import Solver
-    from repro.sat.types import Status
-
-    solver = Solver()
-    ok = True
-    if args.file:
-        ok = solver.add_cnf(load_file(args.file))
-    pending: list[int] = []
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("p"):
-            continue
-        if line.startswith("a ") or line == "a":
-            try:
-                assumptions = [int(tok) for tok in line[1:].split()]
-            except ValueError:
-                print(f"c error: non-integer assumption in {line!r}",
-                      file=sys.stderr)
-                return 1
-            if assumptions and assumptions[-1] == 0:
-                assumptions.pop()
-            if ok:
-                for lit in assumptions:
-                    solver._ensure_var(abs(lit))
-                status = solver.solve(assumptions)
-                # A root-level conflict is permanent; remember it so later
-                # rounds answer UNSAT without touching the solver again.
-                ok = solver._ok
-            else:
-                status = Status.UNSAT
-            model = solver.model() if status is Status.SAT else None
-            _print_answer(status, model, args.quiet)
-            continue
-        try:
-            tokens = [int(tok) for tok in line.split()]
-        except ValueError:
-            print(f"c error: non-integer literal in {line!r}",
-                  file=sys.stderr)
-            return 1
-        for tok in tokens:
-            if tok == 0:
-                ok = solver.add_clause(pending) and ok
-                pending = []
-            else:
-                pending.append(tok)
-    if pending:
-        solver.add_clause(pending)
-    return 0
-
-
 def _cmd_solve(args) -> int:
+    """Decide a DIMACS file; print SAT-competition ``s``/``v`` lines."""
     from repro.sat.solver import solve_cnf
     from repro.sat.types import Status
 
-    if args.incremental:
-        return _cmd_solve_incremental(args)
-    if not args.file:
-        raise SystemExit("solve: a DIMACS file is required "
-                         "(only --incremental may omit it)")
     cnf = load_file(args.file)
     status, model = solve_cnf(cnf, assumptions=args.assume or [])
-    _print_answer(status, model, args.quiet)
-    return 10 if status is Status.SAT else 20
+    if status is not Status.SAT:
+        print("s UNSATISFIABLE")
+        return 20
+    print("s SATISFIABLE")
+    if not args.quiet:
+        lits = model.as_literals()
+        for offset in range(0, len(lits), 20):
+            chunk = lits[offset:offset + 20]
+            print("v " + " ".join(str(lit) for lit in chunk))
+        print("v 0")
+    return 10
 
 
 def _cmd_info(args) -> int:
@@ -304,17 +223,11 @@ def main(argv: list[str] | None = None) -> int:
 
     solve = sub.add_parser(
         "solve", help="decide a DIMACS file with the built-in solver")
-    solve.add_argument("file", nargs="?",
-                       help="DIMACS file (optional with --incremental: "
-                            "clauses then arrive on stdin)")
+    solve.add_argument("file", help="DIMACS file")
     solve.add_argument("--assume", type=int, action="append", metavar="LIT",
                        help="assumption literal (repeatable)")
     solve.add_argument("--quiet", action="store_true",
                        help="suppress the v-lines of the model")
-    solve.add_argument("--incremental", action="store_true",
-                       help="iCNF server mode: read clause and "
-                            "'a <assumptions> 0' lines from stdin, answer "
-                            "each solve with s/v lines, exit 0 on EOF")
     solve.set_defaults(run=_cmd_solve)
 
     info = sub.add_parser("info", help="print a DIMACS file's dimensions")

@@ -142,6 +142,7 @@ def _check_posted_instances(record: JobRecord, result: Result) -> None:
     answer to a formula or module job unless it carries instances and
     each is a model of the job's goal within its bounds — the check
     every in-process answer passes (:func:`repro.api.backends._is_model`).
+    A module whose scope does not compile has no instance to witness it.
     """
     if (record.kind not in ("formula", "module")
             or result.verdict not in (Verdict.SAT, Verdict.COUNTEREXAMPLE)):
@@ -149,8 +150,13 @@ def _check_posted_instances(record: JobRecord, result: Result) -> None:
     if not result.instances:
         raise SchemaError(f"a {result.verdict.value!r} result must carry "
                           f"the instance that witnesses it")
-    goal, bounds, _ = _relational_goal(
-        decode_problem(record.payload["problem"]), "hub")
+    problem = decode_problem(record.payload["problem"])
+    try:
+        goal, bounds, _ = _relational_goal(problem, "hub")
+    except ValueError as exc:  # ModuleError, or a module with no sig
+        raise SchemaError(f"the job's module does not compile at its "
+                          f"scope, so no instance witnesses it: {exc}"
+                          ) from None
     for instance in result.instances:
         rebound = _rebound(instance, bounds)
         if rebound is None or not _is_model(goal, bounds, rebound):

@@ -120,7 +120,7 @@ def decode_options(payload, *, journaled: bool = False) -> Options:
 
     Raises :class:`SchemaError` for invalid fields, and for a ``solver``
     that is not a registered backend: the service never resolves
-    ``dimacs:``/``dimacs-inc:`` names, whose command it would spawn.
+    ``dimacs:`` names, whose command it would spawn.
     A ``journaled`` object (a queued job's, read back by the pool or a
     satellite) may still carry :data:`RETIRED_OPTIONS`, which are
     dropped; a new submission naming one is refused.

@@ -13,7 +13,10 @@ codec tree: the second serialization (``problem_payload``) is gone, and
 ``Options`` keeps only fields that a single solve reads.  The tree and
 its fingerprints live in ``repro.api.codec`` alone, whose decoder is the
 one validity gate (no second relation walk).  Members that nothing
-called stay gone, among them ``CNF``'s second Tseitin encoder.
+called stay gone, among them ``CNF``'s second Tseitin encoder.  An
+external solver runs one way, ``dimacs:<command>``, one process per
+solve: the ``dimacs-inc:`` backend, its client and the CLI's iCNF
+server stay gone.
 """
 
 import dataclasses
@@ -67,6 +70,8 @@ REMOVED_NAMES = [
     ("repro.api.problems", "tree_fingerprint"),
     ("repro.fuzz.codec", "subtree_at"),
     ("repro.fuzz.codec", "unbounded_relations"),
+    ("repro.sat.external", "IncrementalExternalSolver"),
+    ("repro.sat.external", "open_external"),
 ]
 
 REMOVED_MEMBERS = [
@@ -152,6 +157,26 @@ def test_dimacs_solve_rejects_the_kernel_flag(tmp_path, capsys):
         dimacs_main(["solve", str(path), "--kernel", "pure"])
     assert exited.value.code == 2
     assert "--kernel" in capsys.readouterr().err
+
+
+def test_incremental_backend_is_gone():
+    with pytest.raises(ValueError, match="unknown backend 'dimacs-inc:x'"):
+        api.get_backend("dimacs-inc:x")
+
+
+def test_dimacs_solve_rejects_the_incremental_flag(tmp_path, capsys):
+    """``solve`` requires its file again, and ``--incremental`` is no
+    flag of it."""
+    with pytest.raises(SystemExit) as exited:
+        dimacs_main(["solve", "--incremental"])
+    assert exited.value.code == 2
+    assert "required: file" in capsys.readouterr().err
+    path = tmp_path / "tiny.cnf"
+    path.write_text("p cnf 1 1\n1 0\n", encoding="ascii")
+    with pytest.raises(SystemExit) as exited:
+        dimacs_main(["solve", str(path), "--incremental"])
+    assert exited.value.code == 2
+    assert "--incremental" in capsys.readouterr().err
 
 
 def test_solution_has_no_unsatisfiable_property():

@@ -5,7 +5,9 @@ protocol-conformance paths are exercised by *fake* CDCL subprocesses —
 small Python scripts written to ``tmp_path`` and invoked through
 ``sys.executable`` — and the happy path rides the in-tree
 ``python -m repro.sat.dimacs solve`` CLI, which speaks the same
-SAT-competition protocol.
+SAT-competition protocol.  :class:`ExternalSolver` is the SAT engine a
+``Session`` drives for ``dimacs:<command>`` names, so the façade tests
+at the end run through it.
 """
 
 import os
@@ -16,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.kodkod import ast
+from repro.kodkod.bounds import Bounds
+from repro.kodkod.universe import Universe
 from repro.sat.cnf import CNF
 from repro.sat.external import (
     ExternalRun,
     ExternalSolver,
     ExternalSolverError,
-    IncrementalExternalSolver,
-    open_external,
     parse_solver_output,
     split_solver_name,
 )
@@ -30,7 +33,6 @@ from repro.sat.types import Status
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SELF_HOSTED = [sys.executable, "-m", "repro.sat.dimacs", "solve"]
-INC_SELF_HOSTED = SELF_HOSTED + ["--incremental"]
 
 
 def sample_cnf():
@@ -48,6 +50,15 @@ def unsat_cnf():
     return cnf
 
 
+def some_r():
+    """``some r`` over a unary ``r`` free on three atoms: seven models."""
+    universe = Universe(["a", "b", "c"])
+    r = ast.Relation("r", 1)
+    bounds = Bounds(universe)
+    bounds.bound(r, universe.empty(1), universe.all_tuples(1))
+    return ast.Some(r), bounds
+
+
 def fake_solver(tmp_path, body: str) -> list[str]:
     """Write a fake CDCL subprocess and return its argv prefix.
 
@@ -60,75 +71,23 @@ def fake_solver(tmp_path, body: str) -> list[str]:
     return [sys.executable, str(script)]
 
 
-def fake_inc_solver(tmp_path, body: str) -> list[str]:
-    """Write a fake *incremental* CDCL server and return its argv.
-
-    ``body`` runs after a header that provides ``answer(*lines)`` (print
-    + flush — piped stdout is block-buffered, so unflushed answers would
-    hang the client) and an ``asks()`` generator yielding each stripped
-    ``a``-line request from stdin.
-    """
-    script = tmp_path / "fake_inc_solver.py"
-    script.write_text(textwrap.dedent("""\
-        import sys, time
-
-        def answer(*lines):
-            for line in lines:
-                print(line)
-            sys.stdout.flush()
-
-        def asks():
-            for raw in sys.stdin:
-                line = raw.strip()
-                if line.startswith("a"):
-                    yield line
-    """) + textwrap.dedent(body), encoding="utf-8")
-    return [sys.executable, str(script)]
-
-
 class TestParseSolverOutput:
     def test_sat_with_model(self):
-        status, model = parse_solver_output(
+        model = parse_solver_output(
             "c banner\ns SATISFIABLE\nv 1 -2 3 0\n", num_vars=3)
-        assert status is Status.SAT
         assert model.values == {1: True, 2: False, 3: True}
 
     def test_v_lines_split_across_lines(self):
-        status, model = parse_solver_output(
+        model = parse_solver_output(
             "s SATISFIABLE\nv 1 -2\nv 3\nv 0\n", num_vars=3)
-        assert status is Status.SAT
         assert model.values == {1: True, 2: False, 3: True}
 
-    def test_unsat(self):
-        status, model = parse_solver_output("s UNSATISFIABLE\n", num_vars=3)
-        assert status is Status.UNSAT
-        assert model is None
-
-    def test_exit_code_overrides_s_line(self):
-        # Exit codes are the authoritative channel in the competition
-        # protocol; a contradictory s-line loses.
-        status, _ = parse_solver_output(
-            "s UNSATISFIABLE\nv 1 0\n", num_vars=1, exit_code=10)
-        assert status is Status.SAT
-
-    def test_exit_code_alone_suffices(self):
-        status, model = parse_solver_output("", num_vars=2, exit_code=20)
-        assert status is Status.UNSAT
-        assert model is None
-
     def test_unmentioned_variables_default_false(self):
-        _, model = parse_solver_output(
-            "s SATISFIABLE\nv 2 0\n", num_vars=4)
+        model = parse_solver_output("s SATISFIABLE\nv 2 0\n", num_vars=4)
         assert model.values == {1: False, 2: True, 3: False, 4: False}
 
     def test_sat_without_v_lines_has_no_model(self):
-        status, model = parse_solver_output("s SATISFIABLE\n", num_vars=3)
-        assert status is Status.SAT
-        assert model is None
-
-    def test_no_status_rejected(self):
-        with pytest.raises(ExternalSolverError, match="no 's SATISFIABLE'"):
-            parse_solver_output("c chatter only\n", num_vars=1)
+        assert parse_solver_output("s SATISFIABLE\n", num_vars=3) is None
 
     def test_malformed_v_token_rejected(self):
         with pytest.raises(ExternalSolverError, match="malformed v-line"):
@@ -153,13 +112,14 @@ class TestExternalSolverConstruction:
             ExternalSolver("   ")
 
 
-class TestSharedSurface:
-    """Both external solvers answer ``load_cnf``/``add_clause``/``solve``."""
+class TestSessionEngine:
+    """``add_cnf``/``add_clause``/``solve``/``model``/``stats``: the
+    surface a ``Session`` drives."""
 
     def test_one_shot_solver_keeps_the_formula_between_solves(
             self, tmp_path):
-        # The fake echoes each dumped file's clause lines back on stderr
-        # and answers UNSAT, so the test reads what every spawn received.
+        # The fake appends each dumped file's clause lines to a log and
+        # answers UNSAT, so the test reads what every process received.
         log = tmp_path / "clauses.log"
         command = fake_solver(tmp_path, f"""
             lines = [l for l in open(path) if l[:1] not in "cp"]
@@ -167,41 +127,34 @@ class TestSharedSurface:
                 fh.write("|".join(l.strip() for l in lines) + "\\n")
             sys.exit(20)
         """)
-        with ExternalSolver(command) as solver:
-            solver.load_cnf(sample_cnf())
-            assert solver.solve().status is Status.UNSAT
-            solver.add_clause([3])
-            assert solver.solve([-1]).status is Status.UNSAT
-            assert solver.solve().status is Status.UNSAT
-            assert solver.spawn_count == solver.solve_count == 3
+        solver = ExternalSolver(command)
+        assert solver.add_cnf(sample_cnf())
+        assert solver.solve() is Status.UNSAT
+        assert solver.add_clause([3])
+        assert solver.solve([-1]) is Status.UNSAT
+        assert solver.solve() is Status.UNSAT
+        assert solver.kernel == "external"
+        assert solver.stats["external_invocations"] == 3
+        assert solver.stats["external_exit_code"] == 20
+        assert solver.stats["external_wall_time"] > 0
         base = "1 2 0|-1 3 0|-2 -3 0"
         assert log.read_text(encoding="utf-8").splitlines() == [
             base, base + "|3 0|-1 0", base + "|3 0"]
 
-    def test_load_keeps_unmentioned_variables(self):
+    def test_add_cnf_keeps_unmentioned_variables(self):
         cnf = CNF()
         cnf.new_vars(5)
         cnf.add_clause([1])
         solver = ExternalSolver("unused")
-        solver.load_cnf(cnf)
+        solver.add_cnf(cnf)
         assert solver._cnf.num_vars == 5
 
-    def test_names_select_the_protocol(self):
+    def test_split_solver_name_takes_the_dimacs_command(self):
         assert split_solver_name("kodkod") is None
         assert split_solver_name("c:/tools/picosat") is None
-        assert split_solver_name("dimacs: picosat -v ") == (
-            "dimacs", "picosat -v")
-        assert split_solver_name("dimacs-inc:x --incremental") == (
-            "dimacs-inc", "x --incremental")
-        one_shot = open_external("dimacs:picosat", timeout=5)
-        assert type(one_shot) is ExternalSolver
-        assert one_shot.command == ["picosat"] and one_shot.timeout == 5
-        incremental = open_external("dimacs-inc:picosat-inc")
-        assert type(incremental) is IncrementalExternalSolver
-        assert incremental.command == ["picosat-inc"]
-        assert incremental.spawn_count == 0  # nothing spawned yet
+        assert split_solver_name("dimacs: picosat -v ") == "picosat -v"
         with pytest.raises(ValueError, match="empty external solver"):
-            split_solver_name("dimacs-inc:  ")
+            split_solver_name("dimacs:  ")
 
 
 class TestFakeSolverSubprocess:
@@ -231,6 +184,24 @@ class TestFakeSolverSubprocess:
         assert run.status is Status.UNSAT
         assert run.model is None
         assert run.exit_code == 20
+
+    def test_exit_code_overrides_the_s_line(self, tmp_path):
+        # Exit codes are the authoritative channel in the competition
+        # protocol; a contradictory s-line is not read.
+        command = fake_solver(tmp_path, """
+            print("s UNSATISFIABLE")
+            print("v 1 -2 -3 0")
+            sys.exit(10)
+        """)
+        run = ExternalSolver(command).solve_cnf(sample_cnf())
+        assert run.status is Status.SAT
+        assert run.model.values == {1: True, 2: False, 3: False}
+
+    def test_exit_code_alone_suffices(self, tmp_path):
+        command = fake_solver(tmp_path, "sys.exit(20)\n")
+        run = ExternalSolver(command).solve_cnf(sample_cnf())
+        assert run.status is Status.UNSAT
+        assert run.model is None
 
     def test_unexpected_exit_code_rejected_with_stderr(self, tmp_path):
         command = fake_solver(tmp_path, """
@@ -298,6 +269,13 @@ class TestSelfHostedEndToEnd:
         assert run.status is Status.UNSAT
         assert run.exit_code == 20
 
+    def test_assumptions_do_not_stick(self):
+        solver = ExternalSolver(SELF_HOSTED, timeout=60)
+        solver.add_cnf(sample_cnf())
+        assert solver.solve([-1, 2]) is Status.SAT
+        assert solver.solve([1, 2]) is Status.UNSAT
+        assert solver.solve() is Status.SAT
+
 
 class TestDimacsBackendRegistry:
     def test_dimacs_prefix_resolves_dynamically(self):
@@ -323,19 +301,12 @@ class TestDimacsBackendRegistry:
 
     def test_backend_solve_and_enumerate_match_kodkod(self, monkeypatch):
         from repro import api
-        from repro.kodkod import ast
-        from repro.kodkod.bounds import Bounds
-        from repro.kodkod.universe import Universe
 
         existing = os.environ.get("PYTHONPATH")
         joined = (f"{SRC}{os.pathsep}{existing}" if existing else str(SRC))
         monkeypatch.setenv("PYTHONPATH", joined)
 
-        universe = Universe(["a", "b", "c"])
-        r = ast.Relation("r", 1)
-        bounds = Bounds(universe)
-        bounds.bound(r, universe.empty(1), universe.all_tuples(1))
-        formula = ast.Some(r)
+        formula, bounds = some_r()
         external = f"dimacs:{' '.join(SELF_HOSTED)}"
 
         reference = api.solve(formula, bounds, solver="kodkod")
@@ -356,278 +327,35 @@ class TestDimacsBackendRegistry:
 
         ref_enum = api.enumerate(formula, bounds, solver="kodkod", limit=16)
         ext_enum = api.enumerate(formula, bounds, solver=external, limit=16)
-        assert len(ext_enum.instances) == len(ref_enum.instances)
+        assert len(ext_enum.instances) == 7  # Some(r) over 3 atoms: 2^3 - 1
         assert keyset(ext_enum) == keyset(ref_enum)
-        assert ext_enum.solver_stats["external_invocations"] >= \
-            len(ext_enum.instances)
+        # One process per solve round: 7 models and the closing UNSAT.
+        assert ext_enum.solver_stats["external_invocations"] == 8
 
 
-class TestIncrementalFakeSolver:
-    """iCNF protocol conformance against scripted incremental servers."""
+class TestModelessSat:
+    """A ``dimacs:`` binary that answers SAT but prints no ``v`` line
+    makes the façade raise :class:`ExternalSolverError` naming it."""
 
-    def test_one_spawn_for_many_solve_rounds(self, tmp_path):
-        # The fake stamps a marker file on every spawn: three solve
-        # rounds (SAT, SAT, UNSAT) must leave exactly one stamp.
-        marker = tmp_path / "spawns.log"
-        command = fake_inc_solver(tmp_path, f"""
-            with open({str(marker)!r}, "a") as fh:
-                fh.write("spawn\\n")
-            rounds = iter([
-                ("s SATISFIABLE", "v 1 2 0"),
-                ("s SATISFIABLE", "v -1 2 0"),
-                ("s UNSATISFIABLE",),
-            ])
-            for _ in asks():
-                answer(*next(rounds))
+    @pytest.fixture
+    def mute(self, tmp_path):
+        argv = fake_solver(tmp_path, """
+            print("s SATISFIABLE")
+            sys.exit(10)
         """)
-        with IncrementalExternalSolver(command, timeout=30) as inc:
-            inc.load_cnf(sample_cnf())
-            first = inc.solve()
-            assert first.status is Status.SAT
-            assert first.model.values == {1: True, 2: True, 3: False}
-            inc.add_clause([-1, -2])
-            second = inc.solve()
-            assert second.status is Status.SAT
-            assert second.model.values == {1: False, 2: True, 3: False}
-            inc.add_clause([1, -2])
-            assert inc.solve().status is Status.UNSAT
-            assert inc.spawn_count == 1
-            assert inc.solve_count == 3
-        assert marker.read_text(encoding="utf-8") == "spawn\n"
+        return argv, f"dimacs:{shlex.join(argv)}"
 
-    def test_server_receives_header_clauses_and_assumptions(self, tmp_path):
-        # The fake echoes its full stdin transcript to a file so the
-        # client's protocol framing can be asserted verbatim.
-        transcript = tmp_path / "stdin.log"
-        command = fake_inc_solver(tmp_path, f"""
-            log = open({str(transcript)!r}, "a")
-            for raw in sys.stdin:
-                log.write(raw)
-                log.flush()
-                if raw.strip().startswith("a"):
-                    answer("s UNSATISFIABLE")
-        """)
-        with IncrementalExternalSolver(command, timeout=30) as inc:
-            inc.load_cnf(sample_cnf())
-            inc.add_clause([3])
-            assert inc.solve([1, -2]).status is Status.UNSAT
-        lines = transcript.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "p inccnf"
-        assert lines[1:4] == ["1 2 0", "-1 3 0", "-2 -3 0"]
-        assert lines[4] == "3 0"
-        assert lines[5] == "a 1 -2 0"
+    @pytest.mark.parametrize("operation", ["solve", "enumerate"])
+    def test_facade_raises_naming_the_command(self, mute, operation):
+        from repro import api
 
-    def test_mid_stream_crash_is_reported(self, tmp_path):
-        command = fake_inc_solver(tmp_path, """
-            next(asks())
-            answer("s SATISFIABLE", "v 1")  # dies before the terminator
-            print("heap corruption", file=sys.stderr)
-            sys.exit(1)
-        """)
-        inc = IncrementalExternalSolver(command, timeout=30)
-        inc.load_cnf(sample_cnf())
-        with pytest.raises(ExternalSolverError) as excinfo:
-            inc.solve()
-        message = str(excinfo.value)
-        assert "exited mid-solve" in message
-        assert "heap corruption" in message
-        # The instance is burned: further use must fail fast, not hang.
-        with pytest.raises(ExternalSolverError, match="already failed"):
-            inc.solve()
-
-    def test_malformed_v_line_is_rejected(self, tmp_path):
-        command = fake_inc_solver(tmp_path, """
-            for _ in asks():
-                answer("s SATISFIABLE", "v 1 banana 0")
-        """)
-        inc = IncrementalExternalSolver(command, timeout=30)
-        inc.load_cnf(sample_cnf())
-        with pytest.raises(ExternalSolverError, match="malformed v-line"):
-            inc.solve()
-
-    def test_timeout_kills_the_persistent_process(self, tmp_path):
-        command = fake_inc_solver(tmp_path, """
-            next(asks())
-            time.sleep(60)
-        """)
-        inc = IncrementalExternalSolver(command, timeout=0.5)
-        inc.load_cnf(sample_cnf())
+        argv, name = mute
+        formula, bounds = some_r()
         with pytest.raises(ExternalSolverError,
-                           match="exceeded the 0.5s per-solve timeout"):
-            inc.solve()
-        # The child must actually be dead, not orphaned.
-        assert inc._process.poll() is not None
-
-    def test_one_shot_solver_dies_with_actionable_error(self, tmp_path):
-        # A non-incremental command (exits after reading stdin once) must
-        # produce the "use dimacs: instead" hint, not a hang.
-        command = fake_inc_solver(tmp_path, """
-            sys.stdin.read()
-            sys.exit(0)
-        """)
-        inc = IncrementalExternalSolver(command, timeout=10)
-        inc.load_cnf(sample_cnf())
-        with pytest.raises(ExternalSolverError):
-            inc.solve()
-
-    def test_missing_binary_error_is_actionable(self):
-        inc = IncrementalExternalSolver("definitely-not-a-solver-xyz")
-        with pytest.raises(ExternalSolverError, match="was not found"):
-            inc.load_cnf(sample_cnf())
-
-    def test_empty_command_rejected(self):
-        with pytest.raises(ValueError, match="command is empty"):
-            IncrementalExternalSolver("   ")
-
-
-class TestIncrementalSelfHosted:
-    """The in-tree ``solve --incremental`` server as the external binary."""
-
-    @pytest.fixture(autouse=True)
-    def _pythonpath(self, monkeypatch):
-        existing = os.environ.get("PYTHONPATH")
-        joined = (f"{SRC}{os.pathsep}{existing}" if existing else str(SRC))
-        monkeypatch.setenv("PYTHONPATH", joined)
-
-    def test_enumeration_reuses_one_process(self):
-        # One clause over three vars: seven models, so the single process
-        # serves 8 solve rounds (7 SAT + the closing UNSAT).
-        cnf = CNF()
-        cnf.new_vars(3)
-        cnf.add_clause([1, 2, 3])
-        with IncrementalExternalSolver(INC_SELF_HOSTED, timeout=60) as inc:
-            inc.load_cnf(cnf)
-            models = []
-            while True:
-                run = inc.solve()
-                if run.status is not Status.SAT:
-                    break
-                for clause in cnf.clauses():
-                    assert any(run.model.values[abs(l)] == (l > 0)
-                               for l in clause)
-                models.append(tuple(sorted(run.model.values.items())))
-                inc.add_clause([-v if run.model.values[v] else v
-                                for v in range(1, cnf.num_vars + 1)])
-            assert inc.spawn_count == 1
-            assert inc.solve_count == len(models) + 1
-        assert len(models) == len(set(models)) == 7
-
-    def test_matches_one_shot_model_set(self):
-        # The incremental server and the one-shot CLI must enumerate the
-        # exact same model set of the same formula.
-        cnf = sample_cnf()
-
-        one_shot = set()
-        working = cnf.copy()
-        while True:
-            run = ExternalSolver(SELF_HOSTED, timeout=60).solve_cnf(working)
-            if run.status is not Status.SAT:
-                break
-            one_shot.add(tuple(sorted(run.model.values.items())))
-            working.add_clause([-v if run.model.values[v] else v
-                                for v in range(1, cnf.num_vars + 1)])
-
-        incremental = set()
-        with IncrementalExternalSolver(INC_SELF_HOSTED, timeout=60) as inc:
-            inc.load_cnf(cnf)
-            while True:
-                run = inc.solve()
-                if run.status is not Status.SAT:
-                    break
-                incremental.add(tuple(sorted(run.model.values.items())))
-                inc.add_clause([-v if run.model.values[v] else v
-                                for v in range(1, cnf.num_vars + 1)])
-        assert incremental == one_shot
-
-    def test_unsat_and_assumptions(self):
-        with IncrementalExternalSolver(INC_SELF_HOSTED, timeout=60) as inc:
-            inc.load_cnf(sample_cnf())
-            assert inc.solve([-1, 2]).status is Status.SAT
-            assert inc.solve([1, 2]).status is Status.UNSAT
-            # Assumptions do not stick: the next free solve is SAT again.
-            assert inc.solve().status is Status.SAT
-
-    def test_root_unsat_stays_unsat(self):
-        with IncrementalExternalSolver(INC_SELF_HOSTED, timeout=60) as inc:
-            inc.load_cnf(unsat_cnf())
-            assert inc.solve().status is Status.UNSAT
-            assert inc.solve().status is Status.UNSAT
-
-
-class TestDimacsIncBackend:
-    """The ``dimacs-inc:`` registry prefix and one-spawn enumeration."""
-
-    @pytest.fixture(autouse=True)
-    def _pythonpath(self, monkeypatch):
-        existing = os.environ.get("PYTHONPATH")
-        joined = (f"{SRC}{os.pathsep}{existing}" if existing else str(SRC))
-        monkeypatch.setenv("PYTHONPATH", joined)
-
-    def test_prefix_resolves_dynamically(self):
-        from repro.api.backends import KodkodBackend, get_backend
-
-        backend = get_backend("dimacs-inc:picosat-inc")
-        assert isinstance(backend, KodkodBackend)
-        assert backend.name == "dimacs-inc:picosat-inc"
-        assert get_backend("dimacs-inc:picosat-inc") is backend
-        # The inc cache is keyed separately from the one-shot cache.
-        assert get_backend("dimacs:picosat-inc") is not backend
-
-    def test_empty_inc_command_rejected(self):
-        from repro.api.backends import get_backend
-
-        with pytest.raises(ValueError, match="empty external solver"):
-            get_backend("dimacs-inc:   ")
-
-    def _problem(self):
-        from repro.kodkod import ast
-        from repro.kodkod.bounds import Bounds
-        from repro.kodkod.universe import Universe
-
-        universe = Universe(["a", "b", "c"])
-        r = ast.Relation("r", 1)
-        bounds = Bounds(universe)
-        bounds.bound(r, universe.empty(1), universe.all_tuples(1))
-        return ast.Some(r), bounds
-
-    def test_enumerate_one_spawn_matches_reinvocation_and_inprocess(self):
-        from repro import api
-
-        formula, bounds = self._problem()
-        inc_name = f"dimacs-inc:{' '.join(INC_SELF_HOSTED)}"
-        one_name = f"dimacs:{' '.join(SELF_HOSTED)}"
-
-        def keyset(res):
-            return {
-                tuple(sorted(
-                    (rel.name, frozenset(inst.value_of(rel)))
-                    for rel in bounds.relations()))
-                for inst in res.instances
-            }
-
-        inc = api.enumerate(formula, bounds, solver=inc_name, limit=16)
-        one = api.enumerate(formula, bounds, solver=one_name, limit=16)
-        ref = api.enumerate(formula, bounds, solver="kodkod", limit=16)
-        assert keyset(inc) == keyset(one) == keyset(ref)
-        assert len(inc.instances) == 7  # Some(r) over 3 atoms: 2^3 - 1
-        # The headline contract: one process for N models (+1 closing
-        # UNSAT round), versus one process per round for the re-invoking
-        # backend.
-        assert inc.solver_stats["external_spawns"] == 1
-        assert inc.solver_stats["external_invocations"] == 8
-        assert one.solver_stats["external_invocations"] == 8
-
-    def test_solve_single_spawn_and_verdict(self):
-        from repro import api
-
-        formula, bounds = self._problem()
-        inc_name = f"dimacs-inc:{' '.join(INC_SELF_HOSTED)}"
-        result = api.solve(formula, bounds, solver=inc_name)
-        reference = api.solve(formula, bounds, solver="kodkod")
-        assert result.verdict == reference.verdict
-        assert result.solver_stats["external_spawns"] == 1
-        assert result.solver_stats["external_invocations"] == 1
-        assert result.solver_stats["kernel"] == "external"
+                           match="reported SAT without a v-line model"
+                           ) as excinfo:
+            getattr(api, operation)(formula, bounds, solver=name)
+        assert " ".join(argv) in str(excinfo.value)
 
 
 class TestLyingSolver:
@@ -636,45 +364,25 @@ class TestLyingSolver:
 
     CHECK_ERROR = "SAT instance does not satisfy the goal formula"
 
-    @pytest.fixture(params=["dimacs", "dimacs-inc"])
-    def liar(self, request, tmp_path):
-        """``(prefix, argv, spawn log)`` of a solver that claims every
+    @pytest.fixture
+    def liar(self, tmp_path):
+        """``(solver name, spawn log)`` of a solver that claims every
         formula is SAT with the all-false model."""
         log = tmp_path / "spawns.log"
-        stamp = f"""
+        argv = fake_solver(tmp_path, f"""
             with open({str(log)!r}, "a") as fh:
                 fh.write("spawn\\n")
-        """
-        if request.param == "dimacs":
-            argv = fake_solver(tmp_path, stamp + """
-                print("s SATISFIABLE")
-                print("v 0")
-                sys.exit(10)
-            """)
-        else:
-            argv = fake_inc_solver(tmp_path, stamp + """
-                for _ in asks():
-                    answer("s SATISFIABLE", "v 0")
-            """)
-        return f"{request.param}:{shlex.join(argv)}", log
-
-    @staticmethod
-    def _some_r():
-        from repro.kodkod import ast
-        from repro.kodkod.bounds import Bounds
-        from repro.kodkod.universe import Universe
-
-        universe = Universe(["a", "b", "c"])
-        r = ast.Relation("r", 1)
-        bounds = Bounds(universe)
-        bounds.bound(r, universe.empty(1), universe.all_tuples(1))
-        return ast.Some(r), bounds
+            print("s SATISFIABLE")
+            print("v 0")
+            sys.exit(10)
+        """)
+        return f"dimacs:{shlex.join(argv)}", log
 
     def test_solve_raises_the_check_error(self, liar):
         from repro import api
 
         name, _ = liar
-        formula, bounds = self._some_r()
+        formula, bounds = some_r()
         with pytest.raises(AssertionError, match=self.CHECK_ERROR):
             api.solve(formula, bounds, solver=name, symmetry=0)
 
@@ -682,7 +390,7 @@ class TestLyingSolver:
         from repro import api
 
         name, _ = liar
-        formula, bounds = self._some_r()
+        formula, bounds = some_r()
         with pytest.raises(AssertionError, match=self.CHECK_ERROR):
             api.enumerate(formula, bounds, solver=name, limit=3)
 
@@ -690,7 +398,7 @@ class TestLyingSolver:
         from repro import api
 
         name, log = liar
-        formula, bounds = self._some_r()
+        formula, bounds = some_r()
         with pytest.raises(AssertionError, match=self.CHECK_ERROR):
             api.enumerate(formula, bounds, solver=name)
         assert log.read_text(encoding="utf-8") == "spawn\n"
@@ -699,7 +407,7 @@ class TestLyingSolver:
         from repro import api
 
         name, _ = liar
-        formula, bounds = self._some_r()
+        formula, bounds = some_r()
         cache_dir = tmp_path / "cache"
         [row] = api.solve_many([api.FormulaProblem(formula, bounds)],
                                solver=name, symmetry=0,

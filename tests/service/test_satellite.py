@@ -15,7 +15,9 @@ import time
 
 import pytest
 
-from repro.api import solve
+from repro.alloylite import Module
+from repro.alloylite.module import Scope
+from repro.api import ModuleProblem, solve
 from repro.api.codec import problem_to_json
 from repro.api.delta import open_session_count
 from repro.fuzz.generators import FuzzSpec, generate
@@ -359,6 +361,32 @@ class TestPostedInstanceCheck:
         with pytest.raises(ServiceError) as info:
             self._post(client, job_id, claim, [r_instance([["a"]])])
         assert info.value.status == 400
+        assert list((tmp_path / "cache").glob("*/*.json")) == []
+
+    @staticmethod
+    def _uncompilable(case):
+        module = Module(case)
+        if case == "scope-0":
+            module.sig("A")
+            return ModuleProblem(module, scope=Scope(0))
+        return ModuleProblem(module)  # no sig: an empty universe
+
+    @pytest.mark.parametrize("case", ["scope-0", "no-sig"])
+    def test_a_module_that_does_not_compile_is_refused(
+            self, hub, client, tmp_path, case):
+        """The edge does not compile modules, so such a job is claimed;
+        no instance can witness it, so a SAT post gets 400 (not a dropped
+        connection), nothing is cached and the lease is left to lapse."""
+        problem = self._uncompilable(case)
+        job_id = client.submit({"problem": problem_to_json(problem)})["id"]
+        (claim,) = client.claim("sat-liar", limit=1)["claims"]
+        instance = {"universe": ["A$0"], "relations": [
+            {"name": "A", "arity": 1, "tuples": [["A$0"]]}]}
+        with pytest.raises(ServiceError) as info:
+            self._post(client, job_id, claim, [instance])
+        assert info.value.status == 400
+        assert "does not compile" in str(info.value)
+        assert client.job(job_id)["state"] == "running"
         assert list((tmp_path / "cache").glob("*/*.json")) == []
 
     def test_a_sat_post_without_an_instance_is_refused(
