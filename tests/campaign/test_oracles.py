@@ -134,6 +134,29 @@ class TestRelationalOracles:
             if not already:
                 ORACLES.pop("external", None)
 
+    @pytest.mark.parametrize("prefix", ["", "dimacs:"],
+                             ids=["bare", "dimacs-name"])
+    def test_encodings_round_trip_the_external_solver(self, monkeypatch,
+                                                      prefix):
+        """``REPRO_EXTERNAL_SOLVER``, a bare command or a ``dimacs:``
+        name, adds the external arm to the encodings oracle."""
+        import os
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        existing = os.environ.get("PYTHONPATH")
+        monkeypatch.setenv("PYTHONPATH", (
+            src + os.pathsep + existing if existing else src))
+        monkeypatch.setenv("REPRO_EXTERNAL_SOLVER",
+                           f"{prefix}{sys.executable} -m repro.sat.dimacs "
+                           f"solve")
+        spec = ScenarioSpec.make("relational", 3, num_atoms=3, depth=2,
+                                 max_edges=4)
+        outcome = _run("encodings", spec)
+        assert outcome.agree, outcome.detail
+        assert outcome.detail["sat_external"] == outcome.detail["sat_pg"]
+
     @pytest.mark.parametrize("seed", range(8))
     def test_evaluator_agrees(self, seed):
         spec = ScenarioSpec.make("relational", seed, num_atoms=3, depth=2,

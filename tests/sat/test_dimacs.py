@@ -150,6 +150,33 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "v " in printed and "v 0" in printed
 
+    def test_solve_quiet_prints_no_v_lines(self, tmp_path, capsys):
+        from repro.sat.dimacs import main
+
+        path = tmp_path / "tiny.cnf"
+        path.write_text("p cnf 2 2\n1 2 0\n-1 0\n", encoding="ascii")
+        assert main(["solve", str(path), "--quiet"]) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\n"
+
+    def test_solve_under_assumptions(self, tmp_path, capsys):
+        from repro.sat.dimacs import main
+
+        path = tmp_path / "or.cnf"
+        path.write_text("p cnf 2 1\n1 2 0\n", encoding="ascii")
+        assert main(["solve", str(path), "--assume", "-1"]) == 10
+        assert "v -1 2\n" in capsys.readouterr().out
+        assert main(["solve", str(path),
+                     "--assume", "-1", "--assume", "-2"]) == 20
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n"
+
+    def test_solve_requires_a_file(self, capsys):
+        from repro.sat.dimacs import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve"])
+        assert excinfo.value.code == 2
+        assert "file" in capsys.readouterr().err
+
     def test_info(self, tmp_path, capsys):
         from repro.sat.dimacs import main
 

@@ -86,6 +86,10 @@ class TestParseSolverOutput:
         model = parse_solver_output("s SATISFIABLE\nv 2 0\n", num_vars=4)
         assert model.values == {1: False, 2: True, 3: False, 4: False}
 
+    def test_unsat(self):
+        # An UNSAT answer prints no v line, so there is no model.
+        assert parse_solver_output("s UNSATISFIABLE\n", num_vars=3) is None
+
     def test_sat_without_v_lines_has_no_model(self):
         assert parse_solver_output("s SATISFIABLE\n", num_vars=3) is None
 
@@ -148,6 +152,40 @@ class TestSessionEngine:
         solver = ExternalSolver("unused")
         solver.add_cnf(cnf)
         assert solver._cnf.num_vars == 5
+
+    def test_header_counts_clauses_and_assumptions(self, tmp_path):
+        # Each process gets a well-formed header: the kept clauses plus
+        # one unit clause per assumption, over every variable mentioned.
+        log = tmp_path / "headers.log"
+        command = fake_solver(tmp_path, f"""
+            header = [l for l in open(path) if l.startswith("p ")][0]
+            with open({str(log)!r}, "a") as fh:
+                fh.write(header)
+            sys.exit(20)
+        """)
+        solver = ExternalSolver(command)
+        solver.add_cnf(sample_cnf())
+        solver.add_clause([3])
+        solver.solve([1, -2])
+        solver.solve([5])
+        solver.solve()
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            "p cnf 3 6", "p cnf 5 5", "p cnf 3 4"]
+
+    def test_model_without_a_v_line_names_the_command(self, tmp_path):
+        command = fake_solver(tmp_path, """
+            print("s SATISFIABLE")
+            sys.exit(10)
+        """)
+        solver = ExternalSolver(command)
+        solver.add_cnf(sample_cnf())
+        assert solver.solve() is Status.SAT
+        assert solver.stats["external_exit_code"] == 10
+        with pytest.raises(ExternalSolverError) as excinfo:
+            solver.model()
+        message = str(excinfo.value)
+        assert "reported SAT without a v-line model" in message
+        assert " ".join(command) in message
 
     def test_split_solver_name_takes_the_dimacs_command(self):
         assert split_solver_name("kodkod") is None
@@ -214,6 +252,68 @@ class TestFakeSolverSubprocess:
         assert "exited with code 3" in message
         assert "segfault-ish diagnostics" in message
 
+    def test_no_status_rejected(self, tmp_path):
+        # Exit code 0 is not an answer: the status is the exit code.
+        command = fake_solver(tmp_path, """
+            print("c chatter only")
+            sys.exit(0)
+        """)
+        with pytest.raises(ExternalSolverError,
+                           match="exited with code 0 \\(expected 10"):
+            ExternalSolver(command).solve_cnf(sample_cnf())
+
+    def test_malformed_v_line_is_rejected(self, tmp_path):
+        command = fake_solver(tmp_path, """
+            print("s SATISFIABLE")
+            print("v 1 banana 0")
+            sys.exit(10)
+        """)
+        with pytest.raises(ExternalSolverError, match="malformed v-line"):
+            ExternalSolver(command).solve_cnf(sample_cnf())
+
+    def test_mid_stream_crash_is_reported(self, tmp_path):
+        # The first process dies after half a model; the engine is not
+        # burned by it: the next solve is a fresh process.
+        crashed = tmp_path / "crashed"
+        command = fake_solver(tmp_path, f"""
+            import os
+            print("s SATISFIABLE")
+            if not os.path.exists({str(crashed)!r}):
+                open({str(crashed)!r}, "w").close()
+                print("v 1", flush=True)
+                print("heap corruption", file=sys.stderr)
+                sys.exit(1)
+            print("v 1 -2 3 0")
+            sys.exit(10)
+        """)
+        solver = ExternalSolver(command)
+        solver.add_cnf(sample_cnf())
+        with pytest.raises(ExternalSolverError) as excinfo:
+            solver.solve()
+        message = str(excinfo.value)
+        assert "exited with code 1" in message
+        assert "heap corruption" in message
+        assert solver.solve() is Status.SAT
+        assert solver.model().values == {1: True, 2: False, 3: True}
+        assert solver.stats["external_invocations"] == 2
+
+    @pytest.mark.parametrize("exit_code", [10, 3], ids=["answer", "crash"])
+    def test_the_cnf_file_is_removed(self, tmp_path, exit_code):
+        log = tmp_path / "paths.log"
+        command = fake_solver(tmp_path, f"""
+            with open({str(log)!r}, "w") as fh:
+                fh.write(path)
+            print("v 0")
+            sys.exit({exit_code})
+        """)
+        try:
+            ExternalSolver(command).solve_cnf(sample_cnf())
+        except ExternalSolverError:
+            assert exit_code == 3
+        dumped = Path(log.read_text(encoding="utf-8"))
+        assert dumped.suffix == ".cnf"
+        assert not dumped.exists()
+
     def test_timeout_kills_the_child(self, tmp_path):
         command = fake_solver(tmp_path, """
             time.sleep(60)
@@ -276,6 +376,39 @@ class TestSelfHostedEndToEnd:
         assert solver.solve([1, 2]) is Status.UNSAT
         assert solver.solve() is Status.SAT
 
+    def test_root_unsat_stays_unsat(self):
+        solver = ExternalSolver(SELF_HOSTED, timeout=60)
+        solver.add_cnf(unsat_cnf())
+        assert solver.solve() is Status.UNSAT
+        assert solver.solve([1]) is Status.UNSAT
+        assert solver.solve() is Status.UNSAT
+        assert solver.stats["external_invocations"] == 3
+
+    def test_enumeration_matches_the_in_tree_solver(self):
+        # Blocking clauses between solves, one process per round: seven
+        # models of one clause over three variables, then UNSAT.
+        from repro.sat.solver import Solver
+
+        cnf = CNF()
+        cnf.new_vars(3)
+        cnf.add_clause([1, 2, 3])
+
+        def models(engine):
+            engine.add_cnf(cnf)
+            found = set()
+            while engine.solve() is Status.SAT:
+                values = engine.model().values
+                found.add(tuple(sorted(values.items())))
+                engine.add_clause([-v if values[v] else v
+                                   for v in range(1, cnf.num_vars + 1)])
+            return found
+
+        external = ExternalSolver(SELF_HOSTED, timeout=60)
+        found = models(external)
+        assert len(found) == 7
+        assert found == models(Solver())
+        assert external.stats["external_invocations"] == 8
+
 
 class TestDimacsBackendRegistry:
     def test_dimacs_prefix_resolves_dynamically(self):
@@ -292,6 +425,14 @@ class TestDimacsBackendRegistry:
 
         with pytest.raises(ValueError, match="empty external solver"):
             get_backend("dimacs:   ")
+
+    def test_names_are_normalized(self):
+        from repro.api.backends import get_backend
+
+        backend = get_backend("dimacs:  picosat -v ")
+        assert backend.name == "dimacs:picosat -v"
+        assert backend.command == "picosat -v"
+        assert get_backend("dimacs:picosat -v") is backend
 
     def test_unknown_backend_error_mentions_dimacs(self):
         from repro.api.backends import get_backend
@@ -331,6 +472,47 @@ class TestDimacsBackendRegistry:
         assert keyset(ext_enum) == keyset(ref_enum)
         # One process per solve round: 7 models and the closing UNSAT.
         assert ext_enum.solver_stats["external_invocations"] == 8
+
+    def test_unsat_through_the_facade(self, monkeypatch):
+        from repro import api
+
+        existing = os.environ.get("PYTHONPATH")
+        joined = (f"{SRC}{os.pathsep}{existing}" if existing else str(SRC))
+        monkeypatch.setenv("PYTHONPATH", joined)
+
+        formula, bounds = some_r()
+        [r] = bounds.relations()
+        result = api.solve(formula & ast.No(r), bounds,
+                           solver=f"dimacs:{' '.join(SELF_HOSTED)}")
+        assert result.verdict is api.Verdict.UNSAT
+        assert result.instances == []
+        assert result.solver_stats["external_invocations"] == 1
+        assert result.solver_stats["external_exit_code"] == 20
+
+    def test_timeout_option_bounds_each_process(self, tmp_path):
+        from repro import api
+
+        argv = fake_solver(tmp_path, """
+            time.sleep(60)
+            sys.exit(10)
+        """)
+        formula, bounds = some_r()
+        with pytest.raises(ExternalSolverError,
+                           match="exceeded the 0.5s timeout"):
+            api.solve(formula, bounds, solver=f"dimacs:{shlex.join(argv)}",
+                      timeout=0.5)
+
+    def test_missing_binary_is_an_error_row(self, tmp_path):
+        from repro import api
+
+        formula, bounds = some_r()
+        cache_dir = tmp_path / "cache"
+        [row] = api.solve_many([api.FormulaProblem(formula, bounds)],
+                               solver="dimacs:definitely-not-a-solver-xyz",
+                               cache_dir=str(cache_dir))
+        assert row.verdict is api.Verdict.ERROR
+        assert "'definitely-not-a-solver-xyz' was not found" in row.error
+        assert not [p for p in cache_dir.rglob("*") if p.is_file()]
 
 
 class TestModelessSat:
