@@ -290,8 +290,10 @@ class KodkodBackend:
 
 class ExplorerBackend:
     """Protocol problems via exhaustive schedule exploration, with
-    canonical-state memoization always on (verdict-preserving; the
-    ``explorer`` oracle checks it against plain DFS)."""
+    per-receiver branching and canonical-state memoization always on
+    (verdict-preserving; the ``explorer`` oracle checks it against the
+    plain per-order DFS).  A search stopped by ``max_states`` answers
+    ``Verdict.ERROR``, never HOLDS."""
 
     name = "explorer"
 
@@ -306,8 +308,26 @@ class ExplorerBackend:
         started = time.perf_counter()
         exploration = explore(
             problem.network, list(problem.items), dict(problem.policies),
-            max_rounds=options.max_rounds, max_paths=options.max_paths,
+            max_rounds=options.max_rounds, max_states=options.max_states,
         )
+        detail = {
+            "paths_explored": exploration.paths_explored,
+            "max_rounds_to_converge": exploration.max_rounds_to_converge,
+            "memo_hits": exploration.memo_hits,
+            "states_memoized": exploration.states_memoized,
+            "oscillating": exploration.oscillating_trace is not None,
+            "diverging": exploration.diverging_trace is not None,
+        }
+        if exploration.truncated:
+            return Result(
+                verdict=Verdict.ERROR,
+                seconds=time.perf_counter() - started,
+                backend=self.name,
+                detail={**detail, "truncated": True},
+                error=(f"exploration stopped at max_states="
+                       f"{options.max_states} expanded states before "
+                       f"covering every schedule; raise max_states"),
+            )
         verdict = (Verdict.HOLDS if exploration.all_converged
                    else Verdict.COUNTEREXAMPLE)
         return Result(
@@ -315,14 +335,7 @@ class ExplorerBackend:
             trace=exploration.counterexample,
             seconds=time.perf_counter() - started,
             backend=self.name,
-            detail={
-                "paths_explored": exploration.paths_explored,
-                "max_rounds_to_converge": exploration.max_rounds_to_converge,
-                "memo_hits": exploration.memo_hits,
-                "states_memoized": exploration.states_memoized,
-                "oscillating": exploration.oscillating_trace is not None,
-                "diverging": exploration.diverging_trace is not None,
-            },
+            detail=detail,
         )
 
     def enumerate(self, problem: Problem, options: Options) -> Result:

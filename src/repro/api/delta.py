@@ -58,7 +58,7 @@ from repro.api.problems import (
     Problem,
     problem_kind,
 )
-from repro.api.result import Result
+from repro.api.result import Result, Verdict
 from repro.kodkod import ast
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.engine import Session, Solution
@@ -229,7 +229,8 @@ class DeltaSession:
     ``{None, 0}`` (the warm path always translates with ``symmetry=0``,
     which is verdict-preserving; see the module docstring warning).
     Protocol problems and foreign backends never reuse a solver, but an
-    *identical* re-submission still reuses the anchor's stored result.
+    *identical* re-submission still reuses the anchor's stored result,
+    unless that result is an ``ERROR``.
     """
 
     def __init__(self, problem: Problem, *, options: Options | None = None,
@@ -402,10 +403,12 @@ class DeltaSession:
         else:
             delta = diff_problems(self._anchor, new_problem)
             if delta.kind == "identical":
-                if self._result is not None:
+                if (self._result is not None
+                        and self._result.verdict is not Verdict.ERROR):
                     # Same problem, same options: the stored verdict is
                     # the answer (protocol anchors have no solver to
-                    # warm, but they do not need one here).
+                    # warm, but they do not need one here).  An error,
+                    # such as a truncated search, is never reused.
                     reused = self._reused_anchor_result(delta)
                     reused.seconds = time.perf_counter() - started
                     return reused

@@ -160,7 +160,9 @@ def run_protocol(network, items: Iterable = None,
 
     Accepts a ``ProtocolProblem`` or ``(network, items, policies)``.
     Verdict is HOLDS when every schedule converges within
-    ``options.max_rounds``, COUNTEREXAMPLE (with ``trace``) otherwise.
+    ``options.max_rounds``, COUNTEREXAMPLE (with ``trace``) when one does
+    not, and ERROR (``detail["truncated"]``) when covering every
+    schedule would expand more than ``options.max_states`` states.
     """
     opts = resolve_options(options, overrides)
     if isinstance(network, ProtocolProblem):

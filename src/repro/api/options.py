@@ -24,7 +24,7 @@ class Options:
     """Validated options accepted by every ``repro.api`` entry point.
 
     Six fields: ``solver``, ``symmetry``, ``max_instances``,
-    ``max_rounds``, ``max_paths`` and ``timeout``.  ``None`` fields mean
+    ``max_rounds``, ``max_states`` and ``timeout``.  ``None`` fields mean
     "use the backend's per-operation default": ``symmetry=None`` enables
     lex-leader symmetry breaking for solve/check (verdict-preserving)
     but disables it for enumeration (every model is produced).
@@ -52,8 +52,12 @@ class Options:
     max_rounds: int = 12
     """Protocol-check depth bound (rounds per explored schedule)."""
 
-    max_paths: int = 2000
-    """Protocol-check breadth bound (complete schedules explored)."""
+    max_states: int = 2000
+    """Protocol-check work bound: the most states the explorer expands
+    (memo misses, and memo hits whose certificate does not fit the
+    remaining rounds).  A search that would expand more stops and
+    answers ``Verdict.ERROR`` with ``detail["truncated"]``, never
+    ``HOLDS``, so no cache stores it."""
 
     timeout: float | None = None
     """Per-solve time budget in seconds, enforced where preemption is
@@ -96,12 +100,12 @@ class Options:
                 f"max_rounds must be a positive integer bound on protocol "
                 f"rounds per schedule, got {self.max_rounds!r}"
             )
-        if (isinstance(self.max_paths, bool)
-                or not isinstance(self.max_paths, int)
-                or self.max_paths < 1):
+        if (isinstance(self.max_states, bool)
+                or not isinstance(self.max_states, int)
+                or self.max_states < 1):
             raise ValueError(
-                f"max_paths must be a positive integer bound on explored "
-                f"schedules, got {self.max_paths!r}"
+                f"max_states must be a positive integer bound on the "
+                f"protocol states a check expands, got {self.max_states!r}"
             )
         if self.timeout is not None and (
                 isinstance(self.timeout, bool)

@@ -30,7 +30,9 @@ class Verdict(str, Enum):
     ``SAT``/``UNSAT`` answer satisfiability queries (``solve``,
     ``enumerate``); ``HOLDS``/``COUNTEREXAMPLE`` answer validity queries
     (``check``, ``run_protocol``); ``ERROR`` marks a batch task that
-    crashed or timed out instead of completing.
+    crashed or timed out instead of completing, and a protocol check
+    whose search stopped at ``Options.max_states`` before covering every
+    schedule (``detail["truncated"]``).  No cache stores an ``ERROR``.
     """
 
     SAT = "sat"

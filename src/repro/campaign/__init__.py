@@ -7,8 +7,8 @@ The campaign subsystem turns the verification stack into its own oracle:
   relational problems, with grid/random sweep expansion;
 * :mod:`repro.campaign.oracles` — the one registry of differential
   oracles, pairing each fast path (symmetry breaking, incremental
-  sessions, the memoized explorer, the engines) with a slow reference
-  path; the fuzz loop runs the same oracles;
+  sessions, the reduced memoized explorer, the engines) with a slow
+  reference path; the fuzz loop runs the same oracles;
 * :mod:`repro.campaign.runner` — a sharded runner with per-task
   timeouts over the shared :mod:`repro.jobs` pool and result cache.
 

@@ -13,7 +13,7 @@ oracle          fast path                              reference path
 ``enumeration`` ``api.enumerate`` (one live session)   fresh solver per model
 ``evaluator``   ``api.enumerate`` (CDCL pipeline)      brute force + ground eval
 ``external``    ``solver="dimacs:<cmd>"`` (env-gated)  ``solver="kodkod"``
-``explorer``    ``api.run_protocol`` (memoized)        ``explore(memoize=False)``
+``explorer``    ``api.run_protocol`` (reduced, memo)   ``explore_plain`` (per order)
 ``engines``     synchronous lock-step engine           asynchronous delivery
 ``delta``       ``solve_delta`` on a mutated problem   fresh ``api.solve``
 ==============  =====================================  ==========================
@@ -49,11 +49,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.api import DeltaSession, FormulaProblem, Problem, ProtocolProblem
+from repro.api import (
+    DeltaSession,
+    FormulaProblem,
+    Problem,
+    ProtocolProblem,
+    Verdict,
+)
 from repro.api import enumerate as api_enumerate
 from repro.api import run_protocol, solve as api_solve
 from repro.api.codec import problem_identity, problem_to_json
-from repro.checking.explorer import explore
+from repro.checking.explorer import explore_plain
 from repro.kodkod.bounds import Bounds
 from repro.kodkod.engine import Session
 from repro.kodkod.evaluator import Evaluator, brute_force_instances
@@ -332,31 +338,45 @@ if os.environ.get(_EXTERNAL_SOLVER_ENV):
     register_external_oracle(os.environ[_EXTERNAL_SOLVER_ENV])
 
 
-def _explore_budget(params: dict) -> dict:
-    """Exploration bounds a protocol oracle reads from its params."""
-    return {"max_rounds": int(params.get("explore_rounds", 8)),
-            "max_paths": int(params.get("explore_paths", 4000))}
+def _explore_rounds(params: dict) -> int:
+    """The round bound a protocol oracle reads from its params."""
+    return int(params.get("explore_rounds", 8))
 
 
 @register_oracle("explorer", ProtocolProblem,
-                 "memoized schedule exploration vs plain DFS: same verdict")
+                 "reduced, memoized schedule exploration vs plain DFS: "
+                 "same verdict")
 def _explorer_oracle(problem: ProtocolProblem, seed: int,
                      params: dict) -> OracleOutcome:
-    budget = _explore_budget(params)
-    memoized = run_protocol(problem, **budget)
-    plain = explore(problem.network, list(problem.items), problem.policies,
-                    memoize=False, **budget)
+    """``run_protocol`` (under the default ``max_states``) against the
+    plain per-order DFS, which stops at ``explore_paths`` leaves.
+
+    Worst rounds and the verdict are compared only when the reference
+    finished; a reference stopped at its cap found no counterexample on
+    the schedules it covered, so it agrees with any verdict but ERROR.
+    """
+    max_rounds = _explore_rounds(params)
+    memoized = run_protocol(problem, max_rounds=max_rounds)
+    plain = explore_plain(problem.network, list(problem.items),
+                          problem.policies, max_rounds=max_rounds,
+                          max_paths=int(params.get("explore_paths", 4000)))
+    memoized_converged = memoized.verdict is Verdict.HOLDS
     memoized_worst = memoized.detail["max_rounds_to_converge"]
-    agree = (
-        memoized.holds == plain.all_converged
-        and memoized_worst == plain.max_rounds_to_converge
-        and (memoized.trace is None) == (plain.counterexample is None)
-    )
+    if memoized.verdict is Verdict.ERROR:
+        agree = False
+    elif plain.truncated:
+        agree = True
+    else:
+        agree = (
+            memoized_converged == plain.all_converged
+            and memoized_worst == plain.max_rounds_to_converge
+            and (memoized.trace is None) == (plain.counterexample is None)
+        )
     return OracleOutcome(
         oracle="explorer",
         agree=agree,
         detail={
-            "memoized_converged": memoized.holds,
+            "memoized_converged": memoized_converged,
             "plain_converged": plain.all_converged,
             "memoized_worst_rounds": memoized_worst,
             "plain_worst_rounds": plain.max_rounds_to_converge,
@@ -387,7 +407,7 @@ def _delta_oracle(problem: FormulaProblem | ProtocolProblem, seed: int,
     from repro.fuzz.mutators import mutate_problem
 
     if isinstance(problem, ProtocolProblem):
-        opts = _explore_budget(params)
+        opts = {"max_rounds": _explore_rounds(params)}
     else:
         opts = {"symmetry": 0}
     identity = problem_identity(problem_to_json(problem))

@@ -319,10 +319,11 @@ def build_default_campaign(instances: int = 120,
     )
     for spec in explorer_specs:
         tasks.append((spec, "explorer"))
-    # Delta verification over protocols re-runs the (factorially
-    # exploding) explorer twice per task, so its auction specs stay as
-    # small as the explorer's; vnet additionally caps the exploration
-    # budget through spec params (read via ``spec.param`` by the oracle).
+    # Delta verification over protocols re-runs the explorer twice per
+    # task, so its auction specs stay as small as the explorer's; vnet
+    # additionally caps the round budget through spec params (read via
+    # ``spec.param`` by the oracle; ``explore_paths`` bounds only the
+    # ``explorer`` oracle's plain reference).
     delta_specs = (
         random_sweep("mca", per_family, base_seed=base_seed + 9,
                      num_agents=(2, 3), num_items=(1, 2), target=(1, 2))

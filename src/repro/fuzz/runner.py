@@ -19,7 +19,7 @@ oracle          checks
 ``symmetry``    solve with lex-leader SBP vs ``symmetry=0``
 ``enumeration`` incremental enumeration vs a fresh solver per model
 ``evaluator``   translator + solver enumeration vs brute-force ground eval
-``explorer``    memoized schedule exploration vs plain DFS
+``explorer``    reduced, memoized schedule exploration vs plain DFS
 ``engines``     synchronous vs asynchronous (fifo + random) convergence
 ``delta``       ``solve_delta`` on a mutated problem vs fresh solve
 ==============  ========================================================

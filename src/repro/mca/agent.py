@@ -25,7 +25,7 @@ from repro.mca.policies import AgentPolicy, RebidStrategy
 DEFAULT_BID_CAP = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutbidEvent:
     """Record of one outbid detection (used for traces and analysis)."""
 
@@ -42,6 +42,8 @@ class AgentSnapshot:
     copies containers (no deep copy).  Taking and restoring a snapshot is
     O(items), versus O(object graph) for ``copy.deepcopy`` — the
     difference that makes exhaustive schedule exploration tractable.
+    Every field is hashable, so equal snapshots are equal exact agent
+    states: the explorer groups schedules by them.
     """
 
     beliefs: tuple[tuple[ItemId, ItemBelief], ...]
@@ -49,7 +51,7 @@ class AgentSnapshot:
     clock: int
     outbid_log: tuple[OutbidEvent, ...]
     attack_claims: frozenset[ItemId]
-    freshness: dict
+    freshness: frozenset[tuple[ItemId, AgentId, tuple]]
 
 
 class Agent:

@@ -92,23 +92,31 @@ class ConflictResolver:
             return ResolutionOutcome(True, incoming)
         return ResolutionOutcome(False, local)
 
-    def snapshot_freshness(self) -> dict[ItemId, dict[AgentId, tuple]]:
-        """Copy of the freshness table (used by state hashing)."""
-        return {item: dict(per) for item, per in self._freshness.items()}
-
     # ------------------------------------------------------------------
     # Snapshot protocol (cheap state save/restore for the explorer)
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> dict[ItemId, dict[AgentId, tuple]]:
-        """Capture the resolver state for later :meth:`restore`."""
-        return self.snapshot_freshness()
+    def snapshot(self) -> frozenset[tuple[ItemId, AgentId, tuple]]:
+        """Capture the resolver state for later :meth:`restore`.
 
-    def restore(self, snapshot: dict[ItemId, dict[AgentId, tuple]]) -> None:
+        One ``(item, origin, generation)`` entry per incorporated origin:
+        immutable and hashable, and equal for equal tables whatever
+        order they were filled in.
+        """
+        return frozenset(
+            (item, origin, seen)
+            for item, per_item in self._freshness.items()
+            for origin, seen in per_item.items()
+        )
+
+    def restore(self, snapshot: frozenset[tuple[ItemId, AgentId, tuple]]
+                ) -> None:
         """Reset the resolver to a previously captured snapshot.
 
-        The snapshot itself is left untouched (copied on restore), so one
-        snapshot can be restored multiple times — the explorer restores
-        the same state once per branch.
+        The snapshot is immutable, so one snapshot can be restored many
+        times — the explorer restores the same state once per branch.
         """
-        self._freshness = {item: dict(per) for item, per in snapshot.items()}
+        freshness: dict[ItemId, dict[AgentId, tuple]] = {}
+        for item, origin, seen in snapshot:
+            freshness.setdefault(item, {})[origin] = seen
+        self._freshness = freshness

@@ -110,9 +110,12 @@ def job_id_for(fingerprint: str, options: Options,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-RETIRED_OPTIONS = ("memoize", "workers", "cache_dir")
-"""Former :class:`~repro.api.Options` fields.  None of them changed an
-answer, and every job journaled while they existed carries all three."""
+RETIRED_OPTIONS = ("memoize", "workers", "cache_dir", "max_paths")
+"""Former :class:`~repro.api.Options` fields, which every job journaled
+while they existed carries.  ``memoize``, ``workers`` and ``cache_dir``
+never changed an answer.  ``max_paths`` capped the protocol explorer's
+weighted leaves and let a capped search answer HOLDS; ``max_states``
+replaced it, so such a job now runs under the default ``max_states``."""
 
 
 def decode_options(payload, *, journaled: bool = False) -> Options:

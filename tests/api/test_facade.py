@@ -233,6 +233,44 @@ class TestRunProtocol:
             api.run_protocol(two_agent_protocol.network)
 
 
+class TestTruncatedProtocolCheck:
+    """A search stopped by ``max_states`` is an ERROR, never HOLDS, and
+    no cache keeps it."""
+
+    @pytest.fixture
+    def problem(self):
+        from repro.campaign.specs import ScenarioSpec
+
+        return api.problem_from_spec(ScenarioSpec.make("mca", 0))
+
+    def test_max_states_stops_the_search_with_an_error(self, problem):
+        assert api.run_protocol(problem).verdict is Verdict.HOLDS
+        result = api.run_protocol(problem, max_states=1)
+        assert result.verdict is Verdict.ERROR
+        assert result.detail["truncated"] is True
+        assert "max_states" in result.error
+        assert result.trace is None
+        with pytest.raises(ValueError, match="max_states"):
+            result.holds
+
+    def test_solve_many_caches_no_truncated_answer(self, problem, tmp_path):
+        (result,) = api.solve_many([problem], options=Options(max_states=1),
+                                   cache_dir=tmp_path, workers=1)
+        assert result.verdict is Verdict.ERROR
+        assert result.detail["truncated"] is True
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
+        (finished,) = api.solve_many([problem], cache_dir=tmp_path,
+                                     workers=1)
+        assert finished.verdict is Verdict.HOLDS
+        assert any(path.is_file() for path in tmp_path.rglob("*"))
+
+    def test_a_delta_session_never_reuses_a_truncated_anchor(self, problem):
+        session = api.DeltaSession(problem, max_states=1)
+        again = session.solve(problem)
+        assert again.verdict is Verdict.ERROR
+        assert again.delta["path"] == "fallback"
+
+
 class TestBackendRegistry:
     def test_available_backends(self):
         names = api.available_backends()

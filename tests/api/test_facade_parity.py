@@ -77,10 +77,9 @@ class TestExplorerBackendParity:
         scenario = materialize(spec)
         direct = explore(
             scenario.network, list(scenario.items), scenario.policies,
-            max_rounds=8, max_paths=4000,
+            max_rounds=8,
         )
-        new = api.run_protocol(api.problem_from_spec(spec),
-                               max_rounds=8, max_paths=4000)
+        new = api.run_protocol(api.problem_from_spec(spec), max_rounds=8)
         assert direct.all_converged == new.holds
         assert (direct.counterexample is None) == (new.trace is None)
         assert (direct.max_rounds_to_converge

@@ -13,12 +13,12 @@ class TestDefaults:
         assert opts.symmetry is None
         assert opts.max_instances is None
         assert opts.max_rounds == 12
-        assert opts.max_paths == 2000
+        assert opts.max_states == 2000
         assert opts.timeout is None
 
     def test_replace_revalidates(self):
-        with pytest.raises(ValueError, match="max_paths"):
-            Options().replace(max_paths=0)
+        with pytest.raises(ValueError, match="max_states"):
+            Options().replace(max_states=0)
 
     def test_replace_returns_new_instance(self):
         base = Options()
@@ -60,10 +60,10 @@ class TestValidationMessages:
                                              r"integer bound on protocol"):
             Options(max_rounds=0)
 
-    def test_negative_max_paths(self):
-        with pytest.raises(ValueError, match=r"max_paths must be a positive "
-                                             r"integer bound on explored"):
-            Options(max_paths=-5)
+    def test_negative_max_states(self):
+        with pytest.raises(ValueError, match=r"max_states must be a positive "
+                                             r"integer bound on the protocol"):
+            Options(max_states=-5)
 
     def test_zero_timeout(self):
         with pytest.raises(ValueError, match=r"timeout must be a positive "
@@ -92,7 +92,7 @@ class TestCacheSignature:
         assert (Options(timeout=None).cache_signature()
                 == Options(timeout=30.0).cache_signature())
         assert sorted(Options().cache_signature()) == [
-            "max_instances", "max_paths", "max_rounds", "solver",
+            "max_instances", "max_rounds", "max_states", "solver",
             "symmetry"]
 
     def test_semantic_fields_included(self):

@@ -223,7 +223,7 @@ EXPECTED_OPTIONS_FIELDS = [
     "symmetry",
     "max_instances",
     "max_rounds",
-    "max_paths",
+    "max_states",
     "timeout",
 ]
 

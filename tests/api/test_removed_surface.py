@@ -90,7 +90,7 @@ REMOVED_MEMBERS = [
     ("repro.mca.engine", "SynchronousEngine", "_global_signature"),
 ]
 
-REMOVED_OPTIONS = ["memoize", "workers", "cache_dir"]
+REMOVED_OPTIONS = ["memoize", "workers", "cache_dir", "max_paths"]
 
 
 @pytest.mark.parametrize(
@@ -112,8 +112,9 @@ def test_removed_member_is_gone(module_name, owner, name):
 
 @pytest.mark.parametrize("name", REMOVED_OPTIONS)
 def test_removed_option_is_refused(name):
-    """How a batch runs is a ``solve_many`` argument, and the explorer
-    always memoizes: none of these is an option any more."""
+    """How a batch runs is a ``solve_many`` argument, the explorer
+    always memoizes, and ``max_states`` bounds a protocol check in
+    place of ``max_paths``: none of these is an option any more."""
     assert name not in {f.name for f in dataclasses.fields(api.Options)}
     with pytest.raises(ValueError, match=f"unknown option.*{name}"):
         api.Options.from_json({name: 1})
@@ -213,7 +214,7 @@ FACADE_CALLS = {
     "enumerate": lambda: api.enumerate(*_relational_problem()),
     "check": lambda: api.check(*_module()),
     "run_protocol": lambda: api.run_protocol(_protocol(), max_rounds=4,
-                                             max_paths=50),
+                                             max_states=50),
     "solve_many": lambda: api.solve_many(
         [api.FormulaProblem(*_relational_problem()),
          api.ModuleProblem(_module()[0])], workers=1),

@@ -195,3 +195,21 @@ class TestAuctionOracles:
         assert outcome.agree, outcome.detail
         assert (outcome.detail["memoized_worst_rounds"]
                 == outcome.detail["plain_worst_rounds"])
+
+    def test_explorer_agrees_with_a_reference_stopped_at_its_cap(self):
+        """The plain reference stops at ``explore_paths`` leaves with no
+        counterexample and no verdict; the full search's HOLDS agrees
+        with it, and rounds are compared only once it finishes."""
+        problem = materialize(ScenarioSpec.make(
+            "mca", 5, num_agents=3, num_items=2, target=2))
+        capped = ORACLES["explorer"].run(problem, 5, {"explore_paths": 5})
+        assert capped.agree, capped.detail
+        assert capped.detail["plain_paths"] == 5
+        assert capped.detail["memoized_converged"]
+        assert not capped.detail["plain_converged"]
+        full = ORACLES["explorer"].run(problem, 5, {})
+        assert full.agree, full.detail
+        assert full.detail["plain_paths"] == 1296
+        assert full.detail["plain_converged"]
+        assert (full.detail["memoized_worst_rounds"]
+                == full.detail["plain_worst_rounds"] == 4)

@@ -3,6 +3,7 @@
 import copy
 
 from repro.checking import StateCanonicalizer, explore
+from repro.checking.explorer import explore_plain
 from repro.mca import (
     AgentNetwork,
     AgentPolicy,
@@ -59,7 +60,7 @@ class TestEngineSnapshot:
         snapshot = engine.snapshot()
         saved = (
             dict(agent.beliefs), list(agent.bundle), agent.clock,
-            list(agent.outbid_log), agent._resolver.snapshot_freshness(),
+            list(agent.outbid_log), agent._resolver.snapshot(),
         )
         engine.run(max_rounds=5)
         engine.restore(snapshot)
@@ -67,7 +68,7 @@ class TestEngineSnapshot:
         assert list(agent.bundle) == saved[1]
         assert agent.clock == saved[2]
         assert list(agent.outbid_log) == saved[3]
-        assert agent._resolver.snapshot_freshness() == saved[4]
+        assert agent._resolver.snapshot() == saved[4]
 
     def test_snapshot_is_reusable_across_restores(self):
         items = ["A"]
@@ -136,14 +137,12 @@ class TestExplorerWithoutDeepcopy:
         for shared in (False, True):
             for network in networks:
                 policies = _policies(3, items, shared=shared)
-                memo = explore(
-                    network, items, policies, max_rounds=8, memoize=True,
+                memo = explore(network, items, policies, max_rounds=8)
+                plain = explore_plain(
+                    network, items, policies, max_rounds=8,
                     max_paths=100_000,
                 )
-                plain = explore(
-                    network, items, policies, max_rounds=8, memoize=False,
-                    max_paths=100_000,
-                )
+                assert not plain.truncated
                 assert memo.all_converged == plain.all_converged
                 assert (memo.max_rounds_to_converge
                         == plain.max_rounds_to_converge)
@@ -153,12 +152,8 @@ class TestExplorerWithoutDeepcopy:
         items = ["A", "B"]
         policies = _policies(2, items, shared=False, growth=2.0, release=True)
         network = AgentNetwork.complete(2)
-        memo = explore(
-            network, items, policies, max_rounds=8, memoize=True
-        )
-        plain = explore(
-            network, items, policies, max_rounds=8, memoize=False
-        )
+        memo = explore(network, items, policies, max_rounds=8)
+        plain = explore_plain(network, items, policies, max_rounds=8)
         assert memo.all_converged == plain.all_converged
         if not memo.all_converged:
             assert memo.counterexample is not None
@@ -168,8 +163,7 @@ class TestExplorerWithoutDeepcopy:
         items = ["A", "B", "C"]
         policies = _policies(3, items, shared=True)
         result = explore(
-            AgentNetwork.complete(3), items, policies,
-            max_rounds=10, max_paths=100_000,
+            AgentNetwork.complete(3), items, policies, max_rounds=10,
         )
         assert result.all_converged
         assert result.memo_hits > 0

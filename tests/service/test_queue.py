@@ -295,7 +295,7 @@ class TestRecovery:
     def test_payload_survives_the_journal(self, tmp_path):
         """The replayed payload still decodes to the same job."""
         queue = JobQueue(tmp_path)
-        original = submission(3, options={"max_paths": 50}, label="probe")
+        original = submission(3, options={"max_states": 50}, label="probe")
         queue.submit(original)
         queue.close()
         revived = JobQueue(tmp_path)

@@ -20,6 +20,7 @@ from repro.alloylite.module import Scope
 from repro.api import ModuleProblem, solve
 from repro.api.codec import problem_to_json
 from repro.api.delta import open_session_count
+from repro.campaign.specs import ScenarioSpec
 from repro.fuzz.generators import FuzzSpec, generate
 from repro.kodkod import relation
 from repro.service import ServiceConfig, VerificationService
@@ -29,7 +30,7 @@ from repro.service.schema import decode_submission
 from repro.service.workers import CACHE_WRITE_FAILED
 
 from tests.api.test_delta import free_problem, rebound
-from tests.service.test_service import NINE_FIELD_DEFAULTS
+from tests.service.test_service import NINE_FIELD_DEFAULTS, SIX_FIELD_DEFAULTS
 
 
 def formula_body(seed):
@@ -211,6 +212,22 @@ class TestSatelliteFabric:
         worker = SatelliteWorker(hub.url, worker_id="sat-old")
         result = worker._solve_claim({**claim, "payload": payload})
         assert result["error"] is None
+        worker._post(claim, result)
+        assert client.job(job_id)["state"] == "done"
+
+    def test_a_protocol_claim_journaled_with_max_paths_is_solved(
+            self, hub, client):
+        """A claim whose options still carry ``max_paths`` (a job
+        journaled while it was an option) solves under the default
+        ``max_states``."""
+        spec = ScenarioSpec.make("mca", 0)
+        job_id = client.submit({"spec": spec.as_dict()})["id"]
+        (claim,) = client.claim("sat-paths", limit=1)["claims"]
+        payload = {**claim["payload"], "options": SIX_FIELD_DEFAULTS}
+        worker = SatelliteWorker(hub.url, worker_id="sat-paths")
+        result = worker._solve_claim({**claim, "payload": payload})
+        assert result["error"] is None
+        assert result["verdict"] == "holds"
         worker._post(claim, result)
         assert client.job(job_id)["state"] == "done"
 

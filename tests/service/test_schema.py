@@ -28,7 +28,7 @@ from repro.service.schema import (
 
 from tests.api.test_batch import table_pair
 from tests.api.test_delta import free_problem
-from tests.service.test_service import NINE_FIELD_DEFAULTS
+from tests.service.test_service import NINE_FIELD_DEFAULTS, SIX_FIELD_DEFAULTS
 
 
 def tree(kind="formula", seed=0):
@@ -80,15 +80,25 @@ class TestValidation:
         with pytest.raises(SchemaError, match="label"):
             decode_submission({"problem": tree(), "label": 3})
 
-    @pytest.mark.parametrize("name", ["workers", "cache_dir", "memoize"])
+    @pytest.mark.parametrize("name", ["workers", "cache_dir", "memoize",
+                                      "max_paths"])
     def test_removed_option_names_are_rejected(self, name):
         with pytest.raises(SchemaError, match=f"unknown option.*{name}"):
             decode_submission({"problem": tree(), "options": {name: 2}})
 
+    def test_max_paths_is_refused_with_a_pointer_to_max_states(self):
+        with pytest.raises(SchemaError,
+                           match=r"unknown option.*max_paths.*max_states"):
+            decode_submission({"problem": tree(),
+                               "options": {"max_paths": 50}})
+
     def test_journaled_options_may_carry_the_retired_names(self):
-        """A queued job's options are read back without the three names
-        (none changes an answer); any other unknown name still fails."""
+        """A queued job's options are read back without the retired
+        names; any other unknown name still fails."""
         assert decode_options(NINE_FIELD_DEFAULTS, journaled=True) == Options()
+        assert decode_options(SIX_FIELD_DEFAULTS, journaled=True) == Options()
+        with pytest.raises(SchemaError, match="unknown option.*max_paths"):
+            decode_options(SIX_FIELD_DEFAULTS)
         with pytest.raises(SchemaError, match="unknown option.*workers"):
             decode_options(NINE_FIELD_DEFAULTS)
         with pytest.raises(SchemaError, match="unknown option.*bogus"):
@@ -284,12 +294,12 @@ class TestSpecLifting:
 class TestOptionsWire:
     def test_to_json_round_trips_every_field(self):
         opts = Options(solver="kodkod", symmetry=3, max_instances=7,
-                       max_rounds=5, max_paths=99, timeout=2.5)
+                       max_rounds=5, max_states=99, timeout=2.5)
         assert Options.from_json(opts.to_json()) == opts
 
     def test_from_json_defaults_missing_fields(self):
         assert Options.from_json({}) == Options()
-        assert Options.from_json({"max_paths": 2}) == Options(max_paths=2)
+        assert Options.from_json({"max_states": 2}) == Options(max_states=2)
 
     def test_from_json_rejects_non_dicts(self):
         with pytest.raises(ValueError, match="JSON object"):

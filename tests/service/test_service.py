@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Options, solve
+from repro.api import Options, problem_from_spec, run_protocol, solve
 from repro.api.codec import problem_to_json
 from repro.campaign.specs import FAMILIES, ScenarioSpec
 from repro.fuzz.generators import FuzzSpec, generate
@@ -34,6 +34,11 @@ NINE_FIELD_DEFAULTS = {
 """``Options().to_json()`` while ``memoize``, ``workers`` and
 ``cache_dir`` were fields: the options object of every job journaled
 then."""
+SIX_FIELD_DEFAULTS = {
+    "solver": None, "symmetry": None, "max_instances": None,
+    "max_rounds": 12, "max_paths": 2000, "timeout": None}
+"""``Options().to_json()`` while ``max_paths`` bounded protocol checks:
+the options object of every job journaled then."""
 
 
 @pytest.fixture
@@ -339,6 +344,49 @@ class TestEdgePolicies:
         direct = solve(decode_problem(submission.problem_payload))
         assert final["result"]["verdict"] == direct.verdict.value
         assert final["attempts"] == 1
+
+    def test_a_protocol_job_journaled_with_max_paths_is_solved(
+            self, tmp_path):
+        """Every job journaled while ``max_paths`` was an option carries
+        it; a hub restarted on that journal drops it and solves the job
+        under the default ``max_states``."""
+        problem = problem_from_spec(ScenarioSpec.make("mca", 0))
+        submission = decode_submission({"problem": problem_to_json(problem)})
+        queue_dir = tmp_path / "queue"
+        queue_dir.mkdir()
+        (queue_dir / "journal.jsonl").write_text(json.dumps({
+            "event": "submit", "id": submission.job_id,
+            "payload": {**submission.payload(),
+                        "options": SIX_FIELD_DEFAULTS},
+            "fingerprint": submission.fingerprint,
+            "cache_key": submission.cache_key, "kind": submission.kind,
+            "label": "", "delta_of": None, "t": time.time()}) + "\n")
+        service = VerificationService(ServiceConfig(
+            queue_dir=queue_dir, cache_dir=tmp_path / "cache",
+            workers=1)).start()
+        try:
+            final = ServiceClient(service.url).wait(submission.job_id,
+                                                    timeout=60)
+        finally:
+            service.stop()
+        assert final["state"] == "done", final.get("error")
+        assert final["result"]["verdict"] == "holds"
+        assert (final["result"]["detail"]["paths_explored"]
+                == run_protocol(problem).detail["paths_explored"])
+
+    def test_a_truncated_protocol_check_is_an_uncached_error(
+            self, service, client):
+        """A search stopped by ``max_states`` fails the job; no result
+        is cached or listed for its fingerprint."""
+        body = {"spec": ScenarioSpec.make("mca", 0).as_dict(),
+                "options": {"max_states": 1}}
+        final = client.wait(client.submit(body)["id"])
+        assert final["state"] == "error"
+        assert "max_states" in final["error"]
+        assert "result" not in final
+        assert client.results(final["fingerprint"])["results"] == []
+        record = service.queue.get(final["id"])
+        assert service.cache.get(record.cache_key) is None
 
     @pytest.mark.parametrize("problem", [
         [],
