@@ -48,7 +48,7 @@ from repro.api.backends import (
     get_backend,
     register_backend,
 )
-from repro.api.facade import check, enumerate, run_protocol, solve, solve_delta
+from repro.api.facade import check, enumerate, run_protocol, solve
 from repro.api.batch import (
     BATCH_SCHEMA,
     DEFAULT_TASK_TIMEOUT,
@@ -56,7 +56,12 @@ from repro.api.batch import (
     solve_many,
 )
 # Imported last: the delta module imports the facade/backends modules above.
-from repro.api.delta import DeltaSession, ProblemDelta, diff_problems
+from repro.api.delta import (
+    DeltaSession,
+    ProblemDelta,
+    diff_problems,
+    solve_delta,
+)
 
 __all__ = [
     "BATCH_SCHEMA",

@@ -438,15 +438,19 @@ class DeltaSession:
         )
 
 
-def solve_delta(prev, new_problem: Problem, *,
-                options: Options | None = None, **overrides) -> Result:
-    """Decide ``new_problem``, reusing work from ``prev`` when safe.
+def solve_delta(prev, new_problem, *, options: Options | None = None,
+                **overrides) -> Result:
+    """Decide ``new_problem``, reusing solver state from ``prev`` when safe.
 
     ``prev`` is either a :class:`DeltaSession` (the amortized spelling —
     options were fixed at session construction, so passing more here is
-    an error) or a problem, which anchors a fresh throwaway session: the
-    anchor is translated but not searched, and the single delta solve
-    runs warm or falls back exactly as a session solve would.
+    an error) or a previously solved problem, which anchors a fresh
+    throwaway session: the anchor is translated but not searched, and
+    the single delta solve runs warm or falls back exactly as a session
+    solve would.  A delta-safe edit (identical problem, free-tuple
+    bounds narrowed) is answered by the anchored live solver through
+    assumptions; any other edit (structure changed, bounds widened,
+    symmetry requested) falls back to a fresh full solve.
 
     The verdict always equals a fresh ``solve(new_problem)``; see
     :mod:`repro.api.delta` for the delta-safe taxonomy and the fallback

@@ -73,25 +73,6 @@ def solve(problem, bounds=None, *, options: Options | None = None,
     return backend_for(resolved, opts).solve(resolved, opts)
 
 
-def solve_delta(prev, new_problem, *, options: Options | None = None,
-                **overrides) -> Result:
-    """Decide ``new_problem``, reusing solver state from ``prev`` when safe.
-
-    ``prev`` is a previously-solved problem or (for amortized chains) a
-    ``repro.api.DeltaSession``.  When the two problems differ only in
-    delta-safe ways (identical, or free-tuple bounds narrowed), the
-    answer comes from the anchored live solver via assumptions; any other
-    edit — structure changed, bounds widened, symmetry requested — falls
-    back to a fresh full solve.  The verdict always equals a fresh
-    ``solve(new_problem)``; ``result.detail["delta"]`` records the path
-    taken.  See :mod:`repro.api.delta` for the edit taxonomy.
-    """
-    # Imported lazily: the delta module imports this one at load time.
-    from repro.api.delta import solve_delta as _solve_delta
-
-    return _solve_delta(prev, new_problem, options=options, **overrides)
-
-
 def check(module, assertion=None, scope: Scope | None = None, *,
           options: Options | None = None, **overrides) -> Result:
     """Check an assertion: search for a counterexample.

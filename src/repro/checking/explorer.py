@@ -394,7 +394,7 @@ def explore_plain(
             if results.paths_explored >= max_paths:
                 results._truncate()
                 return False
-            _run_round(engine, order)
+            engine.step(order)
             history.append(f"round order {order}")
             finished = dfs(deeper)
             history.pop()
@@ -407,23 +407,11 @@ def explore_plain(
     return results
 
 
-def _run_round(engine: SynchronousEngine, order) -> None:
-    for agent_id in order:
-        engine.agents[agent_id].bid_phase()
-    outbox = []
-    for sender in order:
-        for receiver in engine.network.neighbors(sender):
-            outbox.append(engine.agents[sender].outgoing_message(receiver))
-    for message in outbox:
-        engine.messages_processed += 1
-        engine.agents[message.receiver].receive(message)
-
-
 def _is_quiescent(engine: SynchronousEngine) -> bool:
     """True when one more round would change nothing."""
     before = engine.global_signature()
     snapshot = engine.snapshot()
-    _run_round(engine, engine.network.agents())
+    engine.step(engine.network.agents())
     after = engine.global_signature()
     engine.restore(snapshot)
     return before == after

@@ -12,7 +12,9 @@ Mutations operate on the portable trees of :mod:`repro.api.codec` (for
 formula problems) or directly on the protocol components, and every mutant
 is validated by decoding back into a real :mod:`repro.api` problem — a
 mutation that produces an ill-formed tree is discarded, never shipped to
-an oracle.
+an oracle.  The edits both this module and the shrinker
+(:mod:`repro.fuzz.shrink`) make are defined once, below: a mutation
+draws one at random, the shrinker tries each in a fixed order.
 """
 
 from __future__ import annotations
@@ -69,6 +71,75 @@ _SWAPS = {
     "transpose": ("closure",),
     "closure": ("transpose",),
 }
+
+
+# ----------------------------------------------------------------------
+# Structural edits shared with the shrinker
+# ----------------------------------------------------------------------
+
+
+def without_part(tree: dict, path: tuple, node: dict, index: int) -> dict:
+    """``tree`` without part ``index`` of the and/or ``node`` at ``path``."""
+    parts = list(node["parts"])
+    parts.pop(index)
+    return codec.replace_at(tree, path, {"f": node["f"], "parts": parts})
+
+
+def same_arity_leaves(node: dict, bounds: dict) -> list[dict]:
+    """Each bounded relation of ``node``'s arity, then ``none`` (raises
+    :class:`CodecError` when ``node`` has no arity)."""
+    arity = codec.tree_arity(node)
+    leaves = [{"e": "rel", "name": entry["name"], "arity": arity}
+              for entry in bounds["relations"] if entry["arity"] == arity]
+    leaves.append({"e": "none", "arity": arity})
+    return leaves
+
+
+def without_last_atom(bounds: dict) -> dict:
+    """``bounds`` without the last atom and every tuple naming it."""
+    dropped = bounds["universe"][-1]
+    new_bounds = json.loads(json.dumps(bounds))
+    new_bounds["universe"] = bounds["universe"][:-1]
+    for entry in new_bounds["relations"]:
+        entry["lower"] = [t for t in entry["lower"] if dropped not in t]
+        entry["upper"] = [t for t in entry["upper"] if dropped not in t]
+    return new_bounds
+
+
+def free_tuples(bounds: dict) -> list[tuple[int, list]]:
+    """``(relation index, tuple)`` of each upper-bound tuple not in the
+    lower bound."""
+    return [(index, tup) for index, entry in enumerate(bounds["relations"])
+            for tup in entry["upper"] if tup not in entry["lower"]]
+
+
+def without_tuple(bounds: dict, index: int, tup: list) -> dict:
+    """``bounds`` without ``tup`` in relation ``index``'s upper bound."""
+    new_bounds = json.loads(json.dumps(bounds))
+    entry = new_bounds["relations"][index]
+    entry["upper"] = [t for t in entry["upper"] if t != tup]
+    return new_bounds
+
+
+def without_agent(problem: ProtocolProblem, victim) -> ProtocolProblem:
+    """``problem`` without agent ``victim``; ValueError when that
+    disconnects the network."""
+    survivors = [a for a in problem.network.agents() if a != victim]
+    edges = [e for e in problem.network.edges() if victim not in e]
+    network = AgentNetwork(edges, nodes=survivors)
+    policies = {a: p for a, p in problem.policies.items() if a != victim}
+    return ProtocolProblem(network, problem.items, policies)
+
+
+def without_item(problem: ProtocolProblem, victim) -> ProtocolProblem:
+    """``problem`` without item ``victim``."""
+    items = tuple(i for i in problem.items if i != victim)
+    return ProtocolProblem(problem.network, items, problem.policies)
+
+
+# ----------------------------------------------------------------------
+# Random mutation
+# ----------------------------------------------------------------------
 
 
 def mutate_problem(problem: Problem,
@@ -133,10 +204,8 @@ def _apply_formula_mutation(problem: FormulaProblem, name: str,
         if not candidates:
             return None
         path, node = candidates[rng.randrange(len(candidates))]
-        parts = list(node["parts"])
-        parts.pop(rng.randrange(len(parts)))
-        new_tree = codec.replace_at(
-            tree, path, {"f": node["f"], "parts": parts})
+        new_tree = without_part(tree, path, node,
+                                rng.randrange(len(node["parts"])))
 
     elif name == "negate":
         candidates = [(path, node) for path, node in codec.iter_subtrees(tree)
@@ -165,12 +234,8 @@ def _apply_formula_mutation(problem: FormulaProblem, name: str,
         if not candidates:
             return None
         path, node = candidates[rng.randrange(len(candidates))]
-        arity = codec.tree_arity(node)
-        rels = [entry for entry in bounds["relations"]
-                if entry["arity"] == arity]
-        leaf = ({"e": "rel", "name": rels[0]["name"], "arity": arity}
-                if rels else {"e": "none", "arity": arity})
-        new_tree = codec.replace_at(tree, path, leaf)
+        new_tree = codec.replace_at(
+            tree, path, same_arity_leaves(node, bounds)[0])
 
     elif name == "replace_formula_with_const":
         candidates = [(path, node) for path, node in codec.iter_subtrees(tree)
@@ -180,31 +245,22 @@ def _apply_formula_mutation(problem: FormulaProblem, name: str,
         new_tree = codec.replace_at(tree, path, const)
 
     elif name in ("drop_free_tuple", "promote_lower_tuple"):
-        free = [
-            (index, tup) for index, entry in enumerate(bounds["relations"])
-            for tup in entry["upper"] if tup not in entry["lower"]
-        ]
+        free = free_tuples(bounds)
         if not free:
             return None
         index, tup = free[rng.randrange(len(free))]
-        bounds = json.loads(json.dumps(bounds))
-        entry = bounds["relations"][index]
         if name == "drop_free_tuple":
-            entry["upper"] = [t for t in entry["upper"] if t != tup]
+            bounds = without_tuple(bounds, index, tup)
         else:
+            bounds = json.loads(json.dumps(bounds))
+            entry = bounds["relations"][index]
             entry["lower"] = sorted(entry["lower"] + [tup])
         new_tree = tree
 
     elif name == "drop_atom":
-        atoms = bounds["universe"]
-        if len(atoms) < 2:
+        if len(bounds["universe"]) < 2:
             return None
-        dropped = atoms[-1]
-        bounds = json.loads(json.dumps(bounds))
-        bounds["universe"] = atoms[:-1]
-        for entry in bounds["relations"]:
-            entry["lower"] = [t for t in entry["lower"] if dropped not in t]
-            entry["upper"] = [t for t in entry["upper"] if dropped not in t]
+        bounds = without_last_atom(bounds)
         new_tree = tree
 
     else:  # pragma: no cover - guarded by FORMULA_MUTATIONS
@@ -227,21 +283,15 @@ def _apply_protocol_mutation(problem: ProtocolProblem, name: str,
     if name == "drop_agent":
         if len(agents) <= 2:
             return None
-        victim = agents[rng.randrange(len(agents))]
-        survivors = [a for a in agents if a != victim]
-        edges = [e for e in problem.network.edges() if victim not in e]
-        # AgentNetwork validates connectivity; a disconnecting drop raises
-        # and the caller retries with another mutation.
-        network = AgentNetwork(edges, nodes=survivors)
-        policies = {a: p for a, p in problem.policies.items() if a != victim}
-        return ProtocolProblem(network, problem.items, policies)
+        # A disconnecting drop raises ValueError, and the caller retries
+        # with another mutation.
+        return without_agent(problem, agents[rng.randrange(len(agents))])
 
     if name == "drop_item":
         if not problem.items:
             return None
-        victim = problem.items[rng.randrange(len(problem.items))]
-        items = tuple(i for i in problem.items if i != victim)
-        return ProtocolProblem(problem.network, items, problem.policies)
+        return without_item(
+            problem, problem.items[rng.randrange(len(problem.items))])
 
     if name == "lower_target":
         candidates = [a for a in agents if problem.policies[a].target > 1]

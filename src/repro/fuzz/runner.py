@@ -93,6 +93,13 @@ _EXPLORER_ITEM_CAP = 2
 _GENERATION_SIZE = 12
 """Oracle checks per generation (shard-independent; see run_fuzz)."""
 
+_MUTATION_RATE = 0.5
+"""Chance that a new input mutates a corpus member instead of being
+freshly generated (once the corpus is non-empty)."""
+
+_MAX_SHRINK_CHECKS = 150
+"""Failure-predicate checks the shrinker may spend per failure."""
+
 
 # ----------------------------------------------------------------------
 # The oracles the fuzz loop runs
@@ -402,8 +409,7 @@ def _exception_head(trace: str) -> str:
 
 
 def _shrink_failure(row: FuzzCheck, task: dict,
-                    inject: str | None,
-                    max_checks: int) -> tuple[ShrinkResult, Problem]:
+                    inject: str | None) -> tuple[ShrinkResult, Problem]:
     """Build the failure predicate for a row and run the shrinker."""
     problem = _task_problem(task)
     oracle = task["oracle"]
@@ -425,7 +431,8 @@ def _shrink_failure(row: FuzzCheck, task: dict,
                                       fault=inject).agree
             except Exception:
                 return False
-    return shrink(problem, still_fails, max_checks=max_checks), problem
+    return (shrink(problem, still_fails, max_checks=_MAX_SHRINK_CHECKS),
+            problem)
 
 
 def _safe_name(label: str) -> str:
@@ -466,8 +473,6 @@ def run_fuzz(
     cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
     artifacts_dir: str | Path | None = None,
     inject: str | None = None,
-    mutation_rate: float = 0.5,
-    max_shrink_checks: int = 150,
     progress: Callable[[FuzzCheck], None] | None = None,
 ) -> FuzzReport:
     """Run a coverage-guided differential fuzz sweep of ``budget`` checks.
@@ -511,7 +516,7 @@ def run_fuzz(
         while len(tasks) < gen_target and attempts < gen_target * 4:
             attempts += 1
             problem: Problem | None = None
-            if corpus and rng.random() < mutation_rate:
+            if corpus and rng.random() < _MUTATION_RATE:
                 parent = corpus[rng.randrange(len(corpus))]
                 try:
                     parent_problem = _task_problem({"payload": parent["payload"]})
@@ -604,8 +609,7 @@ def run_fuzz(
             if not row.ok:
                 failures.append((row, task))
 
-    disagreements = _shrink_and_emit(
-        failures, inject, max_shrink_checks, artifacts_dir, seed)
+    disagreements = _shrink_and_emit(failures, inject, artifacts_dir, seed)
     return FuzzReport(
         checks=rows,
         disagreements=disagreements,
@@ -622,7 +626,7 @@ def run_fuzz(
 
 
 def _shrink_and_emit(failures: list[tuple[FuzzCheck, dict]],
-                     inject: str | None, max_shrink_checks: int,
+                     inject: str | None,
                      artifacts_dir: str | Path | None,
                      seed: int) -> list[Disagreement]:
     disagreements: list[Disagreement] = []
@@ -649,7 +653,7 @@ def _shrink_and_emit(failures: list[tuple[FuzzCheck, dict]],
         # unique (two mutants of one parent can share a mutation name).
         artifact_stem = _safe_name(f"{row.label}-{row.oracle}-{key[:8]}")
         try:
-            result, _ = _shrink_failure(row, task, inject, max_shrink_checks)
+            result, _ = _shrink_failure(row, task, inject)
             shrunk_payload = codec.problem_to_json(result.problem)
         except Exception:
             # Shrinking itself failed: report the unshrunk input at its

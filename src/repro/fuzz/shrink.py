@@ -29,7 +29,15 @@ from repro.api.problems import (
 )
 from repro.fuzz import codec
 from repro.fuzz.codec import CodecError
-from repro.mca.network import AgentNetwork
+from repro.fuzz.mutators import (
+    free_tuples,
+    same_arity_leaves,
+    without_agent,
+    without_item,
+    without_last_atom,
+    without_part,
+    without_tuple,
+)
 
 DEFAULT_MAX_CHECKS = 400
 
@@ -134,12 +142,9 @@ def shrink(problem: Problem, still_fails: Callable[[Problem], bool], *,
 # ----------------------------------------------------------------------
 # Candidate generation (deterministic order, most aggressive first).
 #
-# These reductions intentionally mirror the structural edits in
-# repro.fuzz.mutators, but with a different contract: the mutator draws
-# ONE random edit, the shrinker enumerates EVERY edit in a fixed,
-# aggressiveness-ordered sequence.  When changing an edit's semantics
-# (leaf-replacement arity rules, agent-drop connectivity handling),
-# update both modules.
+# The structural edits come from repro.fuzz.mutators: the mutator draws
+# ONE at random, the shrinker enumerates EVERY one in a fixed,
+# aggressiveness-ordered sequence.
 # ----------------------------------------------------------------------
 
 
@@ -186,11 +191,8 @@ def _formula_candidates(problem: FormulaProblem
     for path, node in subtrees:
         if node.get("f") in ("and", "or") and len(node["parts"]) >= 2:
             for index in range(len(node["parts"])):
-                parts = list(node["parts"])
-                parts.pop(index)
-                new_tree = codec.replace_at(
-                    tree, path, {"f": node["f"], "parts": parts})
-                yield from emit("drop-part", new_tree, bounds)
+                yield from emit("drop-part",
+                                without_part(tree, path, node, index), bounds)
 
     # 4. Replace subformulas with constants.
     for path, node in subtrees:
@@ -210,13 +212,9 @@ def _formula_candidates(problem: FormulaProblem
         if "e" in node and node["e"] not in ("rel", "var", "univ", "iden",
                                              "none"):
             try:
-                arity = codec.tree_arity(node)
+                leaves = same_arity_leaves(node, bounds)
             except CodecError:
                 continue
-            leaves = [{"e": "rel", "name": entry["name"], "arity": arity}
-                      for entry in bounds["relations"]
-                      if entry["arity"] == arity]
-            leaves.append({"e": "none", "arity": arity})
             for leaf in leaves[:2]:
                 new_tree = codec.replace_at(tree, path, leaf)
                 yield from emit("expr->leaf", new_tree, bounds)
@@ -235,23 +233,11 @@ def _formula_candidates(problem: FormulaProblem
 
     # 8. Drop the last atom of the universe.
     if len(bounds["universe"]) >= 2:
-        dropped = bounds["universe"][-1]
-        new_bounds = json.loads(json.dumps(bounds))
-        new_bounds["universe"] = bounds["universe"][:-1]
-        for entry in new_bounds["relations"]:
-            entry["lower"] = [t for t in entry["lower"] if dropped not in t]
-            entry["upper"] = [t for t in entry["upper"] if dropped not in t]
-        yield from emit("drop-atom", tree, new_bounds)
+        yield from emit("drop-atom", tree, without_last_atom(bounds))
 
     # 9. Drop individual free tuples from upper bounds.
-    for index, entry in enumerate(bounds["relations"]):
-        for tup in entry["upper"]:
-            if tup in entry["lower"]:
-                continue
-            new_bounds = json.loads(json.dumps(bounds))
-            new_entry = new_bounds["relations"][index]
-            new_entry["upper"] = [t for t in new_entry["upper"] if t != tup]
-            yield from emit("drop-tuple", tree, new_bounds)
+    for index, tup in free_tuples(bounds):
+        yield from emit("drop-tuple", tree, without_tuple(bounds, index, tup))
 
 
 def _protocol_candidates(problem: ProtocolProblem
@@ -261,19 +247,12 @@ def _protocol_candidates(problem: ProtocolProblem
     # 1. Drop each agent (skip candidates that disconnect the network).
     if len(agents) > 1:
         for victim in agents:
-            survivors = [a for a in agents if a != victim]
-            edges = [e for e in problem.network.edges() if victim not in e]
             try:
-                network = AgentNetwork(edges, nodes=survivors)
-                policies = {a: p for a, p in problem.policies.items()
-                            if a != victim}
-                yield "drop-agent", ProtocolProblem(
-                    network, problem.items, policies)
+                candidate = without_agent(problem, victim)
             except ValueError:
                 continue
+            yield "drop-agent", candidate
 
     # 2. Drop each item.
     for victim in problem.items:
-        items = tuple(i for i in problem.items if i != victim)
-        yield "drop-item", ProtocolProblem(
-            problem.network, items, problem.policies)
+        yield "drop-item", without_item(problem, victim)

@@ -27,14 +27,13 @@ from repro.mca.policies import AgentPolicy
 class EngineSnapshot:
     """Capture of an engine's complete state (one snapshot per agent).
 
-    Built by ``SynchronousEngine.snapshot`` / ``AsynchronousEngine.snapshot``
-    and applied by their ``restore``; the explorer uses these instead of
-    ``copy.deepcopy`` to branch over schedules in O(agents * items).
+    Built by :meth:`SynchronousEngine.snapshot` and applied by its
+    ``restore``; the explorer uses these instead of ``copy.deepcopy`` to
+    branch over schedules in O(agents * items).
     """
 
     agents: tuple[tuple[AgentId, AgentSnapshot], ...]
     messages_processed: int
-    buffer: tuple[BidMessage, ...] = ()
 
 
 class Outcome(enum.Enum):
@@ -138,27 +137,33 @@ class SynchronousEngine:
             allocation=self._allocation(),
         )
 
+    def step(self, order) -> bool:
+        """Run one round with the agents activated in ``order``.
+
+        Every agent bids, every message is built, then every message is
+        delivered (a simultaneous exchange), each in activation order.
+        Returns True when any bid or delivery changed something; every
+        delivery counts in ``messages_processed``.
+        """
+        changed = False
+        for agent_id in order:
+            changed = self.agents[agent_id].bid_phase() or changed
+        outbox = [self.agents[sender].outgoing_message(receiver)
+                  for sender in order
+                  for receiver in self.network.neighbors(sender)]
+        for message in outbox:
+            self.messages_processed += 1
+            changed = self.agents[message.receiver].receive(message) or changed
+        return changed
+
     def run(self, max_rounds: int = 100) -> RunResult:
         """Run until convergence, oscillation, or ``max_rounds``."""
         trace: list[RoundRecord] = []
         seen: dict[tuple, int] = {}
         for round_index in range(max_rounds):
-            any_bid = False
-            for agent_id in self.network.agents():
-                if self.agents[agent_id].bid_phase():
-                    any_bid = True
-            # Simultaneous exchange: snapshot all messages, then deliver.
-            outbox: list[BidMessage] = []
-            for sender in self.network.agents():
-                for receiver in self.network.neighbors(sender):
-                    outbox.append(self.agents[sender].outgoing_message(receiver))
-            any_change = False
-            for message in outbox:
-                self.messages_processed += 1
-                if self.agents[message.receiver].receive(message):
-                    any_change = True
+            changed = self.step(self.network.agents())
             trace.append(self._record(round_index))
-            if not any_bid and not any_change:
+            if not changed:
                 return RunResult(
                     outcome=Outcome.CONVERGED,
                     rounds=round_index + 1,
@@ -212,23 +217,6 @@ class AsynchronousEngine:
     def _broadcast(self, sender: AgentId) -> None:
         for receiver in self.network.neighbors(sender):
             self.buffer.append(self.agents[sender].outgoing_message(receiver))
-
-    def snapshot(self) -> EngineSnapshot:
-        """Capture agent states and the pending message buffer."""
-        return EngineSnapshot(
-            agents=tuple(
-                (a, self.agents[a].snapshot()) for a in self.network.agents()
-            ),
-            messages_processed=self.messages_processed,
-            buffer=tuple(self.buffer),
-        )
-
-    def restore(self, snapshot: EngineSnapshot) -> None:
-        """Reset agents and the message buffer to a captured snapshot."""
-        for agent_id, agent_snapshot in snapshot.agents:
-            self.agents[agent_id].restore(agent_snapshot)
-        self.messages_processed = snapshot.messages_processed
-        self.buffer = list(snapshot.buffer)
 
     def _signature(self) -> tuple:
         views = tuple(

@@ -16,10 +16,13 @@ Layers (stdlib only — ``http.server``, ``threading``, ``json``):
 * :mod:`repro.service.queue` — the append-only journal + atomic state
   transitions (pending → running → done/error), crash-safe recovery,
   stall-kill requeue with a retry cap;
-* :mod:`repro.service.workers` — the worker pool: cache-first completion,
-  ``delta_of`` jobs routed through the warm
-  :class:`~repro.api.DeltaSession` path, everything else fanned out over
-  a persistent :func:`~repro.jobs.map_jobs` pool;
+* :mod:`repro.service.workers` — the job lifecycle and the hub's worker
+  pool: ``WorkerPool.claim`` leases jobs (cache hits complete inline),
+  ``solve_job`` decodes and solves a journaled job, and
+  ``WorkerPool.settle`` caches a result before marking its job done;
+  ``delta_of`` jobs run on the warm :class:`~repro.api.DeltaSession`
+  path, everything else fans out over a persistent
+  :func:`~repro.jobs.map_jobs` pool;
 * :mod:`repro.service.app` — the HTTP layer (`/v1/jobs`, `/v1/results`,
   `/v1/healthz`, `/v1/metrics`) with token-auth and per-client
   token-bucket rate-limit stubs;
@@ -27,9 +30,9 @@ Layers (stdlib only — ``http.server``, ``threading``, ``json``):
   the benchmark, the satellites and the CI smoke job;
 * :mod:`repro.service.satellite` — the remote half of the execution
   fabric: pull-based satellite workers that lease journal entries over
-  HTTP (``POST /v1/claims``), solve through the same ``_solve_worker``
-  the in-process pool uses, and post ``result_to_json`` payloads the hub
-  writes into the shared cache.  Leases carry expiry deadlines; a
+  HTTP (``POST /v1/claims``), solve through the same ``solve_job`` the
+  hub's pool runs, and post ``result_to_json`` payloads the hub settles
+  exactly as it settles its own.  Leases carry expiry deadlines; a
   satellite that dies mid-lease is swept by the hub and its jobs are
   requeued through the usual attempt-cap machinery.
 

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rate-limit bucket capacity per client")
     parser.add_argument("--max-attempts", type=int, default=3,
                         help="attempts before a stalling job is parked")
-    parser.add_argument("--batch-limit", type=int, default=16,
-                        help="jobs claimed per dispatch round")
     parser.add_argument("--task-timeout", type=float, default=120.0,
                         help="pool stall bound in seconds")
     parser.add_argument("--no-local-dispatch", action="store_true",
@@ -113,7 +111,6 @@ def main(argv=None) -> int:
         rate_limit=args.rate_limit,
         burst=args.burst,
         max_attempts=args.max_attempts,
-        batch_limit=args.batch_limit,
         task_timeout=args.task_timeout,
         local_dispatch=not args.no_local_dispatch,
     ))

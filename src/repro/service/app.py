@@ -11,11 +11,13 @@
 ``GET /v1/results/<fp>``            every finished result for one
                                     problem fingerprint (any options)
 ``POST /v1/claims``                 lease up to N pending jobs to a
-                                    remote satellite worker (cache hits
-                                    complete inline; ``delta_of`` jobs
-                                    stay local)
+                                    remote satellite worker
+                                    (:meth:`WorkerPool.claim`: cache
+                                    hits complete inline; ``delta_of``
+                                    jobs stay local)
 ``POST /v1/jobs/<id>/result``       complete or fail a leased job with
-                                    a ``result_to_json`` payload (400
+                                    a ``result_to_json`` payload
+                                    (:meth:`WorkerPool.settle`; 400
                                     if it does not decode or an
                                     instance it carries is not a model
                                     of the job's goal, 409 on a lapsed
@@ -61,7 +63,6 @@ from repro.kodkod.instance import Instance
 from repro.service.queue import (
     DONE,
     LOCAL_WORKER,
-    RUNNING,
     JobQueue,
     JobRecord,
     LeaseError,
@@ -102,7 +103,6 @@ class ServiceConfig:
     """0 binds an ephemeral port; read it back from ``service.port``."""
     workers: int = 2
     max_attempts: int = 3
-    batch_limit: int = 16
     task_timeout: float = 120.0
     token: str | None = None
     """Bearer token required on every endpoint but healthz (None = open)."""
@@ -199,8 +199,7 @@ class VerificationService:
             self.queue, self.cache,
             workers=config.workers,
             task_timeout=config.task_timeout,
-            batch_limit=config.batch_limit,
-            claim_jobs=config.local_dispatch,
+            local_dispatch=config.local_dispatch,
         )
         self._buckets: dict[str, _TokenBucket] = {}
         self._buckets_lock = threading.Lock()
@@ -264,10 +263,10 @@ class VerificationService:
     def claim_jobs(self, payload) -> dict:
         """Lease up to N pending jobs to a remote satellite.
 
-        Jobs whose ``cache_key`` already has a cached result are
-        completed inline instead of shipped — a satellite never
-        burns a solve the cache can answer.  ``delta_of`` jobs stay
-        local: their whole point is the hub's warm session LRU.
+        Validates the request, then claims through the same
+        :meth:`WorkerPool.claim` the hub's dispatcher uses: jobs the
+        cache can answer complete inline instead of shipping, and
+        ``delta_of`` jobs stay local.
         """
         if not isinstance(payload, dict):
             raise SchemaError("claim body must be a JSON object")
@@ -291,30 +290,19 @@ class VerificationService:
                 f"lease_seconds must be a number in {MIN_LEASE_SECONDS}.."
                 f"{MAX_LEASE_SECONDS}, got {lease_seconds!r}")
         claims = []
-        while len(claims) < limit:
-            batch = self.queue.claim(
-                limit - len(claims), worker=worker,
-                lease_seconds=float(lease_seconds), skip_delta=True)
-            if not batch:
-                break
-            for record in batch:
-                if self.cache.get(record.cache_key) is not None:
-                    self.queue.complete(record.id, lease=record.lease)
-                    self.pool.metrics.count("cache_hits")
-                    self.pool.metrics.observe_done(
-                        time.time() - record.submitted_at)
-                    continue
-                self.pool.metrics.count("satellite_claims")
-                claims.append({
-                    "id": record.id,
-                    "lease": record.lease,
-                    "deadline": record.lease_deadline,
-                    "attempts": record.attempts,
-                    "kind": record.kind,
-                    "label": record.label,
-                    "cache_key": record.cache_key,
-                    "payload": record.payload,
-                })
+        for record in self.pool.claim(limit, worker=worker,
+                                      lease_seconds=float(lease_seconds)):
+            self.pool.metrics.count("satellite_claims")
+            claims.append({
+                "id": record.id,
+                "lease": record.lease,
+                "deadline": record.lease_deadline,
+                "attempts": record.attempts,
+                "kind": record.kind,
+                "label": record.label,
+                "cache_key": record.cache_key,
+                "payload": record.payload,
+            })
         return {"schema": SERVICE_SCHEMA, "worker": worker,
                 "claims": claims}
 
@@ -322,20 +310,18 @@ class VerificationService:
         """Accept a leased job's result from a satellite.
 
         The result must decode through :func:`result_from_json`, with an
-        ``error`` set exactly when the verdict is ``error`` (400
-        otherwise).  A non-error result is written to the
-        shared cache only while the job is running under the posted
-        lease, only after its instances pass the hub's check (400
-        otherwise, leaving the lease to lapse;
-        :func:`_check_posted_instances`), and *before* the job is marked
-        done (the same done-implies-result-on-disk invariant the local
-        pool keeps): a failed cache write fails the job retryably and
-        raises :class:`CacheWriteError` (503).  An error result parks or
-        requeues the job through the usual machinery.  A post whose
-        lease lapsed raises
-        :class:`LeaseError` (409) and caches nothing — unless the job
-        already finished, in which case the duplicate is acknowledged
-        idempotently.
+        ``error`` set exactly when the verdict is ``error``, and a
+        non-error result's instances must pass the hub's check
+        (:func:`_check_posted_instances`); otherwise the post gets 400
+        and nothing changes, leaving the lease to lapse.  The job then
+        ends through :meth:`WorkerPool.settle`, the one way a leased
+        job ends for the hub's own pool too: a non-error result is
+        cached before the job is marked done, and a failed cache write
+        fails the job retryably and raises :class:`CacheWriteError`
+        (503); an error result parks or requeues the job.  A post whose
+        lease lapsed raises :class:`LeaseError` (409) and caches
+        nothing — unless the job already finished, in which case the
+        duplicate is acknowledged idempotently.
         """
         if not isinstance(payload, dict):
             raise SchemaError("result body must be a JSON object")
@@ -352,36 +338,20 @@ class VerificationService:
             raise SchemaError(
                 f"'result' is not a result_to_json payload: {exc!r}"
             ) from None
-        error = decoded.error
-        if (decoded.verdict is Verdict.ERROR) != (error is not None):
+        solved = decoded.error is None
+        if (decoded.verdict is Verdict.ERROR) == solved:
             raise SchemaError(
                 "'result' must set 'error' exactly when its verdict is "
                 "'error'")
-        retryable = bool(payload.get("retryable", False))
         record = self.queue.get(job_id)
         if record is None:
             raise QueueError(f"unknown job {job_id!r}")
-        unstored = False
-        if (error is None and record.state == RUNNING
-                and record.lease == lease):
-            # Errors are never cached, nor is a post whose lease lapsed;
-            # a good verdict is checked, then durably cached before the
-            # journal can say done.  A failed write fails it retryably.
+        if solved:
             _check_posted_instances(record, decoded)
-            if not self.cache.put(record.cache_key, result):
-                unstored = True
-                error, retryable = CACHE_WRITE_FAILED, True
         try:
-            if error is None:
-                record = self.queue.complete(job_id, lease=lease)
-                self.pool.metrics.count("satellite_results")
-                self.pool.metrics.observe_done(
-                    time.time() - record.submitted_at)
-            else:
-                record = self.queue.fail(job_id, str(error),
-                                         retryable=retryable, lease=lease)
-                self.pool.metrics.count("satellite_results")
-                self.pool.metrics.count_failure(record)
+            record = self.pool.settle(
+                record, result, lease=lease,
+                retryable=bool(payload.get("retryable", False)))
         except QueueError:
             record = self.queue.get(job_id)
             if record is not None and record.state == DONE:
@@ -389,7 +359,9 @@ class VerificationService:
                 # re-solved it); same content address, same result.
                 return {**self.job_body(record), "duplicate": True}
             raise
-        if unstored:
+        self.pool.metrics.count("satellite_results")
+        if solved and record.state != DONE:
+            # settle failed the job retryably: its result is not on disk.
             raise CacheWriteError(
                 f"{CACHE_WRITE_FAILED} for job {job_id!r}; the job is "
                 f"now {record.state}")

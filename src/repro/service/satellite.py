@@ -1,18 +1,21 @@
 """The satellite side of the execution fabric: a pull-based remote worker.
 
 A satellite is a process (often on another machine) that needs nothing
-but HTTP reachability to the hub:
+but HTTP reachability to the hub.  It runs the same job lifecycle as
+the hub's own pool (:mod:`repro.service.workers`), with HTTP between
+the steps:
 
-* it **claims** batches of pending jobs over ``POST /v1/claims`` — each
-  claim is a lease with an expiry deadline, journaled by the hub;
-* it **solves** each claimed payload through the exact
-  :func:`~repro.api.batch._solve_worker` the in-process pool and
-  ``solve_many`` use, so a verdict is byte-identical no matter where it
-  was computed;
+* it **claims** batches of pending jobs over ``POST /v1/claims`` — the
+  hub leases them through :meth:`~repro.service.workers.WorkerPool.claim`,
+  each with an expiry deadline, journaled by the hub;
+* it **solves** each claimed payload with the exact
+  :func:`~repro.service.workers.solve_job` the hub's pool runs, so a
+  verdict is byte-identical no matter where it was computed;
 * it **posts** the ``result_to_json`` payload back over
-  ``POST /v1/jobs/<id>/result`` — the hub writes it into the shared
-  :class:`~repro.jobs.ResultCache` under the job's
-  ``cache_key`` before marking the job done;
+  ``POST /v1/jobs/<id>/result`` — the hub checks it and ends the job
+  through :meth:`~repro.service.workers.WorkerPool.settle`, which
+  writes it into the shared :class:`~repro.jobs.ResultCache` under the
+  job's ``cache_key`` before marking the job done;
 * a background thread **heartbeats** every held lease so a healthy
   satellite never lapses mid-solve.
 
@@ -24,9 +27,9 @@ worker picks them up.  A slow satellite that posts after its lease
 lapsed gets a ``409`` and moves on — the job was already someone
 else's; a post the hub refuses otherwise (``400``, ``503``) is counted
 as an error and the rest of the claim batch is still solved.  Errors
-stay non-retryable on this path: ``_solve_worker`` converts solver
-exceptions into error payloads deterministically, and a deterministic
-crash will not pass on another machine either.
+stay non-retryable on this path: ``solve_job`` converts decode and
+solver exceptions into error payloads deterministically, and a
+deterministic crash will not pass on another machine either.
 
 Run one with ``python -m repro.service --satellite http://hub:8765``.
 """
@@ -40,9 +43,8 @@ import urllib.error
 import uuid
 from dataclasses import dataclass, field
 
-from repro.api.batch import _solve_worker
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.schema import SchemaError, decode_options, decode_problem
+from repro.service.workers import solve_job
 
 DEFAULT_CLAIM_LIMIT = 2
 DEFAULT_LEASE_SECONDS = 30.0
@@ -98,7 +100,6 @@ class SatelliteWorker:
                  claim_limit: int = DEFAULT_CLAIM_LIMIT,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
-                 heartbeat_interval: float | None = None,
                  client: ServiceClient | None = None) -> None:
         if claim_limit < 1:
             raise ValueError("claim_limit must be >= 1")
@@ -109,9 +110,7 @@ class SatelliteWorker:
         self.claim_limit = claim_limit
         self.lease_seconds = lease_seconds
         self.poll_interval = poll_interval
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None
-            else max(0.05, lease_seconds / 3.0))
+        self.heartbeat_interval = max(0.05, lease_seconds / 3.0)
         self.stats = SatelliteStats()
         self._held: dict[str, str] = {}  # lease id -> job id
         self._held_lock = threading.Lock()
@@ -171,25 +170,12 @@ class SatelliteWorker:
                 with self._held_lock:
                     if claim["lease"] not in self._held:
                         continue  # the heartbeat thread saw it lapse
-                result = self._solve_claim(claim)
-                self._post(claim, result)
+                self._post(claim, solve_job(claim["payload"]))
         finally:
             with self._held_lock:
                 for claim in claims:
                     self._held.pop(claim["lease"], None)
         return len(claims)
-
-    def _solve_claim(self, claim: dict) -> dict:
-        """Solve one claimed payload; never raises (error payloads)."""
-        payload = claim.get("payload") or {}
-        try:
-            problem = decode_problem(payload.get("problem"))
-            options = decode_options(payload.get("options"),
-                                     journaled=True)
-        except SchemaError as exc:
-            return {"verdict": "error", "seconds": 0.0,
-                    "error": f"satellite could not decode job: {exc}"}
-        return _solve_worker(problem, options)
 
     def _post(self, claim: dict, result: dict) -> None:
         try:

@@ -1,29 +1,38 @@
-"""The async worker pool: drains the queue through the shared job pool.
+"""The job lifecycle and the hub's own worker pool.
 
-One dispatcher thread claims batches of pending jobs and completes them
-by the cheapest route available:
+Every job ends up solved by one of two fleets, the hub's process pool
+or a remote satellite (:mod:`repro.service.satellite`), and both go
+through the same three calls:
 
-* **cache hit** — the job's ``cache_key`` is already in the shared
-  :class:`~repro.jobs.ResultCache`: the job completes without
-  solving anything (errors are never cached, so a hit is always a real
-  verdict);
+* :meth:`WorkerPool.claim` leases jobs that need a solve.  A leased job
+  whose ``cache_key`` is already in the shared
+  :class:`~repro.jobs.ResultCache` completes at once, under its lease,
+  without solving anything (errors are never cached, so a hit is always
+  a real verdict); ``delta_of`` jobs lease only to the hub itself.
+* :func:`solve_job` decodes a journaled job and solves it through
+  :func:`~repro.api.batch._solve_worker`, in one of the pool's
+  processes or in a satellite; it never raises.
+* :meth:`WorkerPool.settle` ends a leased job with its result: a solved
+  result is written into the cache *before* the job is marked done —
+  with ``durable=True`` the write is fsynced, so a job the journal says
+  is done always has its result on disk.  A failed write fails the job
+  retryably instead (:data:`CACHE_WRITE_FAILED`): it costs an attempt,
+  and the job is requeued or, at the attempt cap, parked.
+
+One dispatcher thread sweeps lapsed satellite leases and, unless the
+hub only coordinates, claims batches for the hub itself:
+
 * **delta job** — a ``delta_of`` submission is answered in-process
   through :class:`repro.api.DeltaSession`: sessions are anchored on the
   referenced job's problem and kept in a small LRU so a stream of edits
   against one anchor reuses a live solver (``detail["delta"]`` records
   which path answered);
-* **miss** — everything else fans out over a *persistent*
-  :class:`~concurrent.futures.ProcessPoolExecutor` lent to
-  :func:`~repro.jobs.map_jobs`, reusing the batch path's
-  stall-kill semantics: a wedged pool is killed, the affected jobs are
-  requeued (up to the queue's retry cap), and the pool is rebuilt for
-  the next batch.
-
-Solved results are written into the cache *before* the job is marked
-done — with ``durable=True`` the cache write is fsynced, so a job the
-journal says is done always has its result on disk.  A failed write
-fails the job retryably instead (:data:`CACHE_WRITE_FAILED`): it costs
-an attempt, and the job is requeued or, at the attempt cap, parked.
+* **everything else** fans out, as journaled payloads, over a
+  *persistent* :class:`~concurrent.futures.ProcessPoolExecutor` lent to
+  :func:`~repro.jobs.map_jobs`, reusing the batch path's stall-kill
+  semantics: a wedged pool is killed, the affected jobs are requeued
+  (up to the queue's retry cap), and the pool is rebuilt for the next
+  batch.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from repro.api.batch import DEFAULT_TASK_TIMEOUT, _solve_worker
 from repro.api.delta import DeltaSession
 from repro.api.options import Options
 from repro.jobs import ResultCache, map_jobs
-from repro.service.queue import JobQueue, JobRecord
+from repro.service.queue import LOCAL_WORKER, RUNNING, JobQueue, JobRecord
 from repro.service.schema import decode_options, decode_problem
 
 _LATENCY_BUCKETS = tuple(0.001 * 2 ** i for i in range(18))
@@ -47,9 +56,35 @@ _LATENCY_BUCKETS = tuple(0.001 * 2 ** i for i in range(18))
 _SESSION_CAP = 8
 """Live DeltaSessions kept warm (LRU) — each holds a solver."""
 
+BATCH_LIMIT = 16
+"""Jobs the dispatcher claims per round."""
+
+POLL_INTERVAL = 0.05
+"""Seconds the dispatcher waits for a wake-up before its next round."""
+
 CACHE_WRITE_FAILED = "result cache write failed"
 """The retryable failure of a job whose solved result could not be
 cached: the job is requeued, or parked at the attempt cap."""
+
+
+def solve_job(payload: dict) -> dict:
+    """Solve one journaled job payload; always returns a result dict.
+
+    Module-level (picklable): the hub's pool and every satellite run it.
+    The options are read back as journaled (:data:`RETIRED_OPTIONS
+    <repro.service.schema.RETIRED_OPTIONS>` dropped), the problem tree
+    through the one decoding gate, and the solve through
+    :func:`~repro.api.batch._solve_worker`.  A payload that does not
+    decode is an error result, never an exception; it fails the same
+    way everywhere, so the job is parked, not retried.
+    """
+    try:
+        options = decode_options(payload.get("options"), journaled=True)
+        problem = decode_problem(payload.get("problem"))
+    except Exception as exc:
+        return {"verdict": "error", "seconds": 0.0,
+                "error": f"could not decode job: {exc}"}
+    return _solve_worker(problem, options)
 
 
 class ServiceMetrics:
@@ -132,23 +167,20 @@ class ServiceMetrics:
 
 
 class WorkerPool:
-    """The dispatcher thread + persistent solve pool over one queue."""
+    """The job lifecycle (claim, settle) plus the hub's dispatcher
+    thread and persistent solve pool over one queue."""
 
     def __init__(self, queue: JobQueue, cache: ResultCache, *,
                  workers: int = 2,
                  task_timeout: float = DEFAULT_TASK_TIMEOUT,
-                 batch_limit: int = 16,
-                 poll_interval: float = 0.05,
-                 claim_jobs: bool = True) -> None:
+                 local_dispatch: bool = True) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.queue = queue
         self.cache = cache
         self.workers = workers
         self.task_timeout = task_timeout
-        self.batch_limit = max(1, batch_limit)
-        self.poll_interval = poll_interval
-        self.claim_jobs = claim_jobs
+        self.local_dispatch = local_dispatch
         """False runs the hub as a pure coordinator: the dispatcher
         thread still sweeps expired leases, but never claims work itself
         — every job is solved by remote satellites."""
@@ -196,19 +228,82 @@ class WorkerPool:
         return self.queue.unfinished() == 0
 
     # ------------------------------------------------------------------
+    # the job lifecycle, for the local pool and satellites alike
+    # ------------------------------------------------------------------
+
+    def claim(self, limit: int, *, worker: str = LOCAL_WORKER,
+              lease_seconds: float | None = None) -> list[JobRecord]:
+        """Lease to ``worker`` up to ``limit`` jobs that need a solve.
+
+        A leased job whose ``cache_key`` already has a result completes
+        at once under its lease and is not returned, so a worker never
+        burns a solve the cache can answer.  ``delta_of`` jobs lease
+        only to the hub's own dispatcher: their whole point is its warm
+        session LRU.
+        """
+        claimed: list[JobRecord] = []
+        while len(claimed) < limit:
+            batch = self.queue.claim(
+                limit - len(claimed), worker=worker,
+                lease_seconds=lease_seconds,
+                skip_delta=worker != LOCAL_WORKER)
+            if not batch:
+                break
+            for record in batch:
+                if self.cache.get(record.cache_key) is None:
+                    claimed.append(record)
+                    continue
+                self.queue.complete(record.id, lease=record.lease)
+                self.metrics.count("cache_hits")
+                self.metrics.observe_done(time.time() - record.submitted_at)
+        return claimed
+
+    def settle(self, record: JobRecord, payload: dict, *, lease: str,
+               retryable: bool = False) -> JobRecord:
+        """End a leased job with its ``result_to_json`` payload.
+
+        A result without ``error`` is durably cached under the job's
+        ``cache_key``, but only while ``lease`` still holds the job, and
+        the job is then completed under that lease; a failed cache write
+        fails the job retryably (:data:`CACHE_WRITE_FAILED`) instead.  An
+        error result fails the job: requeued when ``retryable`` and under
+        the attempt cap, parked otherwise.  Returns the job's record
+        after the transition.  When ``lease`` no longer holds the job,
+        nothing is cached and the queue's
+        :class:`~repro.service.queue.QueueError` (a
+        :class:`~repro.service.queue.LeaseError` for a lapsed lease)
+        propagates.
+        """
+        error = payload.get("error")
+        if error is None:
+            current = self.queue.get(record.id)
+            held = (current is not None and current.state == RUNNING
+                    and current.lease == lease)
+            if held and not self.cache.put(record.cache_key, payload):
+                error, retryable = CACHE_WRITE_FAILED, True
+        if error is None:
+            done = self.queue.complete(record.id, lease=lease)
+            self.metrics.observe_done(time.time() - record.submitted_at)
+            return done
+        failed = self.queue.fail(record.id, str(error), retryable=retryable,
+                                 lease=lease)
+        self.metrics.count_failure(failed)
+        return failed
+
+    # ------------------------------------------------------------------
     # the dispatch loop
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self._wake.wait(self.poll_interval)
+            self._wake.wait(POLL_INTERVAL)
             self._wake.clear()
             if self._stop.is_set():
                 break
             self._sweep_leases()
-            if not self.claim_jobs:
+            if not self.local_dispatch:
                 continue
-            claimed = self.queue.claim(self.batch_limit)
+            claimed = self.claim(BATCH_LIMIT)
             if not claimed:
                 continue
             self._idle.clear()
@@ -224,66 +319,36 @@ class WorkerPool:
             self.metrics.count_failure(record)
 
     def _process(self, claimed: list[JobRecord]) -> None:
-        misses: list[JobRecord] = []
+        batch: list[JobRecord] = []
         for record in claimed:
-            if self.cache.get(record.cache_key) is not None:
-                self.metrics.count("cache_hits")
-                self._finish(record, latency_start=record.submitted_at)
-            elif record.delta_of is not None:
+            if record.delta_of is not None:
                 self._solve_delta_job(record)
             else:
-                misses.append(record)
-        if misses:
-            self._solve_batch(misses)
-
-    # ------------------------------------------------------------------
-    # completion routes
-    # ------------------------------------------------------------------
-
-    def _finish(self, record: JobRecord, *, latency_start: float) -> None:
-        self.queue.complete(record.id)
-        self.metrics.observe_done(time.time() - latency_start)
-
-    def _fail(self, record: JobRecord, error: str, *,
-              retryable: bool) -> None:
-        """Fail one attempt of a job and count it as a retry or an error."""
-        self.metrics.count_failure(
-            self.queue.fail(record.id, error, retryable=retryable))
-
-    def _store(self, record: JobRecord, payload: dict) -> None:
-        """Cache a solved payload, then mark its job done; a failed
-        cache write fails the job retryably instead, so ``done`` always
-        has its result on disk."""
-        if self.cache.put(record.cache_key, payload):
-            self._finish(record, latency_start=record.submitted_at)
-        else:
-            self._fail(record, CACHE_WRITE_FAILED, retryable=True)
-
-    def _job_options(self, record: JobRecord) -> Options:
-        return decode_options(record.payload.get("options"), journaled=True)
+                batch.append(record)
+        if batch:
+            self._solve_batch(batch)
 
     def _solve_delta_job(self, record: JobRecord) -> None:
         """Answer a ``delta_of`` job on a warm (LRU-cached) session."""
         try:
-            options = self._job_options(record)
+            options = decode_options(record.payload.get("options"),
+                                     journaled=True)
             problem = decode_problem(record.payload["problem"])
             session = self._session_for(record, options)
             result = session.solve(problem)
         except Exception as exc:  # decode/anchor errors are deterministic
-            self._fail(record, f"delta job failed: {exc}", retryable=False)
+            self.settle(record, {"verdict": "error", "seconds": 0.0,
+                                 "error": f"delta job failed: {exc}"},
+                        lease=record.lease)
             return
         from repro.api.result import result_to_json
 
-        payload = result_to_json(result)
         path = (result.detail.get("delta") or {}).get("path")
         self.metrics.count("delta_reused" if path == "reused"
                            else "delta_fallback")
         self.metrics.count("solves")
         self.metrics.observe_busy(result.seconds)
-        if payload.get("error") is None:
-            self._store(record, payload)
-        else:
-            self._fail(record, payload["error"], retryable=False)
+        self.settle(record, result_to_json(result), lease=record.lease)
 
     def _session_for(self, record: JobRecord,
                      options: Options) -> DeltaSession:
@@ -309,30 +374,17 @@ class WorkerPool:
         return session
 
     def _solve_batch(self, records: list[JobRecord]) -> None:
-        """Fan cache misses out over the persistent process pool."""
-        jobs = []
+        """Fan journaled payloads out over the persistent process pool."""
         stalled: set[int] = set()
-        for slot, record in enumerate(records):
-            try:
-                options = self._job_options(record)
-                problem = decode_problem(record.payload["problem"])
-            except Exception as exc:
-                self._fail(record, f"undecodable job: {exc}", retryable=False)
-                continue
-            jobs.append((slot, (problem, options)))
-        if not jobs:
-            return
 
         def record_result(slot: int, payload: dict) -> None:
             record = records[slot]
             self.metrics.count("solves")
             self.metrics.observe_busy(payload.get("seconds") or 0.0)
-            if payload.get("error") is None:
-                self._store(record, payload)
-                return
             # A stall is environmental (requeue, costing an attempt); a
             # worker exception is deterministic (park immediately).
-            self._fail(record, payload["error"], retryable=slot in stalled)
+            self.settle(record, payload, lease=record.lease,
+                        retryable=slot in stalled)
 
         def failure(slot: int, error: str, seconds: float) -> dict:
             stalled.add(slot)
@@ -340,7 +392,9 @@ class WorkerPool:
 
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        healthy = map_jobs(jobs, _solve_worker, record_result, failure,
+        jobs = [(slot, (record.payload,))
+                for slot, record in enumerate(records)]
+        healthy = map_jobs(jobs, solve_job, record_result, failure,
                            shards=self.workers,
                            task_timeout=self.task_timeout,
                            executor=self._executor)

@@ -7,7 +7,6 @@ from repro.checking.explorer import explore_plain
 from repro.mca import (
     AgentNetwork,
     AgentPolicy,
-    AsynchronousEngine,
     GeometricUtility,
     SynchronousEngine,
 )
@@ -94,22 +93,6 @@ class TestEngineSnapshot:
         fresh = SynchronousEngine(network, items, policies).run(max_rounds=20)
         assert first.allocation == second.allocation == fresh.allocation
         assert first.rounds == second.rounds == fresh.rounds
-
-    def test_asynchronous_engine_snapshot_includes_buffer(self):
-        items = ["A"]
-        engine = AsynchronousEngine(
-            AgentNetwork.complete(2), items, _policies(2, items, target=1)
-        )
-        for agent_id in engine.network.agents():
-            if engine.agents[agent_id].bid_phase():
-                engine._broadcast(agent_id)
-        assert engine.buffer
-        snapshot = engine.snapshot()
-        buffered = list(engine.buffer)
-        engine.run(max_messages=100)
-        assert not engine.buffer
-        engine.restore(snapshot)
-        assert engine.buffer == buffered
 
 
 class TestExplorerWithoutDeepcopy:

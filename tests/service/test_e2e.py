@@ -168,11 +168,15 @@ class TestDistributedSatellites:
         batch = mixed_batch(50)
         hub, url = start_server(queue_dir, cache_dir, workers=1,
                                 extra=("--no-local-dispatch",))
-        satellites = [start_satellite(url, f"sat-{i}") for i in range(2)]
+        satellites = []
         try:
             client = ServiceClient(url)
             jobs = [client.submit(body)["id"] for _, body in batch]
             assert len(set(jobs)) == 50
+            # The whole batch is queued before any satellite polls, so
+            # sat-0's first claim takes a full batch of leases.
+            satellites = [start_satellite(url, f"sat-{i}")
+                          for i in range(2)]
             # Kill -9 the victim the moment it holds >= 2 live leases:
             # it solves sequentially, so at least one lease dies
             # unposted and must be swept back into the queue.

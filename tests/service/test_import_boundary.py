@@ -23,8 +23,9 @@ import repro.service.app
 from repro.api import FormulaProblem, problem_fingerprint, solve_many
 from repro.api.codec import problem_to_json
 from repro.kodkod import Bounds, Universe, relation
-from repro.service.satellite import SatelliteWorker
+import repro.service.satellite
 from repro.service.schema import decode_submission
+from repro.service.workers import solve_job
 
 universe = Universe(["a", "b"])
 r = relation("r", 1)
@@ -35,8 +36,7 @@ submission = decode_submission({"problem": problem_to_json(problem)})
 assert problem_fingerprint(problem) == submission.fingerprint
 (result,) = solve_many([problem], cache_dir=sys.argv[1])
 assert result.verdict.value == "sat"
-worker = SatelliteWorker("http://127.0.0.1:1")
-claimed = worker._solve_claim({"payload": submission.payload()})
+claimed = solve_job(submission.payload())
 assert claimed["verdict"] == "sat", claimed
 print(json.dumps(sorted(sys.modules)))
 """

@@ -25,9 +25,10 @@ from repro.fuzz.generators import FuzzSpec, generate
 from repro.kodkod import relation
 from repro.service import ServiceConfig, VerificationService
 from repro.service.client import ServiceClient, ServiceError
+from repro.service import satellite
 from repro.service.satellite import SatelliteWorker
 from repro.service.schema import decode_submission
-from repro.service.workers import CACHE_WRITE_FAILED
+from repro.service.workers import CACHE_WRITE_FAILED, solve_job
 
 from tests.api.test_delta import free_problem, rebound
 from tests.service.test_service import NINE_FIELD_DEFAULTS, SIX_FIELD_DEFAULTS
@@ -76,25 +77,27 @@ class TestSatelliteFabric:
                                    "done": 3, "error": 0}
         assert worker.stats.snapshot()["solved"] == 3
 
-    def test_a_refused_post_does_not_sink_the_claim_batch(self, hub,
-                                                          client):
+    def test_a_refused_post_does_not_sink_the_claim_batch(
+            self, hub, client, monkeypatch):
         """The hub refuses the first post (a SAT verdict without its
         instance, 400); the satellite counts it and still solves and
         posts the second claim of the batch."""
+        ids = {}
         for seed in (21, 22):
-            client.submit(formula_body(seed))
+            label = f"seed-{seed}"
+            ids[label] = client.submit(
+                {**formula_body(seed), "label": label})["id"]
         worker = SatelliteWorker(hub.url, worker_id="sat-refused",
                                  claim_limit=2)
-        solve_claim = worker._solve_claim
         claimed = []
 
-        def lying_first(claim):
-            claimed.append(claim["id"])
+        def lying_first(payload):
+            claimed.append(ids[payload["label"]])
             if len(claimed) == 1:
                 return {"verdict": "sat", "instances": []}
-            return solve_claim(claim)
+            return solve_job(payload)
 
-        worker._solve_claim = lying_first
+        monkeypatch.setattr(satellite, "solve_job", lying_first)
         assert worker.run_once() == 2
         assert worker.stats.snapshot()["errors"] == 1
         assert worker.stats.snapshot()["solved"] == 1
@@ -109,11 +112,10 @@ class TestSatelliteFabric:
         hub.cache.put = lambda key, payload: False
         job_id = client.submit(formula_body(23))["id"]
         (claim,) = client.claim("sat-disk", limit=1)["claims"]
-        worker = SatelliteWorker(hub.url, worker_id="sat-disk")
         with pytest.raises(ServiceError) as info:
             client.post_result(job_id, lease=claim["lease"],
                                worker="sat-disk",
-                               result=worker._solve_claim(claim))
+                               result=solve_job(claim["payload"]))
         assert info.value.status == 503
         assert "now pending" in str(info.value)
         body = client.job(job_id)
@@ -147,7 +149,7 @@ class TestSatelliteFabric:
             assert time.time() < deadline, "sweep never expired the lease"
             time.sleep(0.02)
         worker = SatelliteWorker(hub.url, worker_id="sat-slow")
-        result = worker._solve_claim(claim)
+        result = solve_job(claim["payload"])
         worker._post(claim, result)  # swallows the 409 and counts it
         assert worker.stats.snapshot()["lost_leases"] == 1
         with pytest.raises(ServiceError) as info:
@@ -176,10 +178,9 @@ class TestSatelliteFabric:
         assert time.time() > claim["deadline"]
         assert client.metrics()["leases_expired"] == 0
         client.heartbeat(claim["lease"], 60.0)  # room to solve and post
-        worker = SatelliteWorker(hub.url, worker_id="sat-beat")
         body = client.post_result(job_id, lease=claim["lease"],
                                   worker="sat-beat",
-                                  result=worker._solve_claim(claim))
+                                  result=solve_job(claim["payload"]))
         assert body["state"] == "done"
 
     def test_heartbeat_on_an_unknown_lease_is_409(self, client):
@@ -194,7 +195,7 @@ class TestSatelliteFabric:
         (claim,) = client.claim("sat-bad", limit=1)["claims"]
         worker = SatelliteWorker(hub.url, worker_id="sat-bad")
         mangled = {**claim, "payload": {"problem": {"kind": "junk"}}}
-        result = worker._solve_claim(mangled)
+        result = solve_job(mangled["payload"])
         assert "could not decode" in result["error"]
         worker._post(claim, result)
         assert worker.stats.snapshot()["errors"] == 1
@@ -210,7 +211,7 @@ class TestSatelliteFabric:
         (claim,) = client.claim("sat-old", limit=1)["claims"]
         payload = {**claim["payload"], "options": NINE_FIELD_DEFAULTS}
         worker = SatelliteWorker(hub.url, worker_id="sat-old")
-        result = worker._solve_claim({**claim, "payload": payload})
+        result = solve_job(payload)
         assert result["error"] is None
         worker._post(claim, result)
         assert client.job(job_id)["state"] == "done"
@@ -225,7 +226,7 @@ class TestSatelliteFabric:
         (claim,) = client.claim("sat-paths", limit=1)["claims"]
         payload = {**claim["payload"], "options": SIX_FIELD_DEFAULTS}
         worker = SatelliteWorker(hub.url, worker_id="sat-paths")
-        result = worker._solve_claim({**claim, "payload": payload})
+        result = solve_job(payload)
         assert result["error"] is None
         assert result["verdict"] == "holds"
         worker._post(claim, result)
@@ -240,8 +241,7 @@ class TestSatelliteFabric:
         marker = tmp_path / "spawned"
         payload = {**claim["payload"],
                    "options": {"solver": f"dimacs:touch {marker}"}}
-        worker = SatelliteWorker(hub.url, worker_id="sat-ext")
-        result = worker._solve_claim({**claim, "payload": payload})
+        result = solve_job(payload)
         assert "could not decode" in result["error"]
         assert "not a registered backend" in result["error"]
         assert not marker.exists()

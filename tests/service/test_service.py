@@ -17,7 +17,7 @@ from repro.api import Options, problem_from_spec, run_protocol, solve
 from repro.api.codec import problem_to_json
 from repro.campaign.specs import FAMILIES, ScenarioSpec
 from repro.fuzz.generators import FuzzSpec, generate
-from repro.service import ServiceConfig, VerificationService
+from repro.service import ServiceConfig, VerificationService, workers
 from repro.service.app import _Handler
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
@@ -312,7 +312,7 @@ class TestEdgePolicies:
         finally:
             service.stop()
         assert final["state"] == "error"
-        assert final["error"].startswith("undecodable job: ")
+        assert final["error"].startswith("could not decode job: ")
         assert "'kodkod-vector' is not a registered backend" in final["error"]
         assert final["attempts"] == 1
 
@@ -485,6 +485,36 @@ class TestResultStorage:
             assert final["error"] == CACHE_WRITE_FAILED
             assert final["attempts"] == 2
         assert retries == 2
+
+
+class TestOneLifecycle:
+    def test_the_hub_never_decodes_a_queued_job_tree(self, tmp_path,
+                                                     monkeypatch):
+        """After the edge, a non-delta job's tree is decoded only where
+        it is solved: the hub hands its pool the journaled payload.
+        (The pool's forked workers record into their own copies of the
+        list, so only the hub's own calls could show up here.)"""
+        calls = []
+        decode = workers.decode_problem
+
+        def recording(payload):
+            calls.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(workers, "decode_problem", recording)
+        problem = generate(FuzzSpec.make("formula", 2))
+        service = VerificationService(ServiceConfig(
+            queue_dir=tmp_path / "queue", cache_dir=tmp_path / "cache",
+            workers=1)).start()
+        try:
+            client = ServiceClient(service.url)
+            final = client.wait(client.submit(
+                {"problem": problem_to_json(problem)})["id"], timeout=120)
+        finally:
+            service.stop()
+        assert final["state"] == "done"
+        assert final["result"]["verdict"] == solve(problem).verdict.value
+        assert calls == []
 
 
 class TestReadmeExample:
